@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--tol", type=float, default=1e-10)
     ver.add_argument("--sample", type=_positive,
                      help="sampled overlap count instead of the full sweep")
-    ver.add_argument("--threads", type=_positive, default=1)
 
     ana = sub.add_parser("analyze", help="entanglement and design-identity report")
     ana.add_argument("doc", nargs="?", default="-")
@@ -166,8 +165,7 @@ def _cmd_verify(args) -> int:
     print(f"algebraic difference condition: pass "
           f"({algebraic.mode} mode, {len(fam.matrices)} matrices)")
     if args.numeric:
-        report = verify_mu_numeric(fam, tol=args.tol, sample=args.sample,
-                                   threads=args.threads)
+        report = verify_mu_numeric(fam, tol=args.tol, sample=args.sample)
         if not report.ok:
             r, t, mr, ms, dev = report.first_violation
             print(f"FAIL numeric (overlap): bases {r},{t} elements {mr},{ms} "

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .fields import PolyZp, check_prime
 from .linalg import MatZp
-from .symrep import SymmetricRep, symmetric_representation
+from .symrep import ConstructionError, SymmetricRep, symmetric_representation
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,8 @@ def adjacency_set(witness: SymmetricRep) -> MubSet:
             if a:
                 acc = acc + pw.scale(a)
         mats.append(acc)
-    assert mats[0] == MatZp.zeros(p, n)
-    assert mats[1] == MatZp.identity(p, n)
+    if mats[0] != MatZp.zeros(p, n) or mats[1] != MatZp.identity(p, n):
+        raise ConstructionError("indices 0 and 1 must be the zero and identity matrices")
     return MubSet(
         p=p, n=n, matrices=tuple(mats), witness=witness, field_rep=True,
         method=witness.method, polynomial=witness.f, d=witness.d,
@@ -118,7 +118,8 @@ def power_set(witness: SymmetricRep) -> MubSet:
         powers.add(acc)
     powers.add(MatZp.zeros(p, n))
     family = adjacency_set(witness)
-    assert powers == set(family.matrices), "power enumeration missed members"
+    if powers != set(family.matrices):
+        raise ConstructionError("power enumeration missed members")
     return family
 
 
@@ -174,7 +175,8 @@ def mub_set(p: int, n: int, method: str = "auto", poly: PolyZp | None = None,
                                        primitive=primitive)
     family = adjacency_set(witness)
     report = verify_mu_condition(family)
-    assert report.ok, f"field representation failed the difference check: {report}"
+    if not report.ok:
+        raise ConstructionError(f"family failed the difference check: {report}")
     return family
 
 

@@ -215,7 +215,8 @@ class _Reduction:
 
     def result(self, original: MatZp) -> MatZp:
         pmat = MatZp(self.p, self.P)
-        assert congruence(pmat, original) == MatZp.identity(self.p, self.n)
+        if congruence(pmat, original) != MatZp.identity(self.p, self.n):
+            raise ConstructionError("congruence reduction did not reach the identity")
         return pmat
 
 
@@ -303,7 +304,8 @@ def reduce_to_identity_odd(b: MatZp) -> MatZp:
                 st.scale_row(i, pow(s, p - 2, p))
     nonres = [i for i in range(n) if B[i][i] != 1]
     if nonres:
-        assert len(nonres) % 2 == 0
+        if len(nonres) % 2:
+            raise ConstructionError("odd number of non-residue diagonal entries")
         qhat = smallest_nonresidue(p)
         for i in nonres:
             if B[i][i] != qhat:
@@ -359,10 +361,11 @@ def symmetrize_companion(f: PolyZp) -> SymmetricRep:
         multiplier = choose_form_multiplier(f, c)
         bform = multiplier @ b0 if isinstance(multiplier, MatZp) else b0.scale(multiplier)
         pmat = reduce_to_identity_odd(bform)
-    assert c @ bform == bform @ c.transpose()
+    if c @ bform != bform @ c.transpose():
+        raise ConstructionError("form does not symmetrize the companion matrix")
     q = pmat @ c @ pmat.inverse()
-    assert q.is_symmetric
-    assert q.char_poly() == f
+    if not q.is_symmetric or q.char_poly() != f:
+        raise ConstructionError(f"symmetrized seed is not symmetric with char poly {f}")
     return SymmetricRep(
         f=f, q=q, method="companion", companion=c, transform=pmat,
         multiplier=multiplier,
@@ -488,7 +491,8 @@ def tridiagonal_rep(p: int, d) -> SymmetricRep:
         raise ConstructionError(
             f"characteristic polynomial {f} of d={tuple(d)} is reducible"
         )
-    assert q.char_poly() == f
+    if q.char_poly() != f:
+        raise ConstructionError(f"char poly of the tridiagonal seed differs from {f}")
     return SymmetricRep(f=f, q=q, method="tridiagonal", d=tuple(v % p for v in d))
 
 

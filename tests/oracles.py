@@ -2,14 +2,18 @@
 
 These deliberately use different algorithms than the library: trial
 factorization instead of the distinct-degree test, explicit group-order
-stepping instead of the factored order test, and Laplace cofactor
-expansion instead of Berkowitz.
+stepping instead of the factored order test, Laplace cofactor
+expansion instead of Berkowitz, and dense basis-matrix grams instead of
+the Fourier-diagonal overlap sweep.
 """
 
-from itertools import product
+from itertools import combinations, product
+
+import numpy as np
 
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
+from graphmub.states import NumericReport, basis_matrix
 
 
 def all_monic(p: int, n: int):
@@ -103,3 +107,22 @@ def rank_brute(block: list[list[int]], p: int) -> int:
                 continue
             break
     return best
+
+
+def numeric_sweep_brute(s, tol: float = 1e-10) -> NumericReport:
+    """Full overlap sweep from explicit basis matrices: one d x d gram per
+    pair of bases, O(d^3) each; the computational basis comes last."""
+    d = s.dim
+    bases = [basis_matrix(a) for a in s.matrices] + [np.eye(d)]
+    worst = 0.0
+    first = None
+    pairs = 0
+    for r, t in combinations(range(len(bases)), 2):
+        dev = np.abs(np.abs(bases[r].conj().T @ bases[t]) ** 2 - 1.0 / d)
+        mr, ms = np.unravel_index(int(np.argmax(dev)), dev.shape)
+        pairs += 1
+        worst = max(worst, float(dev[mr, ms]))
+        if first is None and dev[mr, ms] > tol:
+            first = (r, t, int(mr), int(ms), float(dev[mr, ms]))
+    return NumericReport(ok=first is None, mode="full", pairs_checked=pairs,
+                         worst_deviation=worst, first_violation=first)

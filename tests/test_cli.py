@@ -84,10 +84,8 @@ def test_verify_detects_corruption(capsys, tmp_path):
     assert "algebraic" in err
 
 
-def test_verify_numeric_only_failure(capsys, tmp_path):
-    # algebraically fine family, then corrupt a matrix but keep the
-    # difference condition intact is impossible; instead feed a document
-    # whose matrices are fine and check the numeric sweep agrees
+def test_verify_sampled_numeric_pass(capsys, tmp_path):
+    # a sound family passes the sampled sweep, which reports its mode
     doc = gen_doc(capsys)
     path = tmp_path / "fam.json"
     path.write_text(doc)
@@ -95,6 +93,18 @@ def test_verify_numeric_only_failure(capsys, tmp_path):
         capsys, ["verify", str(path), "--numeric", "--sample", "200"])
     assert code == 0
     assert "sampled(200)" in out
+
+
+def test_verify_numeric_failure(capsys, tmp_path):
+    # two identical bases; whichever stage catches it, verify must fail
+    doc = json.loads(gen_doc(capsys))
+    doc["field_rep"] = True
+    doc["matrices"][3] = doc["matrices"][2]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["verify", str(path), "--numeric"])
+    assert code == 1
+    assert "FAIL" in err
 
 
 def test_gen_flag_conflict_is_usage_error(capsys):

@@ -29,6 +29,8 @@ from graphmub.states import (
     verify_mu_numeric,
 )
 
+from oracles import numeric_sweep_brute
+
 F27 = PolyZp(3, [1, 2, 1, 1])
 
 
@@ -242,6 +244,17 @@ def test_two_qupit_entangling_law():
 # -- numeric unbiasedness sweeps ---------------------------------------------
 
 
+def corrupted_qubit_triple():
+    fam = qubit_triple_family()
+    rows = fam.matrices[2].to_lists()
+    rows[0][1] = rows[1][0] = (rows[0][1] + 1) % 2  # break one matrix
+    return MubSet(
+        p=2, n=3,
+        matrices=fam.matrices[:2] + (MatZp(2, rows),) + fam.matrices[3:],
+        field_rep=False,
+    )
+
+
 def test_numeric_sweep_three_qubits():
     report = verify_mu_numeric(qubit_triple_family(), tol=1e-10)
     assert report.ok
@@ -256,25 +269,44 @@ def test_numeric_sweep_three_qutrits():
 
 
 def test_numeric_sweep_detects_corruption():
-    fam = qubit_triple_family()
-    rows = fam.matrices[2].to_lists()
-    rows[0][1] = rows[1][0] = (rows[0][1] + 1) % 2  # break one matrix
-    corrupted = MubSet(
-        p=2, n=3,
-        matrices=fam.matrices[:2] + (MatZp(2, rows),) + fam.matrices[3:],
-        field_rep=False,
-    )
-    report = verify_mu_numeric(corrupted, tol=1e-10)
+    report = verify_mu_numeric(corrupted_qubit_triple(), tol=1e-10)
     assert not report.ok
     assert report.first_violation is not None
 
 
-def test_numeric_threads_agree():
-    fam = mub_set(3, 2)
-    a = verify_mu_numeric(fam, threads=1)
-    b = verify_mu_numeric(fam, threads=3)
-    assert a.ok and b.ok
-    assert a.worst_deviation == b.worst_deviation
+def explicit_element(s, basis, label):
+    """Basis vector by explicit construction; index len(s.matrices) is
+    the computational basis."""
+    if basis == len(s.matrices):
+        e = np.zeros(s.dim, dtype=np.complex128)
+        e[label] = 1.0
+        return e
+    m = np.unravel_index(label, (s.p,) * s.n)
+    return basis_element(s.matrices[basis], [int(v) for v in m])
+
+
+@pytest.mark.parametrize("case", ["2,3", "3,2", "2,4", "5,2", "corrupted", "shifted"])
+def test_numeric_sweep_matches_dense_oracle(case):
+    if case == "corrupted":
+        fam = corrupted_qubit_triple()
+    elif case == "shifted":
+        fam = shift_set(mub_set(3, 2), MatZp(3, [[1, 2], [2, 0]]))
+    else:
+        p, n = map(int, case.split(","))
+        fam = mub_set(p, n)
+    fast = verify_mu_numeric(fam, tol=1e-10)
+    slow = numeric_sweep_brute(fam, tol=1e-10)
+    assert fast.ok == slow.ok == (case != "corrupted")
+    assert fast.pairs_checked == slow.pairs_checked
+    assert abs(fast.worst_deviation - slow.worst_deviation) < 1e-12
+    if fast.ok:
+        assert fast.first_violation is slow.first_violation is None
+        return
+    r, t, mr, ms, dev = fast.first_violation
+    assert (r, t) == slow.first_violation[:2]
+    assert abs(dev - slow.first_violation[4]) < 1e-12
+    u, v = explicit_element(fam, r, mr), explicit_element(fam, t, ms)
+    assert abs(abs(overlap(u, v) - 1 / fam.dim) - dev) < 1e-12
 
 
 def test_numeric_full_mode_dimension_guard():
@@ -496,13 +528,6 @@ def test_simulating_forward_fourier_and_z_gates():
 
 
 def test_numeric_sampled_detects_corruption():
-    fam = qubit_triple_family()
-    rows = fam.matrices[2].to_lists()
-    rows[0][1] = rows[1][0] = (rows[0][1] + 1) % 2
-    corrupted = MubSet(
-        p=2, n=3,
-        matrices=fam.matrices[:2] + (MatZp(2, rows),) + fam.matrices[3:],
-        field_rep=False,
-    )
-    report = verify_mu_numeric(corrupted, tol=1e-10, sample=2000, seed=11)
+    report = verify_mu_numeric(corrupted_qubit_triple(), tol=1e-10,
+                               sample=2000, seed=11)
     assert not report.ok
