@@ -2,8 +2,10 @@
 
 The reduced state of a graph state across a bipartition (X|Y) has purity
 p^{-rank} where rank is the Z_p-rank of the off-diagonal connectivity
-block of the adjacency matrix.  Purities are kept as exact rationals so
-the averaged-purity identity over a complete family,
+block of the adjacency matrix.  That rank is 0 exactly when no edge
+crosses the cut, so a basis is biseparable exactly when its edge graph
+is disconnected.  Purities are kept as exact rationals so the
+averaged-purity identity over a complete family,
 
     (1 + sum_i p^{-rank_i}) / (p^n + 1) = (d_X + d_Y) / (d_X d_Y + 1),
 
@@ -94,6 +96,16 @@ class DesignCheck:
     passed: bool
 
 
+def _design_check(p: int, b: Bipartition, ranks) -> DesignCheck:
+    """Averaged purity of a complete family with these ranks at b (the
+    computational basis adds purity 1) against the Haar value."""
+    lhs = (1 + sum(Fraction(1, p**r) for r in ranks)) / (len(ranks) + 1)
+    dx = p ** len(b.x)
+    dy = p ** len(b.y)
+    rhs = Fraction(dx + dy, dx * dy + 1)
+    return DesignCheck(lhs=lhs, rhs=rhs, passed=lhs == rhs)
+
+
 def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
     """Average reduced purity over the complete family versus the Haar value.
 
@@ -105,14 +117,7 @@ def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
             f"complete family required: expected {s.dim} matrices, "
             f"got {len(s.matrices)}"
         )
-    total = Fraction(1)
-    for a in s.matrices:
-        total += reduced_purity(a, b)
-    lhs = total / (s.dim + 1)
-    dx = s.p ** len(b.x)
-    dy = s.p ** len(b.y)
-    rhs = Fraction(dx + dy, dx * dy + 1)
-    return DesignCheck(lhs=lhs, rhs=rhs, passed=lhs == rhs)
+    return _design_check(s.p, b, [connectivity_rank(a, b) for a in s.matrices])
 
 
 # ---------------------------------------------------------------------------
@@ -120,36 +125,26 @@ def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
 # ---------------------------------------------------------------------------
 
 
-def _edge_graph(a: MatZp) -> list[list[bool]]:
-    n = a.n
-    return [[i != j and a[i, j] != 0 for j in range(n)] for i in range(n)]
-
-
-def _is_star_or_complete(a: MatZp) -> bool:
-    n = a.n
-    if n < 2:
-        return False
-    edges = _edge_graph(a)
-    degrees = [sum(row) for row in edges]
-    if all(d == n - 1 for d in degrees):
-        return True  # complete graph
-    return sorted(degrees) == [1] * (n - 1) + [n - 1]  # star
-
-
 def classify_basis(a: MatZp) -> str:
     """Entanglement label of the basis generated by adjacency matrix a.
 
-    fully-separable: no edges at all.  biseparable-structure: edges exist
-    but some bipartition is disconnected.  GHZ-type: p = 2 star or
-    complete graphs (all bipartitions connected).  Everything else with
-    all bipartitions connected: genuinely-multipartite.
+    Off-diagonal entries are edges.  fully-separable: no edges.
+    biseparable-structure: edges, but the edge graph is disconnected (some
+    cut has connectivity rank 0).  GHZ-type: p = 2 connected star or
+    complete graphs.  Every other connected graph: genuinely-multipartite.
     """
     n = a.n
-    if not any(a[i, j] for i in range(n) for j in range(i + 1, n)):
+    nbrs = [[j for j in range(n) if j != i and a[i, j]] for i in range(n)]
+    degrees = [len(js) for js in nbrs]
+    if not any(degrees):
         return FULLY_SEPARABLE
-    if any(connectivity_rank(a, b) == 0 for b in all_bipartitions(n)):
+    seen, frontier = {0}, {0}
+    while frontier:
+        frontier = {j for i in frontier for j in nbrs[i]} - seen
+        seen |= frontier
+    if len(seen) < n:
         return BISEPARABLE
-    if a.p == 2 and _is_star_or_complete(a):
+    if a.p == 2 and sorted(degrees) in ([n - 1] * n, [1] * (n - 1) + [n - 1]):
         return GHZ_TYPE
     return GENUINELY_MULTIPARTITE
 
@@ -170,11 +165,12 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
     """Per-graph ranks, purities and labels, keyed by bipartition,
     plus the exact two sides of the design identity."""
     bips = list(bipartitions) if bipartitions is not None else all_bipartitions(s.n)
+    labels = [classify_basis(a) for a in s.matrices]
     report = {
         "p": s.p,
         "n": s.n,
-        "labels": [classify_basis(a) for a in s.matrices],
-        "census": census(s),
+        "labels": labels,
+        "census": dict(Counter(labels)),
         "computational_basis": FULLY_SEPARABLE,
         "bipartitions": {},
     }
@@ -186,7 +182,7 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
             "purities": [str(Fraction(1, s.p**r)) for r in ranks],
         }
         if complete:
-            check = design_purity_check(s, b)
+            check = _design_check(s.p, b, ranks)
             entry["design_lhs"] = str(check.lhs)
             entry["design_rhs"] = str(check.rhs)
             entry["design_pass"] = check.passed

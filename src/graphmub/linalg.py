@@ -1,9 +1,9 @@
 """Exact dense linear algebra over Z_p.
 
-Determinant, rank and inverse run by Gaussian elimination with modular
-pivot inverses.  The characteristic polynomial uses the division-free
-Berkowitz recursion, which stays correct for every prime p including
-p <= n (Faddeev-LeVerrier would divide by k!).
+Determinant, rank and inverse share one forward Gaussian elimination
+with modular pivot inverses.  The characteristic polynomial uses the
+division-free Berkowitz recursion, which stays correct for every prime p
+including p <= n (Faddeev-LeVerrier would divide by k!).
 """
 
 from __future__ import annotations
@@ -158,20 +158,10 @@ class MatZp:
     def det(self) -> int:
         p, n = self.p, self.n
         m = [list(r) for r in self.rows]
-        d = 1
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c]), None)
-            if piv is None:
-                return 0
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                d = -d % p
-            d = d * m[c][c] % p
-            inv = pow(m[c][c], p - 2, p)
-            for r in range(c + 1, n):
-                if m[r][c]:
-                    f = m[r][c] * inv % p
-                    m[r] = [(a - f * b) % p for a, b in zip(m[r], m[c])]
+        d = _eliminate(m, p)[1] % p
+        # the echelon form of a singular m ends in a zero row: d ends at 0
+        for i in range(n):
+            d = d * m[i][i] % p
         return d
 
     def rank(self) -> int:
@@ -180,21 +170,16 @@ class MatZp:
     def inverse(self) -> "MatZp":
         p, n = self.p, self.n
         m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        for c in range(n):
-            piv = next((r for r in range(c, n) if m[r][c]), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            m[c], m[piv] = m[piv], m[c]
+        if _eliminate(m, p)[0] != list(range(n)):
+            raise ZeroDivisionError("singular matrix")
+        for c in reversed(range(n)):
             inv = pow(m[c][c], p - 2, p)
             m[c] = [v * inv % p for v in m[c]]
-            for r in range(n):
-                if r != c and m[r][c]:
+            for r in range(c):
+                if m[r][c]:
                     f = m[r][c]
                     m[r] = [(a - f * b) % p for a, b in zip(m[r], m[c])]
         return MatZp(p, [row[n:] for row in m])
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n)) % self.p
 
     def char_poly(self) -> PolyZp:
         """Monic characteristic polynomial det(x*1 - M) via Berkowitz."""
@@ -227,27 +212,36 @@ class MatZp:
         return PolyZp(p, list(reversed(vec)))
 
 
-def rank_mod_p(block: list[list[int]], p: int) -> int:
-    """Rank over Z_p of a rectangular block (row lists, already reduced)."""
-    m = [list(r) for r in block]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][c] % p), None)
-        if piv is None:
+def _eliminate(m: list[list[int]], p: int) -> tuple[list[int], int]:
+    """Forward elimination over Z_p of reduced row lists, in place: m ends
+    in row echelon form.  Returns the pivot columns, pivot row i holding
+    pivots[i], and the sign (+1 or -1) of the row swaps."""
+    nrows = len(m)
+    pivots: list[int] = []
+    sign = 1
+    for c in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        for piv in range(top, nrows):
+            if m[piv][c]:
+                break
+        else:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c] % p, p - 2, p)
-        for r in range(rank + 1, nrows):
-            if m[r][c] % p:
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            sign = -sign
+        pivot_row = m[top]
+        inv = pow(pivot_row[c], p - 2, p)
+        for r in range(top + 1, nrows):
+            if m[r][c]:
                 f = m[r][c] * inv % p
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+                m[r] = [(a - f * b) % p for a, b in zip(m[r], pivot_row)]
+        pivots.append(c)
+    return pivots, sign
+
+
+def rank_mod_p(block: list[list[int]], p: int) -> int:
+    """Rank over Z_p of a rectangular block of integer row lists."""
+    return len(_eliminate([[v % p for v in r] for r in block], p)[0])
 
 
 def congruence(pmat: MatZp, b: MatZp) -> MatZp:

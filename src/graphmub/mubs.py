@@ -201,33 +201,61 @@ def to_document(s: MubSet) -> dict:
     return doc
 
 
+def _ints(v, what: str, depth: int = 0):
+    """v as lists nested depth deep around ints, else ValueError."""
+    if depth and not isinstance(v, list):
+        raise ValueError(f"{what}: expected a list, got {v!r}")
+    if depth > 1:
+        return [_ints(x, what, depth - 1) for x in v]
+    for x in v if depth else [v]:
+        if type(x) is not int:
+            raise ValueError(f"{what}: expected an integer, got {x!r}")
+    return v
+
+
+def _is_index_ordered_span(p: int, n: int, mats) -> bool:
+    """True when mats are the p^n Z_p-combinations of the mats[p^k] in
+    index order, mats[i] = mats[i - q] + mats[q] with q = p^k for the lowest
+    nonzero base-p digit k of i (so mats[0] = 0): closed under subtraction."""
+    if len(mats) != p**n:
+        return False
+    for i in range(1, len(mats)):
+        q = 1
+        while i % (q * p) == 0:
+            q *= p
+        if mats[i] != mats[i - q] + mats[q]:
+            return False
+    return True
+
+
 def from_document(doc: dict) -> MubSet:
-    p = int(doc["p"])
-    n = int(doc["n"])
+    """Parse a family document (ValueError for non-int scalars and non-list
+    containers); a `field_rep` claim stands only if the matrices prove it."""
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    p = _ints(doc["p"], "p")
+    n = _ints(doc["n"], "n")
     check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    mats = []
-    for rows in doc["matrices"]:
-        m = MatZp(p, rows)
-        if m.n != n:
-            raise ValueError("matrix dimension does not match n")
-        if not m.is_symmetric:
-            raise ValueError("adjacency matrices must be symmetric")
-        mats.append(m)
+    mats = tuple(MatZp(p, rows) for rows in _ints(doc["matrices"], "matrices", 3))
     if not mats:
         raise ValueError("document contains no matrices")
+    if any(m.n != n or not m.is_symmetric for m in mats):
+        raise ValueError("adjacency matrices must be symmetric and n x n")
     poly = doc.get("polynomial")
+    if poly is not None:
+        poly = _ints(poly, "polynomial", 1)
     return MubSet(
         p=p,
         n=n,
-        matrices=tuple(mats),
+        matrices=mats,
         witness=None,
-        field_rep=bool(doc.get("field_rep", False)),
-        shifts=tuple(MatZp(p, rows) for rows in doc.get("shifts", [])),
+        field_rep=doc.get("field_rep") is True and _is_index_ordered_span(p, n, mats),
+        shifts=tuple(MatZp(p, r) for r in _ints(doc.get("shifts", []), "shifts", 3)),
         method=doc.get("method", "unknown"),
         polynomial=PolyZp(p, poly) if poly else None,
-        d=tuple(doc["d"]) if doc.get("d") is not None else None,
+        d=tuple(_ints(doc["d"], "d", 1)) if doc.get("d") is not None else None,
     )
 
 

@@ -447,40 +447,21 @@ NEWTON_MAX_DEGREE = 4
 
 
 def newton_diagonals(f: PolyZp) -> list[tuple[int, ...]]:
-    """All tridiagonal diagonals for f via the trace identities.
+    """All tridiagonal diagonals whose characteristic polynomial is f.
 
-    For each candidate d the traces t_k = tr(Q^k) must satisfy
-    t_k + c_{n-1} t_{k-1} + ... + c_{n-k+1} t_1 + k c_{n-k} = 0 (mod p);
-    survivors are then confirmed against the characteristic polynomial.
-    Degrees above 4 are rejected (use tridiag_search instead).
+    Enumerates the p^n diagonals in lexicographic order and keeps those
+    whose three-term recursion (tridiag_char_poly) gives f.  Degrees
+    above 4 are rejected (use tridiag_search instead).
     """
     if f.degree is None or f.degree < 1 or not f.is_monic:
         raise ValueError("need a monic polynomial of degree >= 1")
     n, p = f.degree, f.p
     if n > NEWTON_MAX_DEGREE:
         raise ValueError(
-            f"degree {n} exceeds the trace-identity solver limit "
+            f"degree {n} exceeds the diagonal enumeration limit "
             f"{NEWTON_MAX_DEGREE}; use tridiag_search"
         )
-    out = []
-    for d in product(range(p), repeat=n):
-        q = tridiagonal_matrix(p, d)
-        traces = [0]  # t_0 unused
-        power = MatZp.identity(p, n)
-        for _ in range(n):
-            power = power @ q
-            traces.append(power.trace())
-        ok = True
-        for k in range(1, n + 1):
-            acc = traces[k] + k * f.coeff(n - k)
-            for j in range(1, k):
-                acc += f.coeff(n - j) * traces[k - j]
-            if acc % p != 0:
-                ok = False
-                break
-        if ok and tridiag_char_poly(p, d) == f:
-            out.append(d)
-    return out
+    return [d for d in product(range(p), repeat=n) if tridiag_char_poly(p, d) == f]
 
 
 def tridiagonal_rep(p: int, d) -> SymmetricRep:

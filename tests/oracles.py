@@ -3,14 +3,21 @@
 These deliberately use different algorithms than the library: trial
 factorization instead of the distinct-degree test, explicit group-order
 stepping instead of the factored order test, Laplace cofactor
-expansion instead of Berkowitz, and dense basis-matrix grams instead of
-the Fourier-diagonal overlap sweep.
+expansion instead of Berkowitz, dense basis-matrix grams instead of
+the Fourier-diagonal overlap sweep, and a scan of every bipartition's
+crossing block instead of the component walk.
 """
 
 from itertools import combinations, product
 
 import numpy as np
 
+from graphmub.entanglement import (
+    BISEPARABLE,
+    FULLY_SEPARABLE,
+    GENUINELY_MULTIPARTITE,
+    GHZ_TYPE,
+)
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
 from graphmub.states import NumericReport, basis_matrix
@@ -92,8 +99,6 @@ def char_poly_cofactor(m: MatZp) -> PolyZp:
 
 def rank_brute(block: list[list[int]], p: int) -> int:
     """Rank as the size of the largest nonsingular square sub-block."""
-    from itertools import combinations
-
     nr, nc = len(block), len(block[0]) if block else 0
     best = 0
     for k in range(1, min(nr, nc) + 1):
@@ -126,3 +131,22 @@ def numeric_sweep_brute(s, tol: float = 1e-10) -> NumericReport:
             first = (r, t, int(mr), int(ms), float(dev[mr, ms]))
     return NumericReport(ok=first is None, mode="full", pairs_checked=pairs,
                          worst_deviation=worst, first_violation=first)
+
+
+def classify_by_bipartitions(a: MatZp) -> str:
+    """Entanglement label by scanning all 2^(n-1) - 1 cuts X|Y (vertex 0
+    on the X side): biseparable when some crossing block has rank 0."""
+    n, p = a.n, a.p
+    edges = [[i != j and a[i, j] != 0 for j in range(n)] for i in range(n)]
+    if not any(edges[i][j] for i in range(n) for j in range(i + 1, n)):
+        return FULLY_SEPARABLE
+    for size in range(1, n):
+        for rest in combinations(range(1, n), size - 1):
+            x = (0,) + rest
+            y = [v for v in range(n) if v not in x]
+            if rank_brute(a.submatrix(x, y), p) == 0:
+                return BISEPARABLE
+    degrees = sorted(sum(row) for row in edges)
+    if p == 2 and (degrees == [n - 1] * n or degrees == [1] * (n - 1) + [n - 1]):
+        return GHZ_TYPE
+    return GENUINELY_MULTIPARTITE

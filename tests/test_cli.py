@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from graphmub.cli import main
 from graphmub.mubs import from_document
 from graphmub.symrep import tridiag_char_poly
@@ -105,6 +107,72 @@ def test_verify_numeric_failure(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["verify", str(path), "--numeric"])
     assert code == 1
     assert "FAIL" in err
+
+
+def test_verify_forged_field_rep_fails_algebraic_stage(capsys, tmp_path):
+    # the matrices contradict the field_rep claim, so the pairwise scan runs
+    doc = json.loads(gen_doc(capsys))
+    doc["matrices"][3] = doc["matrices"][2]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["verify", str(path)])
+    assert code == 1
+    assert "FAIL algebraic" in err and "matrices 2 and 3" in err
+
+
+def test_verify_truncated_family_runs_pairwise(capsys, tmp_path):
+    # four of eight members cannot be the closed span; whether an
+    # incomplete family should fail is a separate question (ROADMAP)
+    doc = json.loads(gen_doc(capsys))
+    doc["matrices"] = doc["matrices"][:4]
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["verify", str(path)])
+    assert code == 0
+    assert "(pairwise mode, 4 matrices)" in out
+
+
+def _set_entry(value):
+    def change(doc):
+        doc["matrices"][1][0][0] = value
+    return change
+
+
+MALFORMED = {
+    "float-entry": _set_entry(1.5),
+    "bool-entry": _set_entry(True),
+    "str-entry": _set_entry("1"),
+    "str-p": lambda doc: doc.update(p="2"),
+    "float-n": lambda doc: doc.update(n=3.0),
+    "int-matrices": lambda doc: doc.update(matrices=5),
+    "int-row": lambda doc: doc["matrices"][1].__setitem__(0, 1),
+    "str-polynomial": lambda doc: doc.update(polynomial="xyz"),
+    "float-coefficient": lambda doc: doc["polynomial"].__setitem__(0, 1.0),
+    "int-d": lambda doc: doc.update(d=7),
+    "str-d-entry": lambda doc: doc.update(d=["1", 0, 0]),
+    "float-shift-entry": lambda doc: doc.update(
+        shifts=[[[0.5, 0, 0], [0, 0, 0], [0, 0, 0]]]),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "export"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_usage_error(capsys, tmp_path, command, case):
+    doc = json.loads(gen_doc(capsys))
+    MALFORMED[case](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, [command, str(path)])
+    assert code == 2
+    assert "malformed input" in err and out == ""
+
+
+def test_non_object_document_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, ["verify", str(path)])
+    assert code == 2
+    assert "malformed input" in err
 
 
 def test_gen_flag_conflict_is_usage_error(capsys):

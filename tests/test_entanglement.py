@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from graphmub.entanglement import (
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
 from graphmub.mubs import mub_set, shift_set
+from oracles import classify_by_bipartitions
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -146,6 +148,41 @@ def test_classify_ignores_self_loops():
             rows[i][i] = rng.randrange(p)
         dressed = MatZp(p, rows)
         assert classify_basis(base) == classify_basis(dressed)
+
+
+def random_symmetric(rng, p, n, density):
+    """Symmetric matrix whose off-diagonal entries are nonzero with the
+    given probability; the diagonal is uniform."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = rng.randrange(p)
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                rows[i][j] = rows[j][i] = rng.randrange(1, p)
+    return MatZp(p, rows)
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (5, 3)])
+def test_classify_matches_bipartition_scan_on_families(p, n):
+    fam = mub_set(p, n)
+    shifted = shift_set(fam, random_symmetric(random.Random(10 * p + n), p, n, 0.5))
+    for a in fam.matrices + shifted.matrices:
+        assert classify_basis(a) == classify_by_bipartitions(a), a
+
+
+def test_classify_matches_bipartition_scan_on_random_graphs():
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(1500):
+        p = rng.choice((2, 3, 5))
+        n = rng.randrange(1, 7)
+        a = random_symmetric(rng, p, n, rng.choice((0.1, 0.25, 0.5, 0.9)))
+        label = classify_basis(a)
+        assert label == classify_by_bipartitions(a), a
+        seen[label] += 1
+    # the sample reaches every label, disconnected graphs included
+    assert min(seen[lab] for lab in (FULLY_SEPARABLE, BISEPARABLE, GHZ_TYPE,
+                                     GENUINELY_MULTIPARTITE)) >= 50
 
 
 def test_census_three_qubits():

@@ -81,6 +81,28 @@ def test_rank_matches_brute():
         assert rank_mod_p(block, p) == rank_brute(block, p)
 
 
+def test_elimination_meets_oracles_on_unreduced_entries():
+    # entries outside [0, p): negatives and multiples of p must reduce
+    rng = random.Random(31)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        n = rng.randrange(1, 5)
+        rows = [[rng.randrange(-2 * p, 3 * p) for _ in range(n)] for _ in range(n)]
+        m = MatZp(p, rows)
+        det = det_cofactor(rows, p)
+        assert m.det() == det
+        assert rank_mod_p(rows, p) == rank_brute(rows, p)
+        ncols = rng.randrange(1, n + 1)
+        block = [r[:ncols] for r in rows[: rng.randrange(1, n + 1)]]
+        assert rank_mod_p(block, p) == rank_brute(block, p)
+        if det:
+            assert m.inverse() @ m == MatZp.identity(p, n)
+            assert m @ m.inverse() == MatZp.identity(p, n)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+
+
 def test_det_nonzero_iff_full_rank():
     rng = random.Random(23)
     for _ in range(200):
