@@ -13,7 +13,7 @@ import json
 import sys
 
 from .entanglement import Bipartition, analysis_report
-from .fields import PolyZp, is_prime
+from .fields import PolyZp, check_prime
 from .linalg import MatZp
 from .mubs import (
     MubSet,
@@ -40,9 +40,10 @@ EXIT_CONSTRUCTION = 3
 
 def _prime(text: str) -> int:
     v = int(text)
-    if not is_prime(v):
-        raise argparse.ArgumentTypeError(f"{v} is not prime")
-    return v
+    try:
+        return check_prime(v)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _positive(text: str) -> int:

@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatZp, rank_mod_p
+from .linalg import MatZp, eliminate_stack, matrix_stack, rank_mod_p
 from .mubs import MubSet
 from .states import graph_state
 
@@ -74,6 +74,16 @@ def connectivity_rank(a: MatZp, b: Bipartition) -> int:
     return rank_mod_p(block, a.p)
 
 
+def _cut_ranks(stack: np.ndarray, p: int, b: Bipartition) -> list[int]:
+    """connectivity_rank of every matrix of an (N, n, n) stack at b, by
+    one stacked elimination of the (N, |X|, |Y|) crossing blocks."""
+    if b.n != stack.shape[1]:
+        raise ValueError("bipartition size does not match the matrices")
+    x = [v - 1 for v in b.x]
+    y = [v - 1 for v in b.y]
+    return eliminate_stack(stack[:, x][:, :, y], p)[0].tolist()
+
+
 def reduced_purity(a: MatZp, b: Bipartition) -> Fraction:
     """Exact purity p^{-rank} of the reduced state on the X side."""
     return Fraction(1, a.p ** connectivity_rank(a, b))
@@ -117,7 +127,7 @@ def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
             f"complete family required: expected {s.dim} matrices, "
             f"got {len(s.matrices)}"
         )
-    return _design_check(s.p, b, [connectivity_rank(a, b) for a in s.matrices])
+    return _design_check(s.p, b, _cut_ranks(matrix_stack(s.matrices, s.n), s.p, b))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +185,9 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
         "bipartitions": {},
     }
     complete = len(s.matrices) == s.dim
+    stack = matrix_stack(s.matrices, s.n)
     for b in bips:
-        ranks = [connectivity_rank(a, b) for a in s.matrices]
+        ranks = _cut_ranks(stack, s.p, b)
         entry = {
             "ranks": ranks,
             "purities": [str(Fraction(1, s.p**r)) for r in ranks],

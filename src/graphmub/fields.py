@@ -14,9 +14,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+# Moduli stay below 2^31: a product of two residues is then below 2^62, so
+# the int64 stacked kernels (linalg.eliminate_stack, the tridiagonal
+# table) cannot overflow, and trial division stops within ~23 000 steps.
+MODULUS_BOUND = 2**31
+
+
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division (moduli here are small)."""
+    """Deterministic primality by trial division (callers bound p first,
+    see check_prime)."""
     if p < 2:
         return False
     if p < 4:
@@ -32,6 +39,9 @@ def is_prime(p: int) -> bool:
 
 
 def check_prime(p: int) -> int:
+    """p, if it is a prime below MODULUS_BOUND; else ValueError."""
+    if p >= MODULUS_BOUND:
+        raise ValueError(f"modulus {p} is not below the supported bound 2^31")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     return p

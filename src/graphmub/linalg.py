@@ -1,12 +1,16 @@
 """Exact dense linear algebra over Z_p.
 
-Determinant, rank and inverse share one forward Gaussian elimination
-with modular pivot inverses.  The characteristic polynomial uses the
-division-free Berkowitz recursion, which stays correct for every prime p
-including p <= n (Faddeev-LeVerrier would divide by k!).
+Determinant, rank and inverse of one MatZp share one forward Gaussian
+elimination with modular pivot inverses; `eliminate_stack` runs the same
+elimination on a whole int64 stack of matrices at once.  The
+characteristic polynomial uses the division-free Berkowitz recursion,
+which stays correct for every prime p including p <= n
+(Faddeev-LeVerrier would divide by k!).
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .fields import PolyZp, check_prime
 
@@ -18,7 +22,7 @@ class MatZp:
 
     def __init__(self, p: int, rows) -> None:
         check_prime(p)
-        rs = tuple(tuple(v % p for v in row) for row in rows)
+        rs = tuple([tuple([v % p for v in row]) for row in rows])
         n = len(rs)
         if n < 1 or any(len(r) != n for r in rs):
             raise ValueError("matrix must be square with n >= 1")
@@ -237,6 +241,50 @@ def _eliminate(m: list[list[int]], p: int) -> tuple[list[int], int]:
                 m[r] = [(a - f * b) % p for a, b in zip(m[r], pivot_row)]
         pivots.append(c)
     return pivots, sign
+
+
+def matrix_stack(mats, n: int) -> np.ndarray:
+    """The entries of n x n matrices as one int64 array (len(mats), n, n)."""
+    return np.array([m.rows for m in mats], dtype=np.int64).reshape(len(mats), n, n)
+
+
+def eliminate_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ranks and, for square members, determinants over Z_p of a stack of
+    shape (N, r, c), by one forward elimination run on all members at once.
+
+    Entries may be any int64 values (they are reduced first).  p < 2^31
+    (`check_prime`) keeps every product of two residues below 2^62, and
+    each product is reduced before it is added.  Returns int64 arrays of
+    length N: the ranks, and the determinants (None when r != c).
+    """
+    check_prime(p)
+    m = np.asarray(stack, dtype=np.int64) % p
+    count, nrows, ncols = m.shape
+    members = np.arange(count)
+    row = np.arange(nrows)
+    rank = np.zeros(count, dtype=np.int64)
+    det = np.ones(count, dtype=np.int64)
+    for c in range(ncols):
+        # the pivot of each member is its first nonzero at or under row rank
+        nonzero = (m[:, :, c] != 0) & (row >= rank[:, None])
+        found = nonzero.any(axis=1)
+        top = np.minimum(rank, nrows - 1)  # rank = r leaves no pivot to find
+        piv = np.where(found, nonzero.argmax(axis=1), top)
+        upper = m[members, top]
+        m[members, top] = m[members, piv]
+        m[members, piv] = upper
+        det = np.where(piv != top, -det % p, det)
+        pivot = np.where(found, m[members, top, c], 0)
+        det = det * pivot % p
+        # inverses of the distinct pivot values only; 0 marks "no pivot"
+        values, where = np.unique(pivot, return_inverse=True)
+        inv = np.array([pow(int(v), p - 2, p) if v else 0 for v in values],
+                       dtype=np.int64)[where.reshape(-1)]
+        factor = m[:, :, c] * inv[:, None] % p
+        factor[row <= top[:, None]] = 0
+        m = (m - factor[:, :, None] * m[members, top][:, None, :] % p) % p
+        rank += found
+    return rank, det if nrows == ncols else None
 
 
 def rank_mod_p(block: list[list[int]], p: int) -> int:

@@ -14,8 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .fields import PolyZp, check_prime
-from .linalg import MatZp
+from .linalg import MatZp, eliminate_stack, matrix_stack
 from .symrep import ConstructionError, SymmetricRep, symmetric_representation
 
 
@@ -79,21 +81,20 @@ def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
 
 
 def adjacency_set(witness: SymmetricRep) -> MubSet:
-    """All p^n linear combinations of the fundamental graphs."""
+    """All p^n linear combinations of the fundamental graphs: the
+    (p^n, n) base-p coefficient table contracted against the (n, n, n)
+    power stack, mod p."""
     p, n = witness.p, witness.n
-    powers = fundamental_graphs(witness)
-    mats = []
-    for idx in range(p**n):
-        coeffs = index_to_coeffs(idx, p, n)
-        acc = MatZp.zeros(p, n)
-        for a, pw in zip(coeffs, powers):
-            if a:
-                acc = acc + pw.scale(a)
-        mats.append(acc)
+    powers = matrix_stack(fundamental_graphs(witness), n)
+    coeffs = np.arange(p**n)[:, None] // p ** np.arange(n) % p
+    acc = np.zeros((p**n, n, n), dtype=np.int64)
+    for k in range(n):
+        acc = (acc + coeffs[:, k, None, None] * powers[k] % p) % p
+    mats = tuple(MatZp(p, rows) for rows in acc.tolist())
     if mats[0] != MatZp.zeros(p, n) or mats[1] != MatZp.identity(p, n):
         raise ConstructionError("indices 0 and 1 must be the zero and identity matrices")
     return MubSet(
-        p=p, n=n, matrices=tuple(mats), witness=witness, field_rep=True,
+        p=p, n=n, matrices=mats, witness=witness, field_rep=True,
         method=witness.method, polynomial=witness.f, d=witness.d,
     )
 
@@ -127,20 +128,23 @@ def verify_mu_condition(s: MubSet, pairwise: bool = False):
     """Check det(A_r - A_s) != 0 for all r != s.
 
     For subtraction-closed families this reduces to invertibility of
-    every nonzero member (p^n - 1 determinants); shifted or imported
-    sets fall back to the full pairwise sweep.  Returns a report with
-    the first failing pair, if any.
+    every nonzero member (p^n - 1 determinants in one stacked
+    elimination); shifted or imported sets fall back to the full
+    pairwise sweep, one stacked elimination of A_r - A_t over t > r per
+    r.  Returns a report with the first failing pair, if any.
     """
+    stack = matrix_stack(s.matrices, s.n)
     if s.field_rep and not pairwise:
-        for idx in range(1, len(s.matrices)):
-            if s.matrices[idx].det() == 0:
-                return MuConditionReport(ok=False, mode="closure", failing_pair=(idx, 0))
+        singular = np.flatnonzero(eliminate_stack(stack[1:], s.p)[1] == 0)
+        if singular.size:
+            return MuConditionReport(ok=False, mode="closure",
+                                     failing_pair=(int(singular[0]) + 1, 0))
         return MuConditionReport(ok=True, mode="closure", failing_pair=None)
-    mats = s.matrices
-    for r in range(len(mats)):
-        for t in range(r + 1, len(mats)):
-            if (mats[r] - mats[t]).det() == 0:
-                return MuConditionReport(ok=False, mode="pairwise", failing_pair=(r, t))
+    for r in range(len(stack) - 1):
+        singular = np.flatnonzero(eliminate_stack(stack[r] - stack[r + 1:], s.p)[1] == 0)
+        if singular.size:
+            return MuConditionReport(ok=False, mode="pairwise",
+                                     failing_pair=(r, r + 1 + int(singular[0])))
     return MuConditionReport(ok=True, mode="pairwise", failing_pair=None)
 
 
@@ -229,8 +233,9 @@ def _is_index_ordered_span(p: int, n: int, mats) -> bool:
 
 
 def from_document(doc: dict) -> MubSet:
-    """Parse a family document (ValueError for non-int scalars and non-list
-    containers); a `field_rep` claim stands only if the matrices prove it."""
+    """Parse a family document (ValueError for non-int scalars, a non-str
+    method and non-list containers); a `field_rep` claim stands only if
+    the matrices prove it."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     p = _ints(doc["p"], "p")
@@ -246,6 +251,9 @@ def from_document(doc: dict) -> MubSet:
     poly = doc.get("polynomial")
     if poly is not None:
         poly = _ints(poly, "polynomial", 1)
+    method = doc.get("method", "unknown")
+    if not isinstance(method, str):
+        raise ValueError(f"method: expected a string, got {method!r}")
     return MubSet(
         p=p,
         n=n,
@@ -253,7 +261,7 @@ def from_document(doc: dict) -> MubSet:
         witness=None,
         field_rep=doc.get("field_rep") is True and _is_index_ordered_span(p, n, mats),
         shifts=tuple(MatZp(p, r) for r in _ints(doc.get("shifts", []), "shifts", 3)),
-        method=doc.get("method", "unknown"),
+        method=method,
         polynomial=PolyZp(p, poly) if poly else None,
         d=tuple(_ints(doc["d"], "d", 1)) if doc.get("d") is not None else None,
     )

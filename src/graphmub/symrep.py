@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .fields import (
     PolyZp,
     check_prime,
@@ -409,6 +411,33 @@ def tridiag_char_poly(p: int, d) -> PolyZp:
     return cur
 
 
+SEARCH_CHUNK = 1 << 16
+
+
+def _diagonal_char_polys(p: int, n: int):
+    """Yield (diagonals, char polys) for all p^n diagonals in lexicographic
+    order as int64 tables of shape (rows, n) and (rows, n + 1), the latter
+    ascending coefficients from the three-term recursion of
+    tridiag_char_poly run on every row at once.  Chunks start at 64 rows
+    and double up to SEARCH_CHUNK, so an early hit costs little and no
+    scan holds more than SEARCH_CHUNK rows."""
+    total = p**n
+    place = p ** np.arange(n - 1, -1, -1)
+    start, size = 0, 64
+    while start < total:
+        stop = min(start + size, total)
+        d = np.arange(start, stop)[:, None] // place % p
+        prev = np.zeros((stop - start, n + 1), dtype=np.int64)
+        cur = prev.copy()
+        cur[:, 0] = 1
+        for k in range(1, n + 1):
+            shifted = np.zeros_like(cur)
+            shifted[:, 1:] = cur[:, :-1]
+            prev, cur = cur, (shifted - d[:, n - k, None] * cur % p - prev) % p
+        yield d, cur
+        start, size = stop, min(2 * size, SEARCH_CHUNK)
+
+
 def tridiag_search(p: int, n: int, target: PolyZp | None = None,
                    primitive: bool = False):
     """Scan diagonals in lexicographic order.
@@ -429,17 +458,16 @@ def tridiag_search(p: int, n: int, target: PolyZp | None = None,
             raise ValueError("target must be monic of degree n")
         if primitive and not (target.is_irreducible() and target.is_primitive()):
             return None
-    for d in product(range(p), repeat=n):
-        f = tridiag_char_poly(p, d)
+    for d, polys in _diagonal_char_polys(p, n):
         if target is not None:
-            if f == target:
-                return d
+            hits = np.flatnonzero((polys == target.coeffs).all(axis=1))
+            if hits.size:
+                return tuple(d[hits[0]].tolist())
             continue
-        if not f.is_irreducible():
-            continue
-        if primitive and not f.is_primitive():
-            continue
-        return d
+        for diag, coeffs in zip(d.tolist(), polys.tolist()):
+            f = PolyZp(p, coeffs)
+            if f.is_irreducible() and (not primitive or f.is_primitive()):
+                return tuple(diag)
     return None
 
 
@@ -450,8 +478,8 @@ def newton_diagonals(f: PolyZp) -> list[tuple[int, ...]]:
     """All tridiagonal diagonals whose characteristic polynomial is f.
 
     Enumerates the p^n diagonals in lexicographic order and keeps those
-    whose three-term recursion (tridiag_char_poly) gives f.  Degrees
-    above 4 are rejected (use tridiag_search instead).
+    whose three-term recursion gives f.  Degrees above 4 are rejected
+    (use tridiag_search instead).
     """
     if f.degree is None or f.degree < 1 or not f.is_monic:
         raise ValueError("need a monic polynomial of degree >= 1")
@@ -461,7 +489,8 @@ def newton_diagonals(f: PolyZp) -> list[tuple[int, ...]]:
             f"degree {n} exceeds the diagonal enumeration limit "
             f"{NEWTON_MAX_DEGREE}; use tridiag_search"
         )
-    return [d for d in product(range(p), repeat=n) if tridiag_char_poly(p, d) == f]
+    return [tuple(diag) for d, polys in _diagonal_char_polys(p, n)
+            for diag in d[(polys == f.coeffs).all(axis=1)].tolist()]
 
 
 def tridiagonal_rep(p: int, d) -> SymmetricRep:

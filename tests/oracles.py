@@ -3,9 +3,10 @@
 These deliberately use different algorithms than the library: trial
 factorization instead of the distinct-degree test, explicit group-order
 stepping instead of the factored order test, Laplace cofactor
-expansion instead of Berkowitz, dense basis-matrix grams instead of
-the Fourier-diagonal overlap sweep, and a scan of every bipartition's
-crossing block instead of the component walk.
+expansion instead of Berkowitz, one scalar determinant per member or
+pair instead of the stacked elimination, dense basis-matrix grams
+instead of the Fourier-diagonal overlap sweep, and a scan of every
+bipartition's crossing block instead of the component walk.
 """
 
 from itertools import combinations, product
@@ -20,6 +21,7 @@ from graphmub.entanglement import (
 )
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
+from graphmub.mubs import MuConditionReport
 from graphmub.states import NumericReport, basis_matrix
 
 
@@ -112,6 +114,21 @@ def rank_brute(block: list[list[int]], p: int) -> int:
                 continue
             break
     return best
+
+
+def mu_condition_scalar(s, pairwise: bool = False) -> MuConditionReport:
+    """verify_mu_condition by one MatZp.det per member (closure mode, for
+    field_rep families) or per pair, stopping at the first singular one."""
+    mats = s.matrices
+    if s.field_rep and not pairwise:
+        for idx in range(1, len(mats)):
+            if mats[idx].det() == 0:
+                return MuConditionReport(ok=False, mode="closure", failing_pair=(idx, 0))
+        return MuConditionReport(ok=True, mode="closure", failing_pair=None)
+    for r, t in combinations(range(len(mats)), 2):
+        if (mats[r] - mats[t]).det() == 0:
+            return MuConditionReport(ok=False, mode="pairwise", failing_pair=(r, t))
+    return MuConditionReport(ok=True, mode="pairwise", failing_pair=None)
 
 
 def numeric_sweep_brute(s, tol: float = 1e-10) -> NumericReport:

@@ -75,6 +75,19 @@ def test_gen_usage_error_nonprime():
     assert "not prime" in proc.stderr
 
 
+def test_modulus_above_bound_is_usage_error(tmp_path):
+    # trial division on 2^61 - 1 would run for hours: the modulus bound
+    # must refuse it before, in the document loader and in the -p flag
+    big = str(2**61 - 1)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"p": 2**61 - 1, "n": 1, "matrices": [[[0]], [[1]]]}))
+    for argv in (["verify", str(path)], ["gen", "-p", big, "-n", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "graphmub.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "2^31" in proc.stderr and proc.stdout == ""
+
+
 def test_verify_detects_corruption(capsys, tmp_path):
     doc = json.loads(gen_doc(capsys))
     doc["matrices"][2][0][1] = doc["matrices"][2][1][0] = 0
@@ -152,6 +165,7 @@ MALFORMED = {
     "str-d-entry": lambda doc: doc.update(d=["1", 0, 0]),
     "float-shift-entry": lambda doc: doc.update(
         shifts=[[[0.5, 0, 0], [0, 0, 0], [0, 0, 0]]]),
+    "object-method": lambda doc: doc.update(method={"x": [1.5]}),
 }
 
 

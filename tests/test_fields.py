@@ -4,6 +4,7 @@ import pytest
 
 from graphmub.fields import (
     PolyZp,
+    check_prime,
     is_prime,
     is_quadratic_residue,
     prime_factors,
@@ -22,6 +23,17 @@ def random_poly(rng, p, n, monic=False):
     if monic:
         cs[-1] = 1
     return PolyZp(p, cs)
+
+
+def test_check_prime_bounds_the_modulus():
+    # 2^31 - 1 is prime and the largest admitted modulus; the bound is
+    # tested before trial division, so 2^61 - 1 is refused at once
+    assert check_prime(2**31 - 1) == 2**31 - 1
+    for p in (2**31, 2**61 - 1):
+        with pytest.raises(ValueError, match="2\\^31"):
+            check_prime(p)
+    with pytest.raises(ValueError, match="not prime"):
+        check_prime(2**31 - 3)
 
 
 def test_is_prime_small():

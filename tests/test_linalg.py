@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from graphmub.fields import PolyZp
-from graphmub.linalg import MatZp, congruence, rank_mod_p
+from graphmub.linalg import MatZp, congruence, eliminate_stack, rank_mod_p
 from oracles import char_poly_cofactor, det_cofactor, rank_brute
 
 # Worked three-qutrit fixtures (p = 3, n = 3, f = x^3 + x^2 + 2x + 1)
@@ -101,6 +102,59 @@ def test_elimination_meets_oracles_on_unreduced_entries():
         else:
             with pytest.raises(ZeroDivisionError):
                 m.inverse()
+
+
+def random_stack(rng, p, count, nrows, ncols):
+    """Unreduced entries; about a third of the members get a repeated row
+    or a zero column, so singular and rank-deficient members are common."""
+    stack = []
+    for _ in range(count):
+        rows = [[rng.randrange(-2 * p, 3 * p) for _ in range(ncols)]
+                for _ in range(nrows)]
+        kind = rng.randrange(3)
+        if kind == 1 and nrows > 1:
+            rows[-1] = [v + p * rng.randrange(-1, 2) for v in rows[0]]
+        elif kind == 2:
+            col = rng.randrange(ncols)
+            for r in rows:
+                r[col] = p * rng.randrange(-1, 2)
+        stack.append(rows)
+    return stack
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_eliminate_stack_matches_scalar_and_oracles(p):
+    rng = random.Random(53 + p)
+    shapes = [(k, k) for k in range(1, 5)] + [(1, k) for k in range(2, 5)] \
+        + [(k, 1) for k in range(2, 5)] + [(2, 3), (4, 2)]
+    singular = 0
+    for nrows, ncols in shapes:
+        for count in (1, 17):
+            stack = random_stack(rng, p, count, nrows, ncols)
+            ranks, dets = eliminate_stack(np.array(stack), p)
+            assert ranks.tolist() == [rank_mod_p(m, p) for m in stack]
+            assert ranks.tolist() == [rank_brute(m, p) for m in stack]
+            if nrows != ncols:
+                assert dets is None
+                continue
+            assert dets.tolist() == [MatZp(p, m).det() for m in stack]
+            assert dets.tolist() == [det_cofactor(m, p) for m in stack]
+            singular += dets.tolist().count(0)
+    assert singular >= 10
+
+
+def test_eliminate_stack_near_the_modulus_bound():
+    # p = 2^31 - 1 is the largest admitted prime: residues near p must
+    # not overflow int64 in any product or sum
+    p = 2**31 - 1
+    rng = random.Random(59)
+    stack = [[[p - 1 - rng.randrange(4) for _ in range(4)] for _ in range(4)]
+             for _ in range(40)]
+    stack.append([[p - 1] * 4] * 4)  # rank 1
+    ranks, dets = eliminate_stack(np.array(stack), p)
+    assert dets.tolist() == [MatZp(p, m).det() for m in stack]
+    assert ranks.tolist() == [rank_mod_p(m, p) for m in stack]
+    assert dets[-1] == 0 and ranks[-1] == 1
 
 
 def test_det_nonzero_iff_full_rank():

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from graphmub.mubs import (
     verify_mu_condition,
 )
 from graphmub.symrep import symmetric_representation, symmetrize_companion, tridiagonal_rep
+from oracles import mu_condition_scalar
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -108,15 +110,20 @@ def test_fundamental_graphs_fixtures():
 
 
 def test_every_member_is_combination_of_fundamental_graphs():
-    fam = qubit_triple_family()
-    fg = fundamental_graphs(fam.witness)
-    for idx, m in enumerate(fam.matrices):
-        coeffs = fam.coeff_vector(idx)
-        acc = MatZp.zeros(2, 3)
-        for a, g in zip(coeffs, fg):
-            if a:
-                acc = acc + g.scale(a)
-        assert acc == m
+    # adjacency_set contracts a coefficient table against the power
+    # stack; the reference adds scaled MatZp powers one member at a time
+    families = [qubit_triple_family()] + [
+        mub_set(p, n, method=method) for p, n, method in (
+            (2, 5, "auto"), (3, 3, "companion"), (5, 2, "auto"),
+            (7, 2, "companion"), (2, 1, "auto"))]
+    for fam in families:
+        fg = fundamental_graphs(fam.witness)
+        for idx, m in enumerate(fam.matrices):
+            acc = MatZp.zeros(fam.p, fam.n)
+            for a, g in zip(fam.coeff_vector(idx), fg):
+                if a:
+                    acc = acc + g.scale(a)
+            assert acc == m
 
 
 @pytest.mark.parametrize("p,n,kwargs", [
@@ -177,6 +184,38 @@ def test_verify_condition_closure_mode_failure():
     report = verify_mu_condition(bad)
     assert not report.ok and report.mode == "closure"
     assert report.failing_pair == (1, 0)
+
+
+def _corrupt(fam, rng, copies):
+    """fam with `copies` members overwritten by other members (so some pair
+    has a zero difference and its closure flag still set)."""
+    mats = list(fam.matrices)
+    for _ in range(copies):
+        i, j = rng.sample(range(len(mats)), 2)
+        mats[i] = mats[j]
+    return MubSet(p=fam.p, n=fam.n, matrices=tuple(mats), field_rep=fam.field_rep)
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 5), (3, 2), (3, 3), (5, 2), (13, 1)])
+def test_stacked_mu_condition_matches_scalar_loop(p, n):
+    rng = random.Random(227 + p * 10 + n)
+    fam = mub_set(p, n)
+    shifted = shift_set(fam, random_symmetric(rng, p, n))
+    families = [fam, shifted]
+    for copies in (1, 1, 2, 3):
+        families += [_corrupt(fam, rng, copies), _corrupt(shifted, rng, copies)]
+    # two singular members under the closure flag, and a truncated family
+    mats = list(fam.matrices)
+    mats[len(mats) // 2] = mats[-1] = MatZp.zeros(p, n)
+    families.append(MubSet(p=p, n=n, matrices=tuple(mats), field_rep=True))
+    families.append(replace(shifted, matrices=shifted.matrices[: p**n // 2 + 1]))
+    failures = 0
+    for s in families:
+        for pairwise in (False, True):
+            report = verify_mu_condition(s, pairwise=pairwise)
+            assert report == mu_condition_scalar(s, pairwise=pairwise)
+            failures += not report.ok
+    assert failures >= 10
 
 
 def test_shift_preserves_condition():

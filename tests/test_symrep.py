@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from graphmub import symrep
 from graphmub.fields import PolyZp, is_quadratic_residue, smallest_nonresidue
 from graphmub.linalg import MatZp, congruence
 from graphmub.symrep import (
@@ -22,6 +23,7 @@ from graphmub.symrep import (
     tridiagonal_rep,
 )
 from graphmub.tables import REFERENCE_DIAGONALS, reference_poly
+from oracles import all_monic
 
 F27 = PolyZp(3, [1, 2, 1, 1])  # x^3 + x^2 + 2x + 1
 
@@ -323,6 +325,34 @@ def test_newton_diagonals_two_qutrits():
 def test_newton_diagonals_rejects_large_degree():
     with pytest.raises(ValueError):
         newton_diagonals(PolyZp(2, [1, 1, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("chunk", [5, symrep.SEARCH_CHUNK])
+def test_stacked_search_matches_scalar_filter(monkeypatch, chunk):
+    # the first chunk holds 64 rows, so the scans over 81 to 169 diagonals
+    # cross a chunk boundary; a cap of 5 rows adds one every 5 rows after it
+    from itertools import product
+    monkeypatch.setattr(symrep, "SEARCH_CHUNK", chunk)
+    for p, n in ((2, 1), (2, 3), (2, 4), (2, 7), (3, 2), (3, 3), (3, 4),
+                 (5, 2), (5, 3), (7, 2), (13, 2)):
+        diagonals = list(product(range(p), repeat=n))
+        polys = [tridiag_char_poly(p, d) for d in diagonals]
+        first = {}
+        for d, f in zip(diagonals, polys):
+            first.setdefault(f, d)
+        for f, d in first.items():
+            assert tridiag_search(p, n, target=f) == d
+            if n <= 4:
+                assert newton_diagonals(f) == [e for e, g in zip(diagonals, polys) if g == f]
+        irreducible = [d for d, f in zip(diagonals, polys) if f.is_irreducible()]
+        assert tridiag_search(p, n) == (irreducible[0] if irreducible else None)
+        primitive = [d for d in irreducible if tridiag_char_poly(p, d).is_primitive()]
+        assert tridiag_search(p, n, primitive=True) == (primitive[0] if primitive else None)
+        missing = next((g for g in all_monic(p, n) if g not in first), None)
+        if missing is not None:
+            assert tridiag_search(p, n, target=missing) is None
+            if n <= 4:
+                assert newton_diagonals(missing) == []
 
 
 def test_newton_agrees_with_exhaustive_search():
