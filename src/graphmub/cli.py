@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .entanglement import Bipartition, analysis_report
@@ -53,6 +54,13 @@ def _positive(text: str) -> int:
     return v
 
 
+def _tolerance(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v >= 0):
+        raise argparse.ArgumentTypeError(f"{text} must be a finite number >= 0")
+    return v
+
+
 def _csv_ints(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v.strip() != ""]
@@ -85,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("doc", nargs="?", default="-", help="document path or - for stdin")
     ver.add_argument("--numeric", action="store_true",
                      help="also sweep state-vector overlaps")
-    ver.add_argument("--tol", type=float, default=1e-10)
+    ver.add_argument("--tol", type=_tolerance, default=1e-10)
     ver.add_argument("--sample", type=_positive,
                      help="sampled overlap count instead of the full sweep")
 
@@ -157,6 +165,10 @@ def _cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if len(fam.matrices) != fam.dim:
+        print(f"FAIL incomplete family: {len(fam.matrices)} of p^n = {fam.dim} "
+              f"matrices", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     algebraic = verify_mu_condition(fam)
     if not algebraic.ok:
         r, t = algebraic.failing_pair

@@ -18,7 +18,12 @@ import numpy as np
 
 from .fields import PolyZp, check_prime
 from .linalg import MatZp, eliminate_stack, matrix_stack
-from .symrep import ConstructionError, SymmetricRep, symmetric_representation
+from .symrep import (
+    SEARCH_LIMIT,
+    ConstructionError,
+    SymmetricRep,
+    symmetric_representation,
+)
 
 
 @dataclass(frozen=True)
@@ -173,8 +178,13 @@ def shift_set(s: MubSet, m: MatZp) -> MubSet:
 
 def mub_set(p: int, n: int, method: str = "auto", poly: PolyZp | None = None,
             d=None, primitive: bool = False) -> MubSet:
-    """End-to-end construction: witness, family, unbiasedness check."""
+    """End-to-end construction: witness, family, unbiasedness check.
+    Families of more than SEARCH_LIMIT members are a ValueError before
+    any route runs (p^n > 2^n, so a large n is refused before p^n is
+    computed)."""
     check_prime(p)
+    if n > SEARCH_LIMIT.bit_length() or p**n > SEARCH_LIMIT:
+        raise ValueError(f"family size p^n = {p}^{n} exceeds {SEARCH_LIMIT}")
     witness = symmetric_representation(p, n, method=method, poly=poly, d=d,
                                        primitive=primitive)
     family = adjacency_set(witness)

@@ -11,6 +11,14 @@ character table of Z_p^n: the overlap of |G_r(m)> and |G_t(m')> depends
 only on the label difference m' - m, and the n-qupit Fourier transform
 of conj(g_r) g_t yields all p^n of them at once.
 
+The sampled check builds no state vectors.  Every amplitude of a basis
+element is w_M^e(x) / sqrt(p^n) with e(x) linear in the upper triangle of
+the adjacency matrix and in the label (M = 4 for p = 2, else M = p), so a
+cross-basis overlap is a character sum over the exponents of a difference
+row.  Each chunk of samples, about 2^16 amplitudes whatever p^n and the
+sample count, takes one float64 matmul of difference rows against a
+monomial table, exact in integers; graph_state uses the same table.
+
 Gate conventions: the local phase gate is diag(i^k) for p = 2 and
 diag(w_p^{k(k-1)/2}) for p >= 3; the controlled phase multiplies
 |k>_i |l>_j by w_p^{kl}; Z is diag(w_p^k); the Fourier transform has
@@ -19,15 +27,17 @@ entries w_p^{jk} / sqrt(p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import MatZp
+from .linalg import MatZp, matrix_stack
 from .mubs import MubSet
 
 FULL_SWEEP_LIMIT = 10**4
+SAMPLE_CHUNK = 1 << 16  # amplitudes per chunk of the sampled check
 
 
 @lru_cache(maxsize=None)
@@ -122,6 +132,55 @@ def _require_adjacency(a: MatZp) -> None:
         raise ValueError("adjacency matrix must be symmetric")
 
 
+def _phase_modulus(p: int) -> tuple[int, int]:
+    """(M, lab): graph phases are powers of w_M, and the label phase
+    w_p^{m.x} is w_M^{lab m.x}.  M = 4, lab = 2 for p = 2 (the local phase
+    gate has period 4); M = p, lab = 1 for odd p."""
+    return (4, 2) if p == 2 else (p, 1)
+
+
+@lru_cache(maxsize=None)
+def _phase_table(p: int, n: int) -> np.ndarray:
+    """Float64 table of shape (n(n+1)/2 + n, p^n), entries reduced mod M.
+
+    Row (i, j), i <= j in row-major order, is the monomial that A_ij
+    multiplies in the phase exponent of |G(m)>(x): x_i (p = 2) or
+    x_i(x_i - 1)/2 (odd p) on the diagonal, 2 x_i x_j (p = 2) or x_i x_j
+    (odd p) off it.  The last n rows are lab x_i, multiplied by m_i.
+    A row of k coefficients below M against it sums k terms below M^2, so
+    the float64 matmul in _exponents is exact while k M^2 < 2^53."""
+    m, lab = _phase_modulus(p)
+    k = n * (n + 1) // 2 + n
+    if k * (m - 1) ** 2 >= 2**53:
+        raise ValueError(f"phase exponents for p={p}, n={n} exceed float64 precision")
+    dig = _digits(p, n).T
+    rows = []
+    for i in range(n):
+        rows.append(dig[i] if p == 2 else dig[i] * (dig[i] - 1) // 2)
+        rows.extend((2 if p == 2 else 1) * dig[i] * dig[j] for j in range(i + 1, n))
+    rows.extend(lab * dig)
+    table = (np.array(rows, dtype=np.int64) % m).astype(np.float64)
+    table.setflags(write=False)
+    return table
+
+
+def _upper(stack: np.ndarray) -> np.ndarray:
+    """A_ij for i <= j of (..., n, n) matrices, in the row order of
+    _phase_table."""
+    i, j = np.triu_indices(stack.shape[-1])
+    return stack[..., i, j]
+
+
+def _exponents(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Phase exponents mod M at all p^n inputs x, shape (..., p^n), for
+    coefficient rows (..., k) against the first k rows of _phase_table:
+    one float64 matmul, exact (see _phase_table)."""
+    m, _ = _phase_modulus(p)
+    coefs = np.asarray(coefs, dtype=np.int64) % m
+    table = _phase_table(p, n)[: coefs.shape[-1]]
+    return (coefs.astype(np.float64) @ table).astype(np.int64) % m
+
+
 def graph_state(a: MatZp) -> np.ndarray:
     """Apply U_{i,j}^{A_ij} for all i <= j to the uniform superposition.
 
@@ -130,20 +189,9 @@ def graph_state(a: MatZp) -> np.ndarray:
     """
     _require_adjacency(a)
     p, n = a.p, a.n
-    dig = _digits(p, n)
-    off = np.zeros(p**n, dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i, j]:
-                off += a[i, j] * dig[:, i] * dig[:, j]
-    diag = np.array([a[i, i] for i in range(n)], dtype=np.int64)
-    if p == 2:
-        phase = _roots(4)[(dig @ diag + 2 * off) % 4]
-    else:
-        half = (p + 1) // 2
-        local = (dig * (dig - 1) * half) @ diag
-        phase = _roots(p)[(local + off) % p]
-    return plus_state(p, n) * phase
+    m, _ = _phase_modulus(p)
+    coefs = _upper(np.array(a.rows, dtype=np.int64))
+    return plus_state(p, n) * _roots(m)[_exponents(coefs, p, n)]
 
 
 def basis_element(a: MatZp, m) -> np.ndarray:
@@ -333,14 +381,18 @@ def verify_mu_numeric(s: MubSet, tol: float = 1e-10, sample: int | None = None,
     Full mode sweeps all pairs of bases (dimension capped), one Fourier
     transform per pair, and reports labels (0, k) with k the worst label
     difference; sampled mode draws `sample` random cross-basis pairs.
+    A tol that is negative or not finite is a ValueError (no deviation
+    exceeds NaN, so a NaN tol would pass any family).
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     d = s.dim
     if sample is None:
         if d > FULL_SWEEP_LIMIT:
             raise ValueError(f"dimension {d} exceeds the full-sweep cap "
                              f"{FULL_SWEEP_LIMIT}; use sampled mode")
         return _verify_full(s, tol)
-    return _verify_sampled(s, tol, sample, seed)
+    return _verify_sampled(s, tol, _sample_draws(s, sample, seed))
 
 
 def _verify_full(s: MubSet, tol: float) -> NumericReport:
@@ -373,42 +425,56 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
     )
 
 
-def _verify_sampled(s: MubSet, tol: float, sample: int, seed: int) -> NumericReport:
-    d = s.dim
+def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The sampled check's draws (r, t, m_r, m_s) as int64 arrays: ordered
+    basis pairs r != t over the graph bases and the computational one
+    (index len(s.matrices)), and labels in [0, p^n)."""
     nb = len(s.matrices) + 1
-    comp = len(s.matrices)  # index of the computational basis
     rng = np.random.default_rng(seed)
-    cache: dict[int, np.ndarray] = {}
-    dig = _digits(s.p, s.n)
-    roots = _roots(s.p)
+    r = rng.integers(nb, size=sample)
+    t = rng.integers(nb - 1, size=sample)
+    t += t >= r
+    return r, t, rng.integers(s.dim, size=sample), rng.integers(s.dim, size=sample)
 
-    def element(basis: int, label: int) -> np.ndarray:
-        if basis == comp:
-            e = np.zeros(d, dtype=np.complex128)
-            e[label] = 1.0
-            return e
-        if basis not in cache:
-            cache[basis] = graph_state(s.matrices[basis])
-        return cache[basis] * roots[(dig @ dig[label]) % s.p]
 
+def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
+    """|<B_r(m_r)|B_t(m_s)>|^2 for every draw, in chunks of about
+    SAMPLE_CHUNK amplitudes.  Between graph bases the overlap is
+    |sum_x w_M^e(x)|^2 / d^2 with e the exponents of the coefficient row
+    [A_t - A_r, m_s - m_r]; against the computational basis it is
+    |G(m)(x)|^2 at the drawn x."""
+    p, n, d = s.p, s.n, s.dim
+    m, _ = _phase_modulus(p)
+    roots = _roots(m)
+    dig = _digits(p, n)
+    comp = len(s.matrices)  # index of the computational basis
+    coefs = _upper(matrix_stack(s.matrices, n))
+    rows = max(1, SAMPLE_CHUNK // d)
     worst = 0.0
     first = None
-    for _ in range(sample):
-        r = int(rng.integers(nb))
-        t = int(rng.integers(nb - 1))
-        if t >= r:
-            t += 1
-        mr = int(rng.integers(d))
-        ms = int(rng.integers(d))
-        dev = abs(overlap(element(r, mr), element(t, ms)) - 1.0 / d)
-        if dev > worst:
-            worst = dev
-        if dev > tol and first is None:
-            first = (r, t, mr, ms, dev)
+    for lo in range(0, len(draws[0]), rows):
+        r, t, mr, ms = (v[lo:lo + rows] for v in draws)
+        dev = np.empty(len(r))
+        graph = (r != comp) & (t != comp)
+        rg, tg = r[graph], t[graph]
+        e = _exponents(np.hstack([coefs[tg] - coefs[rg], dig[ms[graph]] - dig[mr[graph]]]),
+                       p, n)
+        dev[graph] = np.abs(np.abs(roots[e].sum(axis=1) / d) ** 2 - 1.0 / d)
+        on_r = r[~graph] == comp
+        g = np.where(on_r, t[~graph], r[~graph])
+        label = np.where(on_r, ms[~graph], mr[~graph])
+        x = np.where(on_r, mr[~graph], ms[~graph])
+        e = _exponents(np.hstack([coefs[g], dig[label]]), p, n)[np.arange(len(x)), x]
+        dev[~graph] = np.abs(np.abs(p ** (-n / 2) * roots[e]) ** 2 - 1.0 / d)
+        worst = max(worst, float(dev.max()))
+        bad = np.flatnonzero(dev > tol)
+        if first is None and bad.size:
+            j = int(bad[0])
+            first = (int(r[j]), int(t[j]), int(mr[j]), int(ms[j]), float(dev[j]))
     return NumericReport(
         ok=first is None,
-        mode=f"sampled({sample})",
-        pairs_checked=sample,
+        mode=f"sampled({len(draws[0])})",
+        pairs_checked=len(draws[0]),
         worst_deviation=worst,
         first_violation=first,
     )

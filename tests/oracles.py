@@ -5,7 +5,8 @@ factorization instead of the distinct-degree test, explicit group-order
 stepping instead of the factored order test, Laplace cofactor
 expansion instead of Berkowitz, one scalar determinant per member or
 pair instead of the stacked elimination, dense basis-matrix grams
-instead of the Fourier-diagonal overlap sweep, and a scan of every
+instead of the Fourier-diagonal overlap sweep, one explicit state pair
+per sampled overlap instead of the batched exponent matmul, and a scan of every
 bipartition's crossing block instead of the component walk.
 """
 
@@ -22,7 +23,7 @@ from graphmub.entanglement import (
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
 from graphmub.mubs import MuConditionReport
-from graphmub.states import NumericReport, basis_matrix
+from graphmub.states import NumericReport, basis_element, basis_matrix, overlap
 
 
 def all_monic(p: int, n: int):
@@ -148,6 +149,30 @@ def numeric_sweep_brute(s, tol: float = 1e-10) -> NumericReport:
             first = (r, t, int(mr), int(ms), float(dev[mr, ms]))
     return NumericReport(ok=first is None, mode="full", pairs_checked=pairs,
                          worst_deviation=worst, first_violation=first)
+
+
+def numeric_sampled_brute(s, draws, tol: float = 1e-10) -> NumericReport:
+    """Sampled overlap check from explicit vectors, one basis_element pair
+    per draw (r, t, m_r, m_s); index len(s.matrices) is the computational
+    basis, whose elements are unit vectors."""
+    d, comp = s.dim, len(s.matrices)
+
+    def element(basis: int, label: int) -> np.ndarray:
+        if basis == comp:
+            return np.eye(d)[label].astype(np.complex128)
+        digits = np.unravel_index(label, (s.p,) * s.n)
+        return basis_element(s.matrices[basis], [int(v) for v in digits])
+
+    worst = 0.0
+    first = None
+    for r, t, mr, ms in zip(*(v.tolist() for v in draws)):
+        dev = abs(overlap(element(r, mr), element(t, ms)) - 1.0 / d)
+        worst = max(worst, dev)
+        if first is None and dev > tol:
+            first = (r, t, mr, ms, dev)
+    return NumericReport(ok=first is None, mode=f"sampled({len(draws[0])})",
+                         pairs_checked=len(draws[0]), worst_deviation=worst,
+                         first_violation=first)
 
 
 def classify_by_bipartitions(a: MatZp) -> str:

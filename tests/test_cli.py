@@ -134,15 +134,40 @@ def test_verify_forged_field_rep_fails_algebraic_stage(capsys, tmp_path):
 
 
 def test_verify_truncated_family_runs_pairwise(capsys, tmp_path):
-    # four of eight members cannot be the closed span; whether an
-    # incomplete family should fail is a separate question (ROADMAP)
+    # four of eight members: an incomplete family fails before either
+    # stage runs, even though its members pass the pairwise scan
     doc = json.loads(gen_doc(capsys))
     doc["matrices"] = doc["matrices"][:4]
     path = tmp_path / "truncated.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, ["verify", str(path)])
-    assert code == 0
-    assert "(pairwise mode, 4 matrices)" in out
+    for extra in ([], ["--numeric"]):
+        code, out, err = run_cli(capsys, ["verify", str(path), *extra])
+        assert code == 1
+        assert "FAIL incomplete family: 4 of p^n = 8 matrices" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_bad_tolerance(capsys, tmp_path, tol):
+    path = tmp_path / "fam.json"
+    path.write_text(gen_doc(capsys))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), "--numeric", "--tol", tol])
+    assert exc.value.code == 2
+    assert "must be a finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,n", [("2147483647", "1"), ("1000003", "2"), ("3", "100000000")])
+def test_gen_companion_family_size_bound(p, n):
+    # the companion route used to expand p^n members (MemoryError or no end)
+    # or to search all p^n polynomials
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphmub.cli", "gen", "-p", p, "-n", n,
+         "--method", "companion"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "usage error: family size p^n" in proc.stderr
+    assert proc.stdout == ""
 
 
 def _set_entry(value):

@@ -287,3 +287,9 @@ def test_document_validation():
         from_document({"p": 2, "n": 2, "matrices": []})
     with pytest.raises(ValueError):
         from_document({"p": 2, "n": 3, "matrices": [[[0, 0], [0, 0]]]})
+
+
+@pytest.mark.parametrize("method", ["auto", "tridiag", "companion"])
+def test_mub_set_bounds_family_size(method):
+    with pytest.raises(ValueError, match="family size"):
+        mub_set(2147483647, 1, method=method)

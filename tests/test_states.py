@@ -7,6 +7,7 @@ import pytest
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
 from graphmub.mubs import MubSet, mub_set, shift_set
+from graphmub import states
 from graphmub.states import (
     Circuit,
     Gate,
@@ -27,9 +28,11 @@ from graphmub.states import (
     stabilizer_check,
     state_index,
     verify_mu_numeric,
+    _sample_draws,
+    _verify_sampled,
 )
 
-from oracles import numeric_sweep_brute
+from oracles import numeric_sampled_brute, numeric_sweep_brute
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -323,6 +326,65 @@ def test_numeric_sampled_mode():
     assert a.worst_deviation == b.worst_deviation
     shifted = shift_set(fam, MatZp(2, [[1, 1, 0], [1, 0, 0], [0, 0, 1]]))
     assert verify_mu_numeric(shifted, sample=400).ok
+
+
+def with_identical_members(fam):
+    """The family with member 3 overwritten by member 2."""
+    mats = list(fam.matrices)
+    mats[3] = mats[2]
+    return MubSet(p=fam.p, n=fam.n, matrices=tuple(mats), field_rep=False)
+
+
+@pytest.mark.parametrize("kind", ["sound", "shifted", "identical"])
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2), (13, 2)])
+def test_sampled_check_matches_brute(monkeypatch, p, n, kind):
+    fam = mub_set(p, n)
+    if kind == "shifted":
+        fam = shift_set(fam, random_adjacency(random.Random(p * n), p, n))
+    elif kind == "identical":
+        fam = with_identical_members(fam)
+    comp = len(fam.matrices)
+    draws = _sample_draws(fam, 300, seed=p + n)
+    r, t, mr, ms = draws
+    r[5], t[5] = comp, 1  # a computational-basis sample, both orders
+    r[9], t[9] = 4, comp
+    if kind == "identical":
+        # overlap 0, then overlap 1 (the worst) ending the first chunk, then
+        # overlap 0 in the second chunk
+        for j, label in ((4, mr[4] + 1), (6, mr[6]), (11, mr[11] + 1)):
+            r[j], t[j], ms[j] = 2 + j % 2, 3 - j % 2, label % fam.dim
+    # seven samples per chunk, so the draws span many chunks
+    monkeypatch.setattr(states, "SAMPLE_CHUNK", 7 * fam.dim)
+    fast = _verify_sampled(fam, 1e-10, draws)
+    slow = numeric_sampled_brute(fam, draws, 1e-10)
+    assert fast.ok == slow.ok == (kind != "identical")
+    assert (fast.mode, fast.pairs_checked) == (slow.mode, slow.pairs_checked) == ("sampled(300)", 300)
+    assert abs(fast.worst_deviation - slow.worst_deviation) < 1e-12
+    if fast.ok:
+        assert fast.first_violation is slow.first_violation is None
+        return
+    assert fast.first_violation[:4] == slow.first_violation[:4]
+    assert abs(fast.first_violation[4] - slow.first_violation[4]) < 1e-12
+
+
+def test_sampled_draws_are_cross_basis_pairs():
+    fam = mub_set(3, 2)
+    r, t, mr, ms = _sample_draws(fam, 5000, seed=1)
+    nb = len(fam.matrices) + 1
+    assert (r != t).all()
+    assert set(r.tolist()) == set(t.tolist()) == set(range(nb))
+    assert mr.min() == ms.min() == 0 and mr.max() == ms.max() == fam.dim - 1
+    assert all((a == b).all() for a, b in zip((r, t, mr, ms), _sample_draws(fam, 5000, seed=1)))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("sample", [None, 200])
+def test_numeric_rejects_bad_tolerance(tol, sample):
+    # every dev > nan is False, so a NaN tol would pass two identical bases
+    bad = with_identical_members(qubit_triple_family())
+    with pytest.raises(ValueError, match="tol"):
+        verify_mu_numeric(bad, tol=tol, sample=sample)
+    assert not verify_mu_numeric(bad, tol=1e-10, sample=sample).ok
 
 
 # -- stabilizers ----------------------------------------------------------------
