@@ -180,7 +180,7 @@ def mub_set(p: int, n: int, method: str = "auto", poly: PolyZp | None = None,
             d=None, primitive: bool = False) -> MubSet:
     """End-to-end construction: witness, family, unbiasedness check.
     Families of more than SEARCH_LIMIT members are a ValueError before
-    any route runs (p^n > 2^n, so a large n is refused before p^n is
+    any route runs (p^n >= 2^n, so a large n is refused before p^n is
     computed)."""
     check_prime(p)
     if n > SEARCH_LIMIT.bit_length() or p**n > SEARCH_LIMIT:

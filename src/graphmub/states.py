@@ -132,11 +132,11 @@ def _require_adjacency(a: MatZp) -> None:
         raise ValueError("adjacency matrix must be symmetric")
 
 
-def _phase_modulus(p: int) -> tuple[int, int]:
-    """(M, lab): graph phases are powers of w_M, and the label phase
-    w_p^{m.x} is w_M^{lab m.x}.  M = 4, lab = 2 for p = 2 (the local phase
-    gate has period 4); M = p, lab = 1 for odd p."""
-    return (4, 2) if p == 2 else (p, 1)
+def _phase_modulus(p: int) -> int:
+    """M: graph phases are powers of w_M, and the label phase w_p^{m.x} is
+    w_M^{(M/p) m.x}.  M = 4 for p = 2 (the local phase gate has period 4),
+    M = p for odd p."""
+    return 4 if p == 2 else p
 
 
 @lru_cache(maxsize=None)
@@ -146,10 +146,11 @@ def _phase_table(p: int, n: int) -> np.ndarray:
     Row (i, j), i <= j in row-major order, is the monomial that A_ij
     multiplies in the phase exponent of |G(m)>(x): x_i (p = 2) or
     x_i(x_i - 1)/2 (odd p) on the diagonal, 2 x_i x_j (p = 2) or x_i x_j
-    (odd p) off it.  The last n rows are lab x_i, multiplied by m_i.
+    (odd p) off it.  The last n rows are (M/p) x_i, multiplied by m_i.
     A row of k coefficients below M against it sums k terms below M^2, so
     the float64 matmul in _exponents is exact while k M^2 < 2^53."""
-    m, lab = _phase_modulus(p)
+    m = _phase_modulus(p)
+    lab = m // p
     k = n * (n + 1) // 2 + n
     if k * (m - 1) ** 2 >= 2**53:
         raise ValueError(f"phase exponents for p={p}, n={n} exceed float64 precision")
@@ -157,7 +158,7 @@ def _phase_table(p: int, n: int) -> np.ndarray:
     rows = []
     for i in range(n):
         rows.append(dig[i] if p == 2 else dig[i] * (dig[i] - 1) // 2)
-        rows.extend((2 if p == 2 else 1) * dig[i] * dig[j] for j in range(i + 1, n))
+        rows.extend(lab * dig[i] * dig[j] for j in range(i + 1, n))
     rows.extend(lab * dig)
     table = (np.array(rows, dtype=np.int64) % m).astype(np.float64)
     table.setflags(write=False)
@@ -175,7 +176,7 @@ def _exponents(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
     """Phase exponents mod M at all p^n inputs x, shape (..., p^n), for
     coefficient rows (..., k) against the first k rows of _phase_table:
     one float64 matmul, exact (see _phase_table)."""
-    m, _ = _phase_modulus(p)
+    m = _phase_modulus(p)
     coefs = np.asarray(coefs, dtype=np.int64) % m
     table = _phase_table(p, n)[: coefs.shape[-1]]
     return (coefs.astype(np.float64) @ table).astype(np.int64) % m
@@ -189,7 +190,7 @@ def graph_state(a: MatZp) -> np.ndarray:
     """
     _require_adjacency(a)
     p, n = a.p, a.n
-    m, _ = _phase_modulus(p)
+    m = _phase_modulus(p)
     coefs = _upper(np.array(a.rows, dtype=np.int64))
     return plus_state(p, n) * _roots(m)[_exponents(coefs, p, n)]
 
@@ -444,7 +445,7 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     [A_t - A_r, m_s - m_r]; against the computational basis it is
     |G(m)(x)|^2 at the drawn x."""
     p, n, d = s.p, s.n, s.dim
-    m, _ = _phase_modulus(p)
+    m = _phase_modulus(p)
     roots = _roots(m)
     dig = _digits(p, n)
     comp = len(s.matrices)  # index of the computational basis
