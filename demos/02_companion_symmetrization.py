@@ -46,8 +46,11 @@ family = mub_set(3, 3, method="companion", poly=f)
 print(f"\nfamily: {len(family.matrices)} graph bases + computational "
       f"= {family.num_bases} MUBs for dimension 27")
 
-# f is primitive, so the same family is the matrix powers of Q plus zero.
-from graphmub import power_set
-
-assert power_set(rep).matrices == family.matrices
+# f is primitive, so the same family is the matrix powers of Q plus zero:
+# Q^k runs through all 26 nonzero members before it returns to Q^0 = 1.
+powers, acc = {MatZp.zeros(3, 3)}, MatZp.identity(3, 3)
+for _ in range(26):
+    powers.add(acc)
+    acc = acc @ rep.q
+assert acc == MatZp.identity(3, 3) and powers == set(family.matrices)
 print("power enumeration {Q^i} u {0} reproduces the same family: True")

@@ -19,7 +19,6 @@ from .symrep import (
     SymmetricRep,
     choose_form_multiplier,
     find_irreducible,
-    newton_diagonals,
     reduce_to_identity_char2,
     reduce_to_identity_odd,
     symmetric_representation,
@@ -38,7 +37,6 @@ from .mubs import (
     from_document,
     fundamental_graphs,
     mub_set,
-    power_set,
     shift_set,
     to_document,
     verify_mu_condition,

@@ -178,7 +178,11 @@ def _cmd_verify(args) -> int:
     print(f"algebraic difference condition: pass "
           f"({algebraic.mode} mode, {len(fam.matrices)} matrices)")
     if args.numeric:
-        report = verify_mu_numeric(fam, tol=args.tol, sample=args.sample)
+        try:
+            report = verify_mu_numeric(fam, tol=args.tol, sample=args.sample)
+        except ValueError as exc:  # a full sweep above FULL_SWEEP_LIMIT
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         if not report.ok:
             r, t, mr, ms, dev = report.first_violation
             print(f"FAIL numeric (overlap): bases {r},{t} elements {mr},{ms} "

@@ -1,11 +1,12 @@
 """Exact dense linear algebra over Z_p.
 
-Determinant, rank and inverse of one MatZp share one forward Gaussian
-elimination with modular pivot inverses; `eliminate_stack` runs the same
-elimination on a whole int64 stack of matrices at once.  The
+`eliminate_stack` is the one Gaussian elimination: it ranks and takes the
+determinants of a whole int64 stack of matrices at once, and the rank
+and determinant of a single matrix are a stack of one.  The
 characteristic polynomial uses the division-free Berkowitz recursion,
 which stays correct for every prime p including p <= n
-(Faddeev-LeVerrier would divide by k!).
+(Faddeev-LeVerrier would divide by k!); the inverse follows from it by
+Cayley-Hamilton.
 """
 
 from __future__ import annotations
@@ -160,30 +161,24 @@ class MatZp:
     # -- elimination-based quantities -----------------------------------
 
     def det(self) -> int:
-        p, n = self.p, self.n
-        m = [list(r) for r in self.rows]
-        d = _eliminate(m, p)[1] % p
-        # the echelon form of a singular m ends in a zero row: d ends at 0
-        for i in range(n):
-            d = d * m[i][i] % p
-        return d
+        return int(eliminate_stack(matrix_stack([self], self.n), self.p)[1][0])
 
     def rank(self) -> int:
         return rank_mod_p(self.to_lists(), self.p)
 
     def inverse(self) -> "MatZp":
+        """By Cayley-Hamilton from the characteristic polynomial
+        x^n + c_{n-1} x^{n-1} + ... + c_0:
+        M^-1 = -c_0^-1 (M^{n-1} + c_{n-1} M^{n-2} + ... + c_1)."""
         p, n = self.p, self.n
-        m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(self.rows)]
-        if _eliminate(m, p)[0] != list(range(n)):
+        f = self.char_poly()
+        if f.coeff(0) == 0:
             raise ZeroDivisionError("singular matrix")
-        for c in reversed(range(n)):
-            inv = pow(m[c][c], p - 2, p)
-            m[c] = [v * inv % p for v in m[c]]
-            for r in range(c):
-                if m[r][c]:
-                    f = m[r][c]
-                    m[r] = [(a - f * b) % p for a, b in zip(m[r], m[c])]
-        return MatZp(p, [row[n:] for row in m])
+        eye = MatZp.identity(p, n)
+        acc = eye
+        for k in range(n - 1, 0, -1):
+            acc = acc @ self + eye.scale(f.coeff(k))
+        return acc.scale(-pow(f.coeff(0), p - 2, p))
 
     def char_poly(self) -> PolyZp:
         """Monic characteristic polynomial det(x*1 - M) via Berkowitz."""
@@ -214,33 +209,6 @@ class MatZp:
                 new[i] = total % p
             vec = new
         return PolyZp(p, list(reversed(vec)))
-
-
-def _eliminate(m: list[list[int]], p: int) -> tuple[list[int], int]:
-    """Forward elimination over Z_p of reduced row lists, in place: m ends
-    in row echelon form.  Returns the pivot columns, pivot row i holding
-    pivots[i], and the sign (+1 or -1) of the row swaps."""
-    nrows = len(m)
-    pivots: list[int] = []
-    sign = 1
-    for c in range(len(m[0]) if m else 0):
-        top = len(pivots)
-        for piv in range(top, nrows):
-            if m[piv][c]:
-                break
-        else:
-            continue
-        if piv != top:
-            m[top], m[piv] = m[piv], m[top]
-            sign = -sign
-        pivot_row = m[top]
-        inv = pow(pivot_row[c], p - 2, p)
-        for r in range(top + 1, nrows):
-            if m[r][c]:
-                f = m[r][c] * inv % p
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], pivot_row)]
-        pivots.append(c)
-    return pivots, sign
 
 
 def matrix_stack(mats, n: int) -> np.ndarray:
@@ -288,8 +256,10 @@ def eliminate_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def rank_mod_p(block: list[list[int]], p: int) -> int:
-    """Rank over Z_p of a rectangular block of integer row lists."""
-    return len(_eliminate([[v % p for v in r] for r in block], p)[0])
+    """Rank over Z_p of a rectangular block of integer row lists (reduced
+    here, so entries of any size are accepted)."""
+    reduced = np.array([[[v % p for v in r] for r in block]], dtype=np.int64)
+    return int(eliminate_stack(reduced, p)[0][0])
 
 
 def congruence(pmat: MatZp, b: MatZp) -> MatZp:

@@ -19,9 +19,9 @@ import numpy as np
 from .fields import PolyZp, check_prime
 from .linalg import MatZp, eliminate_stack, matrix_stack
 from .symrep import (
-    SEARCH_LIMIT,
     ConstructionError,
     SymmetricRep,
+    check_family_size,
     symmetric_representation,
 )
 
@@ -68,13 +68,6 @@ def index_to_coeffs(index: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def coeffs_to_index(coeffs, p: int) -> int:
-    idx = 0
-    for a in reversed(list(coeffs)):
-        idx = idx * p + a % p
-    return idx
-
-
 def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
     """The n powers Q^0, ..., Q^{n-1}; every family member is a
     Z_p-linear combination of these."""
@@ -85,16 +78,22 @@ def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
     return out
 
 
+def _span(basis: np.ndarray, p: int) -> np.ndarray:
+    """All p^n Z_p-combinations sum_k a_k basis[k] of the n reduced
+    matrices of an int64 stack (n, m, m), in index order (a_0 varying
+    fastest): basis[k] extends the table of the first k to p^(k+1) rows,
+    row j p^k + i being j basis[k] + row i."""
+    acc = np.zeros((1,) + basis.shape[1:], dtype=np.int64)
+    for b in basis:
+        acc = (acc + np.arange(p)[:, None, None, None] * b % p) % p
+        acc = acc.reshape((-1,) + basis.shape[1:])
+    return acc
+
+
 def adjacency_set(witness: SymmetricRep) -> MubSet:
-    """All p^n linear combinations of the fundamental graphs: the
-    (p^n, n) base-p coefficient table contracted against the (n, n, n)
-    power stack, mod p."""
+    """All p^n linear combinations of the fundamental graphs."""
     p, n = witness.p, witness.n
-    powers = matrix_stack(fundamental_graphs(witness), n)
-    coeffs = np.arange(p**n)[:, None] // p ** np.arange(n) % p
-    acc = np.zeros((p**n, n, n), dtype=np.int64)
-    for k in range(n):
-        acc = (acc + coeffs[:, k, None, None] * powers[k] % p) % p
+    acc = _span(matrix_stack(fundamental_graphs(witness), n), p)
     mats = tuple(MatZp(p, rows) for rows in acc.tolist())
     if mats[0] != MatZp.zeros(p, n) or mats[1] != MatZp.identity(p, n):
         raise ConstructionError("indices 0 and 1 must be the zero and identity matrices")
@@ -102,31 +101,6 @@ def adjacency_set(witness: SymmetricRep) -> MubSet:
         p=p, n=n, matrices=mats, witness=witness, field_rep=True,
         method=witness.method, polynomial=witness.f, d=witness.d,
     )
-
-
-def power_set(witness: SymmetricRep) -> MubSet:
-    """Generate the same family as matrix powers {Q^i} plus the zero matrix.
-
-    Valid only for a primitive characteristic polynomial; the resulting
-    set is checked for equality with the linear-combination family and
-    returned in canonical index order.
-    """
-    if not witness.f.is_primitive():
-        raise ValueError(
-            f"characteristic polynomial {witness.f} is not primitive: "
-            "matrix powers do not reach every nonzero family member"
-        )
-    p, n = witness.p, witness.n
-    acc = MatZp.identity(p, n)
-    powers = {acc}
-    for _ in range(p**n - 2):
-        acc = acc @ witness.q
-        powers.add(acc)
-    powers.add(MatZp.zeros(p, n))
-    family = adjacency_set(witness)
-    if powers != set(family.matrices):
-        raise ConstructionError("power enumeration missed members")
-    return family
 
 
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
@@ -180,11 +154,9 @@ def mub_set(p: int, n: int, method: str = "auto", poly: PolyZp | None = None,
             d=None, primitive: bool = False) -> MubSet:
     """End-to-end construction: witness, family, unbiasedness check.
     Families of more than SEARCH_LIMIT members are a ValueError before
-    any route runs (p^n >= 2^n, so a large n is refused before p^n is
-    computed)."""
+    any route runs (`check_family_size`)."""
     check_prime(p)
-    if n > SEARCH_LIMIT.bit_length() or p**n > SEARCH_LIMIT:
-        raise ValueError(f"family size p^n = {p}^{n} exceeds {SEARCH_LIMIT}")
+    check_family_size(p, n)
     witness = symmetric_representation(p, n, method=method, poly=poly, d=d,
                                        primitive=primitive)
     family = adjacency_set(witness)
@@ -229,17 +201,11 @@ def _ints(v, what: str, depth: int = 0):
 
 def _is_index_ordered_span(p: int, n: int, mats) -> bool:
     """True when mats are the p^n Z_p-combinations of the mats[p^k] in
-    index order, mats[i] = mats[i - q] + mats[q] with q = p^k for the lowest
-    nonzero base-p digit k of i (so mats[0] = 0): closed under subtraction."""
+    index order (so closed under subtraction)."""
     if len(mats) != p**n:
         return False
-    for i in range(1, len(mats)):
-        q = 1
-        while i % (q * p) == 0:
-            q *= p
-        if mats[i] != mats[i - q] + mats[q]:
-            return False
-    return True
+    stack = matrix_stack(mats, n)
+    return bool((_span(stack[p ** np.arange(n)], p) == stack).all())
 
 
 def from_document(doc: dict) -> MubSet:

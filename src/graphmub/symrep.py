@@ -365,7 +365,7 @@ def symmetrize_companion(f: PolyZp) -> SymmetricRep:
         pmat = reduce_to_identity_odd(bform)
     if c @ bform != bform @ c.transpose():
         raise ConstructionError("form does not symmetrize the companion matrix")
-    q = pmat @ c @ pmat.inverse()
+    q = pmat @ c @ bform @ pmat.transpose()  # P^-1 = B P^T, as P B P^T = 1
     if not q.is_symmetric or q.char_poly() != f:
         raise ConstructionError(f"symmetrized seed is not symmetric with char poly {f}")
     return SymmetricRep(
@@ -379,6 +379,13 @@ def symmetrize_companion(f: PolyZp) -> SymmetricRep:
 # ---------------------------------------------------------------------------
 
 SEARCH_LIMIT = 10**7
+
+
+def check_family_size(p: int, n: int) -> None:
+    """ValueError when p^n exceeds SEARCH_LIMIT.  As p^n >= 2^n, n is
+    compared with the limit's bit length before p^n is computed."""
+    if n > SEARCH_LIMIT.bit_length() or p**n > SEARCH_LIMIT:
+        raise ValueError(f"family size p^n = {p}^{n} exceeds {SEARCH_LIMIT}")
 
 
 def tridiagonal_matrix(p: int, d) -> MatZp:
@@ -401,13 +408,21 @@ def tridiag_char_poly(p: int, d) -> PolyZp:
     D_n is the characteristic polynomial of the full matrix.
     """
     check_prime(p)
-    d = [v % p for v in d]
-    n = len(d)
-    prev, cur = PolyZp.zero(p), PolyZp.one(p)
-    x = PolyZp.x(p)
+    row = np.array([[v % p for v in d]], dtype=np.int64)
+    return PolyZp(p, _tridiag_recursion(row, p)[0].tolist())
+
+
+def _tridiag_recursion(d: np.ndarray, p: int) -> np.ndarray:
+    """The recursion of tridiag_char_poly on every row of the reduced int64
+    diagonals d (rows, n) at once: ascending coefficients (rows, n + 1)."""
+    rows, n = d.shape
+    prev = np.zeros((rows, n + 1), dtype=np.int64)
+    cur = prev.copy()
+    cur[:, 0] = 1
     for k in range(1, n + 1):
-        factor = x - PolyZp(p, [d[n - k]])
-        prev, cur = cur, factor * cur - prev
+        shifted = np.zeros_like(cur)
+        shifted[:, 1:] = cur[:, :-1]
+        prev, cur = cur, (shifted - d[:, n - k, None] * cur % p - prev) % p
     return cur
 
 
@@ -417,24 +432,16 @@ SEARCH_CHUNK = 1 << 16
 def _diagonal_char_polys(p: int, n: int):
     """Yield (diagonals, char polys) for all p^n diagonals in lexicographic
     order as int64 tables of shape (rows, n) and (rows, n + 1), the latter
-    ascending coefficients from the three-term recursion of
-    tridiag_char_poly run on every row at once.  Chunks start at 64 rows
-    and double up to SEARCH_CHUNK, so an early hit costs little and no
-    scan holds more than SEARCH_CHUNK rows."""
+    from _tridiag_recursion.  Chunks start at 64 rows and double up to
+    SEARCH_CHUNK, so an early hit costs little and no scan holds more than
+    SEARCH_CHUNK rows."""
     total = p**n
     place = p ** np.arange(n - 1, -1, -1)
     start, size = 0, 64
     while start < total:
         stop = min(start + size, total)
         d = np.arange(start, stop)[:, None] // place % p
-        prev = np.zeros((stop - start, n + 1), dtype=np.int64)
-        cur = prev.copy()
-        cur[:, 0] = 1
-        for k in range(1, n + 1):
-            shifted = np.zeros_like(cur)
-            shifted[:, 1:] = cur[:, :-1]
-            prev, cur = cur, (shifted - d[:, n - k, None] * cur % p - prev) % p
-        yield d, cur
+        yield d, _tridiag_recursion(d, p)
         start, size = stop, min(2 * size, SEARCH_CHUNK)
 
 
@@ -451,8 +458,7 @@ def tridiag_search(p: int, n: int, target: PolyZp | None = None,
     check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if p**n > SEARCH_LIMIT:
-        raise ValueError(f"search space p^n = {p**n} exceeds {SEARCH_LIMIT}")
+    check_family_size(p, n)
     if target is not None:
         if target.degree != n or not target.is_monic:
             raise ValueError("target must be monic of degree n")
@@ -469,28 +475,6 @@ def tridiag_search(p: int, n: int, target: PolyZp | None = None,
             if f.is_irreducible() and (not primitive or f.is_primitive()):
                 return tuple(diag)
     return None
-
-
-NEWTON_MAX_DEGREE = 4
-
-
-def newton_diagonals(f: PolyZp) -> list[tuple[int, ...]]:
-    """All tridiagonal diagonals whose characteristic polynomial is f.
-
-    Enumerates the p^n diagonals in lexicographic order and keeps those
-    whose three-term recursion gives f.  Degrees above 4 are rejected
-    (use tridiag_search instead).
-    """
-    if f.degree is None or f.degree < 1 or not f.is_monic:
-        raise ValueError("need a monic polynomial of degree >= 1")
-    n, p = f.degree, f.p
-    if n > NEWTON_MAX_DEGREE:
-        raise ValueError(
-            f"degree {n} exceeds the diagonal enumeration limit "
-            f"{NEWTON_MAX_DEGREE}; use tridiag_search"
-        )
-    return [tuple(diag) for d, polys in _diagonal_char_polys(p, n)
-            for diag in d[(polys == f.coeffs).all(axis=1)].tolist()]
 
 
 def tridiagonal_rep(p: int, d) -> SymmetricRep:

@@ -3,11 +3,14 @@
 These deliberately use different algorithms than the library: trial
 factorization instead of the distinct-degree test, explicit group-order
 stepping instead of the factored order test, Laplace cofactor
-expansion instead of Berkowitz, one scalar determinant per member or
-pair instead of the stacked elimination, dense basis-matrix grams
-instead of the Fourier-diagonal overlap sweep, one explicit state pair
-per sampled overlap instead of the batched exponent matmul, and a scan of every
-bipartition's crossing block instead of the component walk.
+expansion instead of Berkowitz and Gaussian elimination (one cofactor
+determinant per member or pair instead of the stacked elimination),
+polynomial arithmetic instead of the int64 tridiagonal recursion,
+explicit matrix powers instead of the coefficient table, dense
+basis-matrix grams instead of the Fourier-diagonal overlap sweep, one
+explicit state pair per sampled overlap instead of the batched exponent
+matmul, and a scan of every bipartition's crossing block instead of the
+component walk.
 """
 
 from itertools import combinations, product
@@ -117,17 +120,39 @@ def rank_brute(block: list[list[int]], p: int) -> int:
     return best
 
 
+def tridiag_char_poly_brute(p: int, d) -> PolyZp:
+    """The three-term recursion D_k = (x - d_{n+1-k}) D_{k-1} - D_{k-2} in
+    PolyZp arithmetic, from D_0 = 1 and D_{-1} = 0."""
+    prev, cur = PolyZp.zero(p), PolyZp.one(p)
+    for v in reversed(list(d)):
+        prev, cur = cur, (PolyZp.x(p) - PolyZp(p, [v % p])) * cur - prev
+    return cur
+
+
+def power_enumeration(q: MatZp) -> set:
+    """{Q^k : 0 <= k < p^n - 1} together with the zero matrix, by repeated
+    multiplication; it is the whole family exactly when the characteristic
+    polynomial of Q is primitive."""
+    acc = MatZp.identity(q.p, q.n)
+    out = {acc, MatZp.zeros(q.p, q.n)}
+    for _ in range(q.p**q.n - 2):
+        acc = acc @ q
+        out.add(acc)
+    return out
+
+
 def mu_condition_scalar(s, pairwise: bool = False) -> MuConditionReport:
-    """verify_mu_condition by one MatZp.det per member (closure mode, for
-    field_rep families) or per pair, stopping at the first singular one."""
+    """verify_mu_condition by one cofactor determinant per member (closure
+    mode, for field_rep families) or per pair, stopping at the first
+    singular one."""
     mats = s.matrices
     if s.field_rep and not pairwise:
         for idx in range(1, len(mats)):
-            if mats[idx].det() == 0:
+            if det_cofactor(mats[idx].to_lists(), s.p) == 0:
                 return MuConditionReport(ok=False, mode="closure", failing_pair=(idx, 0))
         return MuConditionReport(ok=True, mode="closure", failing_pair=None)
     for r, t in combinations(range(len(mats)), 2):
-        if (mats[r] - mats[t]).det() == 0:
+        if det_cofactor((mats[r] - mats[t]).to_lists(), s.p) == 0:
             return MuConditionReport(ok=False, mode="pairwise", failing_pair=(r, t))
     return MuConditionReport(ok=True, mode="pairwise", failing_pair=None)
 

@@ -122,6 +122,19 @@ def test_verify_numeric_failure(capsys, tmp_path):
     assert "FAIL" in err
 
 
+def test_full_numeric_sweep_above_the_cap_is_usage_error(capsys, tmp_path):
+    # d = 101^2 = 10201 passes the algebraic stage, but the full sweep is
+    # capped at FULL_SWEEP_LIMIT: a usage error (2), not a failure (1)
+    code, out, err = run_cli(capsys, ["gen", "-p", "101", "-n", "2"])
+    assert code == 0, err
+    path = tmp_path / "fam.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, ["verify", str(path), "--numeric"])
+    assert code == 2
+    assert out.startswith("algebraic difference condition: pass")
+    assert err.startswith("usage error: dimension 10201 exceeds the full-sweep cap")
+
+
 def test_verify_forged_field_rep_fails_algebraic_stage(capsys, tmp_path):
     # the matrices contradict the field_rep claim, so the pairwise scan runs
     doc = json.loads(gen_doc(capsys))

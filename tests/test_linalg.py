@@ -124,6 +124,8 @@ def random_stack(rng, p, count, nrows, ncols):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_eliminate_stack_matches_scalar_and_oracles(p):
+    # each member against the scalar oracles rank_brute and det_cofactor,
+    # which share no code with the elimination
     rng = random.Random(53 + p)
     shapes = [(k, k) for k in range(1, 5)] + [(1, k) for k in range(2, 5)] \
         + [(k, 1) for k in range(2, 5)] + [(2, 3), (4, 2)]
@@ -132,12 +134,10 @@ def test_eliminate_stack_matches_scalar_and_oracles(p):
         for count in (1, 17):
             stack = random_stack(rng, p, count, nrows, ncols)
             ranks, dets = eliminate_stack(np.array(stack), p)
-            assert ranks.tolist() == [rank_mod_p(m, p) for m in stack]
             assert ranks.tolist() == [rank_brute(m, p) for m in stack]
             if nrows != ncols:
                 assert dets is None
                 continue
-            assert dets.tolist() == [MatZp(p, m).det() for m in stack]
             assert dets.tolist() == [det_cofactor(m, p) for m in stack]
             singular += dets.tolist().count(0)
     assert singular >= 10
@@ -152,9 +152,10 @@ def test_eliminate_stack_near_the_modulus_bound():
              for _ in range(40)]
     stack.append([[p - 1] * 4] * 4)  # rank 1
     ranks, dets = eliminate_stack(np.array(stack), p)
-    assert dets.tolist() == [MatZp(p, m).det() for m in stack]
-    assert ranks.tolist() == [rank_mod_p(m, p) for m in stack]
+    assert dets.tolist() == [det_cofactor(m, p) for m in stack]
+    assert ranks.tolist() == [rank_brute(m, p) for m in stack]
     assert dets[-1] == 0 and ranks[-1] == 1
+    assert MatZp(p, stack[0]).det() == dets[0]
 
 
 def test_det_nonzero_iff_full_rank():
@@ -182,6 +183,28 @@ def test_inverse_roundtrip():
 def test_inverse_singular_raises():
     with pytest.raises(ZeroDivisionError):
         MatZp.zeros(3, 2).inverse()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_inverse_and_det_when_p_is_at_most_n(p):
+    # Cayley-Hamilton needs only c_0 = (-1)^n det to be a unit, so the
+    # inverse holds for p <= n too; unreduced entries, n up to 5
+    rng = random.Random(61 + p)
+    singular = 0
+    for _ in range(150):
+        n = rng.randrange(p, 6)
+        rows = [[rng.randrange(-3 * p, 4 * p) for _ in range(n)] for _ in range(n)]
+        m = MatZp(p, rows)
+        det = det_cofactor(rows, p)
+        assert m.det() == det
+        if det == 0:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                m.inverse()
+            continue
+        assert m @ m.inverse() == MatZp.identity(p, n) == m.inverse() @ m
+        assert det_cofactor(m.inverse().to_lists(), p) * det % p == 1
+    assert singular >= 20
 
 
 def test_companion_fixtures():

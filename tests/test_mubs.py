@@ -10,18 +10,16 @@ from graphmub.mubs import (
     MubSet,
     adjacency_set,
     canonical_json,
-    coeffs_to_index,
     from_document,
     fundamental_graphs,
     index_to_coeffs,
     mub_set,
-    power_set,
     shift_set,
     to_document,
     verify_mu_condition,
 )
 from graphmub.symrep import symmetric_representation, symmetrize_companion, tridiagonal_rep
-from oracles import mu_condition_scalar
+from oracles import mu_condition_scalar, power_enumeration
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -55,7 +53,7 @@ def test_index_conventions():
     assert index_to_coeffs(1, 3, 3) == (1, 0, 0)
     assert index_to_coeffs(3, 3, 3) == (0, 1, 0)
     for idx in range(27):
-        assert coeffs_to_index(index_to_coeffs(idx, 3, 3), 3) == idx
+        assert sum(a * 3**k for k, a in enumerate(index_to_coeffs(idx, 3, 3))) == idx
 
 
 def test_family_basics():
@@ -134,21 +132,23 @@ def test_every_member_is_combination_of_fundamental_graphs():
     (3, 5, {"d": (2, 1, 2, 0, 1)}),  # five-qutrit primitive seed
 ])
 def test_power_enumeration_matches_combinations(p, n, kwargs):
+    # for a primitive f the powers of Q and zero are the whole family
     rep = symmetric_representation(p, n, primitive=True, **kwargs) \
         if "poly" not in kwargs else symmetrize_companion(kwargs["poly"])
-    fam_powers = power_set(rep)
+    assert rep.f.is_primitive()
     fam_lin = adjacency_set(rep)
-    assert fam_powers.matrices == fam_lin.matrices
-    assert len(fam_powers.matrices) == p**n
+    assert power_enumeration(rep.q) == set(fam_lin.matrices)
+    assert len(set(fam_lin.matrices)) == p**n
 
 
 def test_power_enumeration_rejects_nonprimitive():
     # d = (1, 2) over Z_3 has characteristic polynomial x^2 + 1: irreducible,
-    # order of x is 4 != 8, so not primitive
+    # order of x is 4 != 8, so not primitive, and the powers of Q reach only
+    # 4 of the 8 nonzero members
     rep = tridiagonal_rep(3, (1, 2))
-    assert rep.f == PolyZp(3, [1, 0, 1])
-    with pytest.raises(ValueError):
-        power_set(rep)
+    assert rep.f == PolyZp(3, [1, 0, 1]) and not rep.f.is_primitive()
+    powers = power_enumeration(rep.q)
+    assert len(powers) == 5 and powers < set(adjacency_set(rep).matrices)
 
 
 def test_verify_condition_passes_closure_and_pairwise():
@@ -276,6 +276,45 @@ def test_document_roundtrip_shifted():
     assert back.matrices == shifted.matrices
     assert not back.field_rep
     assert back.shifts == (m,)
+
+
+def _span_by_recursion(fam):
+    """mats[i] == mats[i - q] + mats[q], q = p^k for the lowest nonzero
+    base-p digit k of i: index order, mats[0] = 0, closed under addition."""
+    mats, p = fam.matrices, fam.p
+    if len(mats) != p**fam.n:
+        return False
+    for i in range(1, len(mats)):
+        q = 1
+        while i % (q * p) == 0:
+            q *= p
+        if mats[i] != mats[i - q] + mats[q]:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3), (5, 2), (13, 1)])
+def test_field_rep_claim_stands_only_for_the_index_ordered_span(p, n):
+    rng = random.Random(229 + p * 10 + n)
+    fam = mub_set(p, n)
+    m = random_symmetric(rng, p, n)
+    mats = list(fam.matrices)
+    swapped = mats[:]
+    swapped[1], swapped[-1] = swapped[-1], swapped[1]
+    edited = mats[:]
+    edited[-1] = edited[-1] + MatZp.identity(p, n)
+    cases = {"sound": mats, "swapped": swapped, "edited": edited,
+             "nonzero-first": [MatZp.identity(p, n)] + mats[1:],
+             "shifted": list(shift_set(fam, m).matrices),
+             "truncated": mats[:-1], "reversed": mats[::-1]}
+    verdicts = {}
+    for name, ms in cases.items():
+        s = replace(fam, matrices=tuple(ms))
+        doc = dict(to_document(s), field_rep=True)
+        verdicts[name] = from_document(doc).field_rep
+        assert verdicts[name] == _span_by_recursion(s), name
+    assert verdicts["sound"]
+    assert not any(verdicts[k] for k in ("swapped", "edited", "nonzero-first"))
 
 
 def test_document_validation():

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from itertools import product
 
 import pytest
 
@@ -10,7 +13,6 @@ from graphmub.symrep import (
     PrimitivePolynomialRequired,
     choose_form_multiplier,
     find_irreducible,
-    newton_diagonals,
     reduce_to_identity_char2,
     reduce_to_identity_odd,
     symmetric_representation,
@@ -23,7 +25,7 @@ from graphmub.symrep import (
     tridiagonal_rep,
 )
 from graphmub.tables import REFERENCE_DIAGONALS, reference_poly
-from oracles import all_monic
+from oracles import all_monic, tridiag_char_poly_brute
 
 F27 = PolyZp(3, [1, 2, 1, 1])  # x^3 + x^2 + 2x + 1
 
@@ -259,6 +261,20 @@ def test_tridiag_char_poly_matches_matrix():
         assert tridiag_char_poly(p, d) == tridiagonal_matrix(p, d).char_poly()
 
 
+def test_tridiag_char_poly_matches_polynomial_recursion():
+    # the int64 recursion against PolyZp arithmetic on unreduced entries,
+    # one of them above 2^63 (reduced before it enters int64), at moduli up
+    # to the largest admitted prime, and on the empty diagonal
+    rng = random.Random(137)
+    for _ in range(200):
+        p = rng.choice((2, 3, 5, 7, 13, 2**31 - 1))
+        n = rng.randrange(0, 9)
+        d = [rng.randrange(-2 * p, 3 * p) for _ in range(n)]
+        if n:
+            d[rng.randrange(n)] += p * 2**64 + rng.randrange(p)
+        assert tridiag_char_poly(p, d) == tridiag_char_poly_brute(p, d)
+
+
 def test_tridiag_reversal_symmetry():
     rng = random.Random(131)
     for _ in range(100):
@@ -281,7 +297,6 @@ def test_tridiag_search_unrealizable_target_is_none():
     # collect every characteristic polynomial a (3,3) tridiagonal can realize,
     # then ask for a reducible one outside that set
     realizable = set()
-    from itertools import product
     for d in product(range(3), repeat=3):
         realizable.add(tridiag_char_poly(3, d))
     missing = None
@@ -307,65 +322,84 @@ def test_tridiag_search_guard():
         tridiag_search(7, 10)
 
 
+def test_search_guard_refuses_huge_n_without_computing_p_to_the_n():
+    # 3^(10^8) has 1.6e8 bits; the guard must answer from n alone
+    code = ("from graphmub.symrep import tridiag_search\n"
+            "try:\n    tridiag_search(3, 10**8)\n"
+            "except ValueError as exc:\n    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "family size p^n = 3^100000000 exceeds 10000000\n"
+
+
+def realizing(p, f):
+    """Every diagonal realizing f in lexicographic order, by the oracle."""
+    return [d for d in product(range(p), repeat=f.degree)
+            if tridiag_char_poly_brute(p, d) == f]
+
+
 def test_newton_diagonals_three_qubits():
-    assert newton_diagonals(PolyZp(2, [1, 1, 0, 1])) == [(0, 1, 1), (1, 1, 0)]
+    f = PolyZp(2, [1, 1, 0, 1])
+    assert realizing(2, f) == [(0, 1, 1), (1, 1, 0)]
+    assert tridiag_search(2, 3, target=f) == (0, 1, 1)
 
 
 def test_newton_diagonals_degree_one():
-    assert newton_diagonals(PolyZp(5, [2, 1])) == [(3,)]  # x + 2 -> d = (-2)
+    f = PolyZp(5, [2, 1])  # x + 2 -> d = (-2)
+    assert realizing(5, f) == [(3,)]
+    assert tridiag_search(5, 1, target=f) == (3,)
 
 
 def test_newton_diagonals_two_qutrits():
-    out = newton_diagonals(PolyZp(3, [2, 2, 1]))
+    f = PolyZp(3, [2, 2, 1])
+    out = realizing(3, f)
     assert (1, 0) in out and (0, 1) in out
+    assert tridiag_search(3, 2, target=f) == out[0] == (0, 1)
     for d in out:
-        assert tridiag_char_poly(3, d) == PolyZp(3, [2, 2, 1])
+        assert tridiag_char_poly(3, d) == f
 
 
-def test_newton_diagonals_rejects_large_degree():
-    with pytest.raises(ValueError):
-        newton_diagonals(PolyZp(2, [1, 1, 0, 0, 0, 1]))
+def test_tridiag_search_has_no_degree_cap():
+    # degrees 5 and 6 over Z_2: every monic polynomial gets the first
+    # diagonal that realizes it, or None (x^5 + x + 1 has none)
+    for n in (5, 6):
+        polys = {d: tridiag_char_poly_brute(2, d) for d in product(range(2), repeat=n)}
+        for f in all_monic(2, n):
+            expected = [d for d, g in polys.items() if g == f]
+            assert tridiag_search(2, n, target=f) == (expected[0] if expected else None)
+    assert tridiag_search(2, 5, target=PolyZp(2, [1, 1, 0, 0, 0, 1])) is None
 
 
 @pytest.mark.parametrize("chunk", [5, symrep.SEARCH_CHUNK])
 def test_stacked_search_matches_scalar_filter(monkeypatch, chunk):
     # the first chunk holds 64 rows, so the scans over 81 to 169 diagonals
     # cross a chunk boundary; a cap of 5 rows adds one every 5 rows after it
-    from itertools import product
     monkeypatch.setattr(symrep, "SEARCH_CHUNK", chunk)
     for p, n in ((2, 1), (2, 3), (2, 4), (2, 7), (3, 2), (3, 3), (3, 4),
                  (5, 2), (5, 3), (7, 2), (13, 2)):
         diagonals = list(product(range(p), repeat=n))
-        polys = [tridiag_char_poly(p, d) for d in diagonals]
+        polys = [tridiag_char_poly_brute(p, d) for d in diagonals]
         first = {}
         for d, f in zip(diagonals, polys):
             first.setdefault(f, d)
         for f, d in first.items():
             assert tridiag_search(p, n, target=f) == d
-            if n <= 4:
-                assert newton_diagonals(f) == [e for e, g in zip(diagonals, polys) if g == f]
         irreducible = [d for d, f in zip(diagonals, polys) if f.is_irreducible()]
         assert tridiag_search(p, n) == (irreducible[0] if irreducible else None)
-        primitive = [d for d in irreducible if tridiag_char_poly(p, d).is_primitive()]
+        primitive = [d for d in irreducible if tridiag_char_poly_brute(p, d).is_primitive()]
         assert tridiag_search(p, n, primitive=True) == (primitive[0] if primitive else None)
         missing = next((g for g in all_monic(p, n) if g not in first), None)
         if missing is not None:
             assert tridiag_search(p, n, target=missing) is None
-            if n <= 4:
-                assert newton_diagonals(missing) == []
 
 
 def test_newton_agrees_with_exhaustive_search():
-    from itertools import product
+    # one irreducible polynomial per (p, n): the search returns the first of
+    # all diagonals that realize it, or None when there are none
     for p, n in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
-        for tail in product(range(p), repeat=n):
-            f = PolyZp(p, list(tail) + [1])
-            if not f.is_irreducible():
-                continue
-            expected = [d for d in product(range(p), repeat=n)
-                        if tridiag_char_poly(p, d) == f]
-            assert newton_diagonals(f) == expected
-            break  # one polynomial per (p, n) keeps this quick
+        f = next(g for g in all_monic(p, n) if g.is_irreducible())
+        expected = realizing(p, f)
+        assert tridiag_search(p, n, target=f) == (expected[0] if expected else None)
 
 
 # -- curated table ------------------------------------------------------------
@@ -482,7 +516,6 @@ def test_find_irreducible_is_lex_first():
     f = find_irreducible(3, 2)
     assert f.is_irreducible()
     # nothing lexicographically earlier is irreducible
-    from itertools import product
     for tail in product(range(3), repeat=2):
         g = PolyZp(3, list(reversed(tail)) + [1])
         if g == f:
