@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatZp, eliminate_stack, matrix_stack, rank_mod_p
+from .linalg import MatZp, eliminate_stack, rank_mod_p
 from .mubs import MubSet
 from .states import graph_state
 
@@ -127,7 +127,7 @@ def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
             f"complete family required: expected {s.dim} matrices, "
             f"got {len(s.matrices)}"
         )
-    return _design_check(s.p, b, _cut_ranks(matrix_stack(s.matrices, s.n), s.p, b))
+    return _design_check(s.p, b, _cut_ranks(s.stack, s.p, b))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
         "bipartitions": {},
     }
     complete = len(s.matrices) == s.dim
-    stack = matrix_stack(s.matrices, s.n)
+    stack = s.stack
     for b in bips:
         ranks = _cut_ranks(stack, s.p, b)
         entry = {

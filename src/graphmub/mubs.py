@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,22 @@ class MubSet:
     def coeff_vector(self, index: int) -> tuple[int, ...]:
         return index_to_coeffs(index, self.p, self.n)
 
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The members as one read-only int64 array (len(matrices), n, n),
+        built once and shared by the checks of this family."""
+        stack = matrix_stack(self.matrices, self.n)
+        stack.setflags(write=False)
+        return stack
+
+
+def _with_stack(s: MubSet, stack: np.ndarray) -> MubSet:
+    """s with `stack`, the int64 stack of s.matrices that its caller
+    already built, as its cached `stack`."""
+    stack.setflags(write=False)
+    s.__dict__["stack"] = stack
+    return s
+
 
 def index_to_coeffs(index: int, p: int, n: int) -> tuple[int, ...]:
     out = []
@@ -97,10 +114,10 @@ def adjacency_set(witness: SymmetricRep) -> MubSet:
     mats = tuple(MatZp(p, rows) for rows in acc.tolist())
     if mats[0] != MatZp.zeros(p, n) or mats[1] != MatZp.identity(p, n):
         raise ConstructionError("indices 0 and 1 must be the zero and identity matrices")
-    return MubSet(
+    return _with_stack(MubSet(
         p=p, n=n, matrices=mats, witness=witness, field_rep=True,
         method=witness.method, polynomial=witness.f, d=witness.d,
-    )
+    ), acc)
 
 
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
@@ -112,7 +129,7 @@ def verify_mu_condition(s: MubSet, pairwise: bool = False):
     pairwise sweep, one stacked elimination of A_r - A_t over t > r per
     r.  Returns a report with the first failing pair, if any.
     """
-    stack = matrix_stack(s.matrices, s.n)
+    stack = s.stack
     if s.field_rep and not pairwise:
         singular = np.flatnonzero(eliminate_stack(stack[1:], s.p)[1] == 0)
         if singular.size:
@@ -199,12 +216,11 @@ def _ints(v, what: str, depth: int = 0):
     return v
 
 
-def _is_index_ordered_span(p: int, n: int, mats) -> bool:
-    """True when mats are the p^n Z_p-combinations of the mats[p^k] in
-    index order (so closed under subtraction)."""
-    if len(mats) != p**n:
+def _is_index_ordered_span(p: int, n: int, stack: np.ndarray) -> bool:
+    """True when the stack holds the p^n Z_p-combinations of its members
+    p^k in index order (so closed under subtraction)."""
+    if len(stack) != p**n:
         return False
-    stack = matrix_stack(mats, n)
     return bool((_span(stack[p ** np.arange(n)], p) == stack).all())
 
 
@@ -230,17 +246,18 @@ def from_document(doc: dict) -> MubSet:
     method = doc.get("method", "unknown")
     if not isinstance(method, str):
         raise ValueError(f"method: expected a string, got {method!r}")
-    return MubSet(
+    stack = matrix_stack(mats, n)
+    return _with_stack(MubSet(
         p=p,
         n=n,
         matrices=mats,
         witness=None,
-        field_rep=doc.get("field_rep") is True and _is_index_ordered_span(p, n, mats),
+        field_rep=doc.get("field_rep") is True and _is_index_ordered_span(p, n, stack),
         shifts=tuple(MatZp(p, r) for r in _ints(doc.get("shifts", []), "shifts", 3)),
         method=method,
         polynomial=PolyZp(p, poly) if poly else None,
         d=tuple(_ints(doc["d"], "d", 1)) if doc.get("d") is not None else None,
-    )
+    ), stack)
 
 
 def canonical_json(doc: dict) -> str:

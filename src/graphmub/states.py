@@ -9,7 +9,11 @@ the only numerical error is double-precision rounding.
 The numeric unbiasedness sweep uses that the label phases form the
 character table of Z_p^n: the overlap of |G_r(m)> and |G_t(m')> depends
 only on the label difference m' - m, and the n-qupit Fourier transform
-of conj(g_r) g_t yields all p^n of them at once.
+of conj(g_r) g_t yields all p^n of them at once.  That product is the
+graph state of D = A_t - A_r mod p over sqrt(p^n), up to a label shift
+for p = 2, so the full sweep transforms one state per difference class:
+pairs with the same D, found by exact integer keys, share one transform.
+A subtraction-closed or shifted family has only p^n - 1 nonzero classes.
 
 The sampled check builds no state vectors.  Every amplitude of a basis
 element is w_M^e(x) / sqrt(p^n) with e(x) linear in the upper triangle of
@@ -33,11 +37,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import MatZp, matrix_stack
+from .linalg import MatZp
 from .mubs import MubSet
 
 FULL_SWEEP_LIMIT = 10**4
-SAMPLE_CHUNK = 1 << 16  # amplitudes per chunk of the sampled check
+SAMPLE_CHUNK = 1 << 16  # amplitudes per chunk of the numeric checks
 
 
 @lru_cache(maxsize=None)
@@ -380,8 +384,9 @@ def verify_mu_numeric(s: MubSet, tol: float = 1e-10, sample: int | None = None,
 
     The implicit computational basis participates as basis index p^n.
     Full mode sweeps all pairs of bases (dimension capped), one Fourier
-    transform per pair, and reports labels (0, k) with k the worst label
-    difference; sampled mode draws `sample` random cross-basis pairs.
+    transform per distinct difference A_t - A_r, and reports labels
+    (0, k) with k the worst label difference; sampled mode draws `sample`
+    random cross-basis pairs.
     A tol that is negative or not finite is a ValueError (no deviation
     exceeds NaN, so a NaN tol would pass any family).
     """
@@ -397,26 +402,50 @@ def verify_mu_numeric(s: MubSet, tol: float = 1e-10, sample: int | None = None,
 
 
 def _verify_full(s: MubSet, tol: float) -> NumericReport:
+    """Row r holds the pairs (r, t), t > r, then (r, computational).
+
+    The overlaps of graph bases r and t, as a multiset over labels, are
+    the Fourier spectrum of the graph state g_D of D = A_t - A_r mod p:
+    for odd p the phase exponent is linear in A, and for p = 2 a diagonal
+    entry -1 in Z_4 is +1 plus a label shift, which permutes the labels.
+    So each difference class is transformed once, when a row first meets
+    it.  Its key is the base-p digits of the upper triangle of D packed
+    into int64 words (_key_weights); a sorted table holds the keys met so
+    far and the deviation of each class."""
     p, n, d = s.p, s.n, s.dim
     comp = len(s.matrices)  # index of the computational basis
-    states = np.array([graph_state(a) for a in s.matrices]).reshape(comp, d)
-    worst = 0.0
+    coefs = _upper(s.stack).astype(np.min_scalar_type(-p))
+    weights = _key_weights(p, coefs.shape[1])
+    table = np.empty(0, dtype=f"V{8 * weights.shape[1]}")
+    table_dev = np.empty(0)
+    comp_dev, comp_label = _computational_devs(coefs, p, n)
+    worst = float(comp_dev.max(initial=0.0))
     first = None
     for r in range(comp):
-        # row t - r - 1: d |F h|^2 over label differences k, h = conj(g_r) g_t;
-        # last row: the computational basis, |g_r(x)|^2
-        h = (states[r].conj() * states[r + 1:]).reshape(-1)
-        for i in range(1, n + 1):
-            h = apply_fourier(h, p, n, i)
-        probs = np.vstack([d * np.abs(h.reshape(-1, d)) ** 2,
-                           np.abs(states[r]) ** 2])
-        devs = np.abs(probs - 1.0 / d)
-        row = devs.max(axis=1)
-        worst = max(worst, float(row.max()))
-        bad = np.flatnonzero(row > tol)
-        if first is None and bad.size:
-            j = int(bad[0])
-            first = (r, r + 1 + j, 0, int(devs[j].argmax()), float(row[j]))
+        diff = coefs[r + 1:] - coefs[r]
+        np.add(diff, p, out=diff, where=diff < 0)
+        keys = (diff @ weights).view(table.dtype).ravel()
+        pos = np.searchsorted(table, keys)
+        hit = pos < len(table)
+        hit[hit] = table[pos[hit]] == keys[hit]
+        devs = np.empty(len(keys))
+        devs[hit] = table_dev[pos[hit]]
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            new, rep, inverse = np.unique(keys[miss], return_index=True,
+                                          return_inverse=True)
+            new_dev = _class_devs(diff[miss[rep]], p, n)
+            devs[miss] = new_dev[inverse]
+            at = np.searchsorted(table, new)
+            table = np.insert(table, at, new)
+            table_dev = np.insert(table_dev, at, new_dev)
+            worst = max(worst, float(new_dev.max()))
+        if first is None:
+            bad = np.flatnonzero(devs > tol)
+            if bad.size:
+                first = _pair_violation(s, r, r + 1 + int(bad[0]))
+            elif comp_dev[r] > tol:
+                first = (r, comp, 0, int(comp_label[r]), float(comp_dev[r]))
     return NumericReport(
         ok=first is None,
         mode="full",
@@ -424,6 +453,65 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
         worst_deviation=worst,
         first_violation=first,
     )
+
+
+def _key_weights(p: int, k: int) -> np.ndarray:
+    """Int64 weights (k, words) that pack k base-p digits into words of
+    c digits, c the largest with p^c <= 2^62: digit j has weight
+    p^(j mod c) in word j // c, so the packing is exact and injective."""
+    c = 1
+    while p ** (c + 1) <= 2**62:
+        c += 1
+    j = np.arange(k)
+    weights = np.zeros((k, -(-k // c)), dtype=np.int64)
+    weights[j, j // c] = p ** (j % c)
+    return weights
+
+
+def _computational_devs(coefs: np.ndarray, p: int, n: int):
+    """max_x ||g_A(x)|^2 - 1/d| and its first x, for each coefficient row
+    of A, in chunks of about SAMPLE_CHUNK amplitudes."""
+    d = p**n
+    dev_of = np.abs(np.abs(p ** (-n / 2) * _roots(_phase_modulus(p))) ** 2 - 1.0 / d)
+    rows = max(1, SAMPLE_CHUNK // d)
+    dev = np.empty(len(coefs))
+    label = np.empty(len(coefs), dtype=np.int64)
+    for lo in range(0, len(coefs), rows):
+        chunk = dev_of[_exponents(coefs[lo:lo + rows], p, n)]
+        dev[lo:lo + rows] = chunk.max(axis=1)
+        label[lo:lo + rows] = chunk.argmax(axis=1)
+    return dev, label
+
+
+def _class_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
+    """max_k ||F g_D(k)|^2 - 1/d| for each coefficient row of D, in chunks
+    of about SAMPLE_CHUNK amplitudes.  F is the n-qupit Fourier transform:
+    n length-p FFTs along the last qupit, each followed by a rotation that
+    makes the first qupit last, O(d log p) per qupit for any p.  numpy's
+    sign convention maps label k to -k, which leaves the maximum as is."""
+    d = p**n
+    roots = _roots(_phase_modulus(p))
+    rows = max(1, SAMPLE_CHUNK // d)
+    out = np.empty(len(coefs))
+    for lo in range(0, len(coefs), rows):
+        amps = p ** (-n / 2) * roots[_exponents(coefs[lo:lo + rows], p, n)]
+        for _ in range(n):
+            amps = np.fft.fft(amps.reshape(-1, p), norm="ortho")
+            amps = amps.reshape(-1, p, d // p).transpose(0, 2, 1)
+        out[lo:lo + rows] = np.abs(np.abs(amps.reshape(-1, d)) ** 2 - 1.0 / d).max(axis=1)
+    return out
+
+
+def _pair_violation(s: MubSet, r: int, t: int) -> tuple:
+    """(r, t, 0, k, dev) for the pair's worst label difference k, from
+    d |F h|^2 with h = conj(g_r) g_t."""
+    p, n, d = s.p, s.n, s.dim
+    h = graph_state(s.matrices[r]).conj() * graph_state(s.matrices[t])
+    for i in range(1, n + 1):
+        h = apply_fourier(h, p, n, i)
+    devs = np.abs(d * np.abs(h) ** 2 - 1.0 / d)
+    k = int(devs.argmax())
+    return (r, t, 0, k, float(devs[k]))
 
 
 def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -449,7 +537,7 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     roots = _roots(m)
     dig = _digits(p, n)
     comp = len(s.matrices)  # index of the computational basis
-    coefs = _upper(matrix_stack(s.matrices, n))
+    coefs = _upper(s.stack)
     rows = max(1, SAMPLE_CHUNK // d)
     worst = 0.0
     first = None

@@ -7,10 +7,11 @@ expansion instead of Berkowitz and Gaussian elimination (one cofactor
 determinant per member or pair instead of the stacked elimination),
 polynomial arithmetic instead of the int64 tridiagonal recursion,
 explicit matrix powers instead of the coefficient table, dense
-basis-matrix grams instead of the Fourier-diagonal overlap sweep, one
-explicit state pair per sampled overlap instead of the batched exponent
-matmul, and a scan of every bipartition's crossing block instead of the
-component walk.
+basis-matrix grams instead of the difference-class Fourier sweep, the
+rank rule for the overlap spectrum of a difference B instead of its
+Fourier transform, one explicit state pair per sampled overlap instead
+of the batched exponent matmul, and a scan of every bipartition's
+crossing block instead of the component walk.
 """
 
 from itertools import combinations, product
@@ -174,6 +175,26 @@ def numeric_sweep_brute(s, tol: float = 1e-10) -> NumericReport:
             first = (r, t, int(mr), int(ms), float(dev[mr, ms]))
     return NumericReport(ok=first is None, mode="full", pairs_checked=pairs,
                          worst_deviation=worst, first_violation=first)
+
+
+def difference_spectrum(b: MatZp) -> list[float]:
+    """Exact squared overlaps, in descending order over the label
+    differences, of two graph bases whose adjacency matrices differ by the
+    symmetric B: p^k / d on exactly p^(n-k) labels and 0 on the rest, with
+    nullity k = n - rank_p(B) by rank_brute."""
+    p, n = b.p, b.n
+    k = n - rank_brute(b.to_lists(), p)
+    hits = p ** (n - k)
+    return [p**k / p**n] * hits + [0.0] * (p**n - hits)
+
+
+def numeric_worst_exact(s) -> float:
+    """The full sweep's worst deviation from difference_spectrum: the
+    largest |overlap - 1/d| over the pairs of graph bases, (p^k - 1)/d
+    for the pair of largest nullity k (the computational basis is flat)."""
+    d = s.dim
+    return max((abs(v - 1 / d) for a, b in combinations(s.matrices, 2)
+                for v in difference_spectrum(b - a)), default=0.0)
 
 
 def numeric_sampled_brute(s, draws, tol: float = 1e-10) -> NumericReport:

@@ -106,7 +106,7 @@ def test_criterion_03_three_qubit_worked_example():
 
 
 FULL_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
-              (5, 1), (5, 2), (7, 1), (7, 2)]
+              (5, 1), (5, 2), (7, 1), (7, 2), (2, 8), (3, 5), (7, 3)]
 SAMPLED_CASES = [(2, 5), (2, 6), (2, 7), (2, 8), (3, 4)]
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import permutations, product
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 from graphmub.fields import PolyZp
-from graphmub.linalg import MatZp
-from graphmub.mubs import MubSet, mub_set, shift_set
+from graphmub.linalg import MatZp, rank_mod_p
+from graphmub.mubs import MubSet, mub_set, shift_set, verify_mu_condition
 from graphmub import states
 from graphmub.states import (
     Circuit,
@@ -28,11 +29,18 @@ from graphmub.states import (
     stabilizer_check,
     state_index,
     verify_mu_numeric,
+    _key_weights,
     _sample_draws,
     _verify_sampled,
 )
 
-from oracles import numeric_sampled_brute, numeric_sweep_brute
+from oracles import (
+    difference_spectrum,
+    numeric_sampled_brute,
+    numeric_sweep_brute,
+    numeric_worst_exact,
+    rank_brute,
+)
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -288,18 +296,40 @@ def explicit_element(s, basis, label):
     return basis_element(s.matrices[basis], [int(v) for v in m])
 
 
-@pytest.mark.parametrize("case", ["2,3", "3,2", "2,4", "5,2", "corrupted", "shifted"])
+def computational_only():
+    """One (7,2) graph basis: its only pair is against the computational
+    basis, whose squared overlaps 1/49 round off 0 at some phases."""
+    return MubSet(p=7, n=2, matrices=(MatZp(7, [[1, 1], [1, 2]]),))
+
+
+SWEEP_CASES = {
+    "2,3": (lambda: mub_set(2, 3), 1e-10, True),
+    "3,2": (lambda: mub_set(3, 2), 1e-10, True),
+    "2,4": (lambda: mub_set(2, 4), 1e-10, True),
+    "5,2": (lambda: mub_set(5, 2), 1e-10, True),
+    "corrupted": (corrupted_qubit_triple, 1e-10, False),
+    "shifted": (lambda: shift_set(mub_set(3, 2), MatZp(3, [[1, 2], [2, 0]])), 1e-10, True),
+    # p = 2 shifts turn some diagonal differences into -1 in Z_4, which
+    # permutes the labels of the pair against those of its class
+    "shifted-2,3": (lambda: shift_set(mub_set(2, 3), MatZp(2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]])),
+                    1e-10, True),
+    "shifted-2,4": (lambda: shift_set(mub_set(2, 4), random_adjacency(random.Random(4), 2, 4)),
+                    1e-10, True),
+    "shifted-corrupted-2,3": (lambda: with_identical_members(shift_set(
+        mub_set(2, 3), MatZp(2, [[1, 0, 1], [0, 1, 0], [1, 0, 0]]))), 1e-10, False),
+    "shifted-corrupted-2,4": (lambda: with_corrupted_member(shift_set(
+        mub_set(2, 4), random_adjacency(random.Random(5), 2, 4)), 0), 1e-10, False),
+    "computational": (computational_only, 0.0, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_numeric_sweep_matches_dense_oracle(case):
-    if case == "corrupted":
-        fam = corrupted_qubit_triple()
-    elif case == "shifted":
-        fam = shift_set(mub_set(3, 2), MatZp(3, [[1, 2], [2, 0]]))
-    else:
-        p, n = map(int, case.split(","))
-        fam = mub_set(p, n)
-    fast = verify_mu_numeric(fam, tol=1e-10)
-    slow = numeric_sweep_brute(fam, tol=1e-10)
-    assert fast.ok == slow.ok == (case != "corrupted")
+    build, tol, ok = SWEEP_CASES[case]
+    fam = build()
+    fast = verify_mu_numeric(fam, tol=tol)
+    slow = numeric_sweep_brute(fam, tol=tol)
+    assert fast.ok == slow.ok == ok
     assert fast.pairs_checked == slow.pairs_checked
     assert abs(fast.worst_deviation - slow.worst_deviation) < 1e-12
     if fast.ok:
@@ -310,6 +340,103 @@ def test_numeric_sweep_matches_dense_oracle(case):
     assert abs(dev - slow.first_violation[4]) < 1e-12
     u, v = explicit_element(fam, r, mr), explicit_element(fam, t, ms)
     assert abs(abs(overlap(u, v) - 1 / fam.dim) - dev) < 1e-12
+    if case == "computational":
+        assert (r, t) == (0, 1) and ms != 0  # the worst x is not the first
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                 (5, 2), (7, 2)])
+def test_difference_spectrum_rule_matches_dense_gram(p, n):
+    # every row of the gram of two graph bases that differ by B is the
+    # exact spectrum of B, for every B in the sample
+    rng = random.Random(p * 10 + n)
+    for _ in range(12):
+        a, b = random_adjacency(rng, p, n), random_adjacency(rng, p, n)
+        gram = np.abs(basis_matrix(a).conj().T @ basis_matrix(a + b)) ** 2
+        assert np.allclose(-np.sort(-gram, axis=1), difference_spectrum(b), atol=1e-12)
+
+
+def with_corrupted_member(fam, k):
+    """The family with member 2 replaced by member 1 plus the diagonal B
+    of nullity k."""
+    p, n = fam.p, fam.n
+    b = MatZp(p, [[int(i == j < n - k) for j in range(n)] for i in range(n)])
+    mats = list(fam.matrices)
+    mats[2] = mats[1] + b
+    return MubSet(p=p, n=n, matrices=tuple(mats), field_rep=False)
+
+
+def random_family(p, n):
+    rng = random.Random(p * n)
+    return MubSet(p=p, n=n, matrices=tuple(random_adjacency(rng, p, n) for _ in range(p**n)))
+
+
+EXACT_CASES = {
+    # the pair (1, 2) differs by a B of nullity k; other pairs through
+    # member 2 get whatever nullity they get
+    **{f"nullity-{p},{n},{k}": (lambda p=p, n=n, k=k: with_corrupted_member(mub_set(p, n), k))
+       for p, n, k in [(2, 3, 1), (2, 3, 3), (2, 4, 2), (3, 2, 1), (3, 3, 2), (5, 2, 1),
+                       (5, 2, 2)]},
+    # p^n random members: differences take every sign of every digit
+    **{f"random-{p},{n}": (lambda p=p, n=n: random_family(p, n))
+       for p, n in [(2, 2), (2, 3), (3, 2), (5, 2)]},
+    # the digit differences of the pairs (0, 2) and (1, 3) are (-1, -2, 0)
+    # and (-1, 1, -1), both -7 in base 3 until reduced mod 3; only the
+    # second pair is biased (det [[2, 1], [1, 2]] = 0 mod 3)
+    "negative-digits": lambda: MubSet(p=3, n=2, matrices=tuple(
+        MatZp(3, rows) for rows in ([[2, 2], [2, 2]], [[1, 1], [1, 2]], [[1, 0], [0, 2]],
+                                    [[0, 2], [2, 1]]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_full_sweep_worst_deviation_is_exact(monkeypatch, case):
+    fam = EXACT_CASES[case]()
+    p, n, mats = fam.p, fam.n, fam.matrices
+    # three states per chunk, so classes and members span many chunks
+    monkeypatch.setattr(states, "SAMPLE_CHUNK", 3 * fam.dim)
+    report = verify_mu_numeric(fam, tol=1e-10)
+    assert abs(report.worst_deviation - numeric_worst_exact(fam)) < 1e-12
+    singular = [(r, t) for r in range(len(mats)) for t in range(r + 1, len(mats))
+                if rank_brute((mats[t] - mats[r]).to_lists(), p) < n]
+    assert report.first_violation[:2] == singular[0]
+
+
+@pytest.mark.parametrize("p,k", [(2, 78), (2, 91), (3, 36), (5, 15), (9973, 1),
+                                 (2**31 - 1, 3)])
+def test_difference_keys_are_exact(p, k):
+    # ceil(k log2 p / 62) words; a row, each of its k one-digit neighbours
+    # (word boundaries included), the all-(p - 1) row and random rows all
+    # get distinct keys
+    weights = _key_weights(p, k)
+    assert weights.shape[1] == math.ceil(k * math.log2(p) / 62)
+    rng = np.random.default_rng(k)
+    base = rng.integers(p, size=k)
+    rows = np.vstack([base, np.full(k, p - 1), rng.integers(p, size=(20, k))]
+                     + [base] * k)
+    rows[-k:][np.arange(k), np.arange(k)] = (base + 1) % p
+    words = rows @ weights
+    assert (words >= 0).all()
+    assert len({tuple(w) for w in words.tolist()}) == len({tuple(r) for r in rows.tolist()})
+
+
+def test_full_sweep_two_word_keys():
+    # n = 11 has 66 upper-triangle digits, so keys take two words; the
+    # pair (0, 1) differs only at (10, 10), digit 65, and the pair (2, 3)
+    # not at all: keys that dropped the second word would merge them
+    rng = random.Random(11)
+    a, b = random_adjacency(rng, 2, 11), random_adjacency(rng, 2, 11)
+    corner = MatZp(2, [[int(i == j == 10) for j in range(11)] for i in range(11)])
+    mats = (a, a + corner, b, b) + tuple(random_adjacency(rng, 2, 11) for _ in range(6))
+    fam = MubSet(p=2, n=11, matrices=mats)
+    report = verify_mu_numeric(fam, tol=1e-10)
+    nullity = {(r, t): 11 - rank_mod_p((mats[t] - mats[r]).rows, 2)
+               for r in range(len(mats)) for t in range(r + 1, len(mats))}
+    assert nullity[0, 1] == 10 and nullity[2, 3] == 11
+    assert abs(report.worst_deviation - (2**11 - 1) / 2**11) < 1e-12
+    assert report.first_violation[:2] == (0, 1)
+    assert abs(report.first_violation[4] - (2**10 - 1) / 2**11) < 1e-12
+    assert verify_mu_condition(fam, pairwise=True).failing_pair == (0, 1)
 
 
 def test_numeric_full_mode_dimension_guard():
