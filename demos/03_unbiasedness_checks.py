@@ -31,7 +31,7 @@ rows = family.matrices[2].to_lists()
 rows[0][1] = rows[1][0] = (rows[0][1] + 1) % 2
 corrupted = MubSet(
     p=2, n=3,
-    matrices=family.matrices[:2] + (MatZp(2, rows),) + family.matrices[3:],
+    stack=[m.rows for m in family.matrices[:2] + (MatZp(2, rows),) + family.matrices[3:]],
     field_rep=False,
 )
 algebraic = verify_mu_condition(corrupted)

@@ -165,8 +165,8 @@ def _cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if len(fam.matrices) != fam.dim:
-        print(f"FAIL incomplete family: {len(fam.matrices)} of p^n = {fam.dim} "
+    if len(fam.stack) != fam.dim:
+        print(f"FAIL incomplete family: {len(fam.stack)} of p^n = {fam.dim} "
               f"matrices", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     algebraic = verify_mu_condition(fam)
@@ -176,7 +176,7 @@ def _cmd_verify(args) -> int:
               f"have a singular difference", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     print(f"algebraic difference condition: pass "
-          f"({algebraic.mode} mode, {len(fam.matrices)} matrices)")
+          f"({algebraic.mode} mode, {len(fam.stack)} matrices)")
     if args.numeric:
         try:
             report = verify_mu_numeric(fam, tol=args.tol, sample=args.sample)
@@ -233,9 +233,9 @@ def _cmd_export(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    indices = range(len(fam.matrices))
+    indices = range(len(fam.stack))
     if args.index is not None:
-        if not 0 <= args.index < len(fam.matrices):
+        if not 0 <= args.index < len(fam.stack):
             print(f"index {args.index} out of range", file=sys.stderr)
             return EXIT_USAGE
         indices = [args.index]
@@ -286,7 +286,7 @@ def _example_three_qutrits() -> int:
     print(_fmt_matrix(rep.q @ rep.q))
     fam = mub_set(3, 3, method="companion", poly=f)
     report = verify_mu_condition(fam)
-    print(f"family: {len(fam.matrices)} adjacency matrices; "
+    print(f"family: {len(fam.stack)} adjacency matrices; "
           f"difference condition {'pass' if report.ok else 'FAIL'}; "
           f"{fam.num_bases} mutually unbiased bases including computational")
     return EXIT_OK if report.ok else EXIT_VERIFY_FAILED

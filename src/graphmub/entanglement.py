@@ -122,10 +122,10 @@ def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
     The implicit computational basis contributes purity 1; graph bases
     contribute p^{-rank} each.  Requires the full p^n matrices.
     """
-    if len(s.matrices) != s.dim:
+    if len(s.stack) != s.dim:
         raise ValueError(
             f"complete family required: expected {s.dim} matrices, "
-            f"got {len(s.matrices)}"
+            f"got {len(s.stack)}"
         )
     return _design_check(s.p, b, _cut_ranks(s.stack, s.p, b))
 
@@ -143,8 +143,13 @@ def classify_basis(a: MatZp) -> str:
     cut has connectivity rank 0).  GHZ-type: p = 2 connected star or
     complete graphs.  Every other connected graph: genuinely-multipartite.
     """
-    n = a.n
-    nbrs = [[j for j in range(n) if j != i and a[i, j]] for i in range(n)]
+    return _label(a.rows, a.p)
+
+
+def _label(rows, p: int) -> str:
+    """classify_basis of the matrix with these rows (a MatZp's or a stack's)."""
+    n = len(rows)
+    nbrs = [[j for j in range(n) if j != i and rows[i][j]] for i in range(n)]
     degrees = [len(js) for js in nbrs]
     if not any(degrees):
         return FULLY_SEPARABLE
@@ -154,7 +159,7 @@ def classify_basis(a: MatZp) -> str:
         seen |= frontier
     if len(seen) < n:
         return BISEPARABLE
-    if a.p == 2 and sorted(degrees) in ([n - 1] * n, [1] * (n - 1) + [n - 1]):
+    if p == 2 and sorted(degrees) in ([n - 1] * n, [1] * (n - 1) + [n - 1]):
         return GHZ_TYPE
     return GENUINELY_MULTIPARTITE
 
@@ -165,7 +170,7 @@ def census(s: MubSet, include_computational: bool = False) -> dict[str, int]:
     The implicit computational basis counts as fully separable when
     requested.
     """
-    counts = Counter(classify_basis(a) for a in s.matrices)
+    counts = Counter(_label(rows, s.p) for rows in s.stack.tolist())
     if include_computational:
         counts[FULLY_SEPARABLE] += 1
     return dict(counts)
@@ -175,7 +180,7 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
     """Per-graph ranks, purities and labels, keyed by bipartition,
     plus the exact two sides of the design identity."""
     bips = list(bipartitions) if bipartitions is not None else all_bipartitions(s.n)
-    labels = [classify_basis(a) for a in s.matrices]
+    labels = [_label(rows, s.p) for rows in s.stack.tolist()]
     report = {
         "p": s.p,
         "n": s.n,
@@ -184,10 +189,9 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
         "computational_basis": FULLY_SEPARABLE,
         "bipartitions": {},
     }
-    complete = len(s.matrices) == s.dim
-    stack = s.stack
+    complete = len(s.stack) == s.dim
     for b in bips:
-        ranks = _cut_ranks(stack, s.p, b)
+        ranks = _cut_ranks(s.stack, s.p, b)
         entry = {
             "ranks": ranks,
             "purities": [str(Fraction(1, s.p**r)) for r in ranks],

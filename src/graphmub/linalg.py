@@ -161,7 +161,7 @@ class MatZp:
     # -- elimination-based quantities -----------------------------------
 
     def det(self) -> int:
-        return int(eliminate_stack(matrix_stack([self], self.n), self.p)[1][0])
+        return int(eliminate_stack(np.array([self.rows], dtype=np.int64), self.p)[1][0])
 
     def rank(self) -> int:
         return rank_mod_p(self.to_lists(), self.p)
@@ -209,11 +209,6 @@ class MatZp:
                 new[i] = total % p
             vec = new
         return PolyZp(p, list(reversed(vec)))
-
-
-def matrix_stack(mats, n: int) -> np.ndarray:
-    """The entries of n x n matrices as one int64 array (len(mats), n, n)."""
-    return np.array([m.rows for m in mats], dtype=np.int64).reshape(len(mats), n, n)
 
 
 def eliminate_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray | None]:

@@ -7,6 +7,9 @@ every pairwise difference has nonzero determinant: the algebraic
 sufficient condition for mutual unbiasedness.  The computational basis
 is implicit (always unbiased with respect to graph bases), making the
 full family p^n + 1 bases.
+
+A family is stored once, as its int64 stack `MubSet.stack`, which every
+check reads; `MubSet.matrices` is a view of it built on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import PolyZp, check_prime
-from .linalg import MatZp, eliminate_stack, matrix_stack
+from .linalg import MatZp, eliminate_stack
 from .symrep import (
     ConstructionError,
     SymmetricRep,
@@ -27,26 +30,49 @@ from .symrep import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MubSet:
     """p^n adjacency matrices indexed by coefficient vectors.
 
+    `stack` is the family: a read-only int64 array (N, n, n) of members
+    reduced mod p, from nested integers of any size or an integer array
+    (ValueError for members or shifts that are not symmetric n x n).
     Index i corresponds to the coefficient vector (a_0, ..., a_{n-1})
-    with a_0 varying fastest: matrices[i] = sum_k a_k Q^k.  `field_rep`
+    with a_0 varying fastest: stack[i] = sum_k a_k Q^k.  `field_rep`
     records whether the family is still closed under subtraction
-    (collective shifts clear it).  The implicit computational basis is
-    always part of the family and never stored.
+    (collective shifts clear it).  `matrices` is a view of `stack`.  The
+    implicit computational basis is always part of the family and never
+    stored.
     """
 
     p: int
     n: int
-    matrices: tuple[MatZp, ...]
+    stack: np.ndarray
     witness: SymmetricRep | None = None
     field_rep: bool = False
     shifts: tuple[MatZp, ...] = ()
     method: str = "unknown"
     polynomial: PolyZp | None = None
     d: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        p, n = self.p, self.n
+        try:
+            stack = np.array(self.stack, dtype=np.int64) % p
+        except OverflowError:  # entries beyond int64: reduce them first
+            stack = (np.array(self.stack, dtype=object) % p).astype(np.int64)
+        if stack.ndim != 3 or stack.shape[1:] != (n, n) \
+                or (stack != stack.transpose(0, 2, 1)).any():
+            raise ValueError("adjacency matrices must be symmetric and n x n")
+        if any(m.p != p or m.n != n or not m.is_symmetric for m in self.shifts):
+            raise ValueError("shift matrices must be symmetric n x n over Z_p")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+
+    @cached_property
+    def matrices(self) -> tuple[MatZp, ...]:
+        """The members as `MatZp` objects, built on first use."""
+        return tuple(MatZp(self.p, rows) for rows in self.stack.tolist())
 
     @property
     def dim(self) -> int:
@@ -55,26 +81,10 @@ class MubSet:
     @property
     def num_bases(self) -> int:
         """Graph bases plus the computational basis."""
-        return len(self.matrices) + 1
+        return len(self.stack) + 1
 
     def coeff_vector(self, index: int) -> tuple[int, ...]:
         return index_to_coeffs(index, self.p, self.n)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The members as one read-only int64 array (len(matrices), n, n),
-        built once and shared by the checks of this family."""
-        stack = matrix_stack(self.matrices, self.n)
-        stack.setflags(write=False)
-        return stack
-
-
-def _with_stack(s: MubSet, stack: np.ndarray) -> MubSet:
-    """s with `stack`, the int64 stack of s.matrices that its caller
-    already built, as its cached `stack`."""
-    stack.setflags(write=False)
-    s.__dict__["stack"] = stack
-    return s
 
 
 def index_to_coeffs(index: int, p: int, n: int) -> tuple[int, ...]:
@@ -109,15 +119,11 @@ def _span(basis: np.ndarray, p: int) -> np.ndarray:
 
 def adjacency_set(witness: SymmetricRep) -> MubSet:
     """All p^n linear combinations of the fundamental graphs."""
-    p, n = witness.p, witness.n
-    acc = _span(matrix_stack(fundamental_graphs(witness), n), p)
-    mats = tuple(MatZp(p, rows) for rows in acc.tolist())
-    if mats[0] != MatZp.zeros(p, n) or mats[1] != MatZp.identity(p, n):
-        raise ConstructionError("indices 0 and 1 must be the zero and identity matrices")
-    return _with_stack(MubSet(
-        p=p, n=n, matrices=mats, witness=witness, field_rep=True,
-        method=witness.method, polynomial=witness.f, d=witness.d,
-    ), acc)
+    basis = np.array([m.rows for m in fundamental_graphs(witness)], dtype=np.int64)
+    return MubSet(
+        p=witness.p, n=witness.n, stack=_span(basis, witness.p), witness=witness,
+        field_rep=True, method=witness.method, polynomial=witness.f, d=witness.d,
+    )
 
 
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
@@ -153,15 +159,11 @@ class MuConditionReport:
 
 def shift_set(s: MubSet, m: MatZp) -> MubSet:
     """Add a symmetric matrix to every member (a collective phase-gate
-    action); differences and hence unbiasedness are unchanged, but the
-    family need not represent a field any more."""
-    if m.p != s.p or m.n != s.n:
-        raise ValueError("shift matrix shape or modulus mismatch")
-    if not m.is_symmetric:
-        raise ValueError("shift matrix must be symmetric")
+    action; MubSet checks m); differences and hence unbiasedness are
+    unchanged, but the family need not represent a field any more."""
     return replace(
         s,
-        matrices=tuple(a + m for a in s.matrices),
+        stack=s.stack + np.array(m.rows, dtype=np.int64),
         field_rep=False,
         shifts=s.shifts + (m,),
     )
@@ -194,7 +196,7 @@ def to_document(s: MubSet) -> dict:
         "n": s.n,
         "method": s.method,
         "polynomial": list(s.polynomial.coeffs) if s.polynomial else None,
-        "matrices": [m.to_lists() for m in s.matrices],
+        "matrices": s.stack.tolist(),
         "field_rep": s.field_rep,
     }
     if s.d is not None:
@@ -226,8 +228,9 @@ def _is_index_ordered_span(p: int, n: int, stack: np.ndarray) -> bool:
 
 def from_document(doc: dict) -> MubSet:
     """Parse a family document (ValueError for non-int scalars, a non-str
-    method and non-list containers); a `field_rep` claim stands only if
-    the matrices prove it."""
+    method, non-list containers, and members or shifts that are not
+    symmetric n x n); a `field_rep` claim stands only if the matrices
+    prove it."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     p = _ints(doc["p"], "p")
@@ -235,29 +238,24 @@ def from_document(doc: dict) -> MubSet:
     check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    mats = tuple(MatZp(p, rows) for rows in _ints(doc["matrices"], "matrices", 3))
+    mats = _ints(doc["matrices"], "matrices", 3)
     if not mats:
         raise ValueError("document contains no matrices")
-    if any(m.n != n or not m.is_symmetric for m in mats):
-        raise ValueError("adjacency matrices must be symmetric and n x n")
     poly = doc.get("polynomial")
     if poly is not None:
         poly = _ints(poly, "polynomial", 1)
     method = doc.get("method", "unknown")
     if not isinstance(method, str):
         raise ValueError(f"method: expected a string, got {method!r}")
-    stack = matrix_stack(mats, n)
-    return _with_stack(MubSet(
-        p=p,
-        n=n,
-        matrices=mats,
-        witness=None,
-        field_rep=doc.get("field_rep") is True and _is_index_ordered_span(p, n, stack),
+    s = MubSet(
+        p=p, n=n, stack=mats,
         shifts=tuple(MatZp(p, r) for r in _ints(doc.get("shifts", []), "shifts", 3)),
         method=method,
         polynomial=PolyZp(p, poly) if poly else None,
         d=tuple(_ints(doc["d"], "d", 1)) if doc.get("d") is not None else None,
-    ), stack)
+    )
+    proven = doc.get("field_rep") is True and _is_index_ordered_span(p, n, s.stack)
+    return replace(s, field_rep=True) if proven else s
 
 
 def canonical_json(doc: dict) -> str:

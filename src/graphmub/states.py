@@ -111,12 +111,11 @@ def apply_pauli_z(amps: np.ndarray, p: int, n: int, i: int,
 
 def apply_fourier(amps: np.ndarray, p: int, n: int, i: int,
                   dagger: bool = False) -> np.ndarray:
+    """F (or F^dagger) on qupit i by one length-p FFT per slice: numpy's
+    orthonormal inverse FFT has F's entries w_p^{jk} / sqrt(p)."""
     _check_qupit(i, n)
-    f = _roots(p)[np.outer(np.arange(p), np.arange(p)) % p] / np.sqrt(p)
-    if dagger:
-        f = f.conj().T
     cube = amps.reshape(-1, p, p ** (n - i))
-    return np.einsum("ab,xbz->xaz", f, cube).reshape(-1)
+    return (np.fft.fft if dagger else np.fft.ifft)(cube, axis=1, norm="ortho").reshape(-1)
 
 
 def apply_shift_x(amps: np.ndarray, p: int, n: int, i: int) -> np.ndarray:
@@ -413,7 +412,7 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
     into int64 words (_key_weights); a sorted table holds the keys met so
     far and the deviation of each class."""
     p, n, d = s.p, s.n, s.dim
-    comp = len(s.matrices)  # index of the computational basis
+    comp = len(s.stack)  # index of the computational basis
     coefs = _upper(s.stack).astype(np.min_scalar_type(-p))
     weights = _key_weights(p, coefs.shape[1])
     table = np.empty(0, dtype=f"V{8 * weights.shape[1]}")
@@ -483,33 +482,36 @@ def _computational_devs(coefs: np.ndarray, p: int, n: int):
     return dev, label
 
 
+def _fourier_devs(amps: np.ndarray, p: int, n: int) -> np.ndarray:
+    """||F a(k)|^2 - 1/d| for each row a of amps (N, p^n).  F is the
+    n-qupit Fourier transform: n length-p inverse FFTs (numpy's sign is
+    F's) along the last qupit, each followed by a rotation that makes the
+    first qupit last, O(d log p) per qupit for any p."""
+    d = p**n
+    for _ in range(n):
+        amps = np.fft.ifft(amps.reshape(-1, p), norm="ortho")
+        amps = amps.reshape(-1, p, d // p).transpose(0, 2, 1)
+    return np.abs(np.abs(amps.reshape(-1, d)) ** 2 - 1.0 / d)
+
+
 def _class_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
     """max_k ||F g_D(k)|^2 - 1/d| for each coefficient row of D, in chunks
-    of about SAMPLE_CHUNK amplitudes.  F is the n-qupit Fourier transform:
-    n length-p FFTs along the last qupit, each followed by a rotation that
-    makes the first qupit last, O(d log p) per qupit for any p.  numpy's
-    sign convention maps label k to -k, which leaves the maximum as is."""
-    d = p**n
+    of about SAMPLE_CHUNK amplitudes."""
     roots = _roots(_phase_modulus(p))
-    rows = max(1, SAMPLE_CHUNK // d)
+    rows = max(1, SAMPLE_CHUNK // p**n)
     out = np.empty(len(coefs))
     for lo in range(0, len(coefs), rows):
         amps = p ** (-n / 2) * roots[_exponents(coefs[lo:lo + rows], p, n)]
-        for _ in range(n):
-            amps = np.fft.fft(amps.reshape(-1, p), norm="ortho")
-            amps = amps.reshape(-1, p, d // p).transpose(0, 2, 1)
-        out[lo:lo + rows] = np.abs(np.abs(amps.reshape(-1, d)) ** 2 - 1.0 / d).max(axis=1)
+        out[lo:lo + rows] = _fourier_devs(amps, p, n).max(axis=1)
     return out
 
 
 def _pair_violation(s: MubSet, r: int, t: int) -> tuple:
     """(r, t, 0, k, dev) for the pair's worst label difference k, from
-    d |F h|^2 with h = conj(g_r) g_t."""
-    p, n, d = s.p, s.n, s.dim
-    h = graph_state(s.matrices[r]).conj() * graph_state(s.matrices[t])
-    for i in range(1, n + 1):
-        h = apply_fourier(h, p, n, i)
-    devs = np.abs(d * np.abs(h) ** 2 - 1.0 / d)
+    |F h|^2 with h = sqrt(d) conj(g_r) g_t, read from the stack rows."""
+    p, n = s.p, s.n
+    g = _roots(_phase_modulus(p))[_exponents(_upper(s.stack[[r, t]]), p, n)]
+    devs = _fourier_devs(p ** (-n / 2) * g[0].conj() * g[1], p, n)[0]
     k = int(devs.argmax())
     return (r, t, 0, k, float(devs[k]))
 
@@ -517,8 +519,8 @@ def _pair_violation(s: MubSet, r: int, t: int) -> tuple:
 def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:
     """The sampled check's draws (r, t, m_r, m_s) as int64 arrays: ordered
     basis pairs r != t over the graph bases and the computational one
-    (index len(s.matrices)), and labels in [0, p^n)."""
-    nb = len(s.matrices) + 1
+    (index len(s.stack)), and labels in [0, p^n)."""
+    nb = len(s.stack) + 1
     rng = np.random.default_rng(seed)
     r = rng.integers(nb, size=sample)
     t = rng.integers(nb - 1, size=sample)
@@ -536,7 +538,7 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     m = _phase_modulus(p)
     roots = _roots(m)
     dig = _digits(p, n)
-    comp = len(s.matrices)  # index of the computational basis
+    comp = len(s.stack)  # index of the computational basis
     coefs = _upper(s.stack)
     rows = max(1, SAMPLE_CHUNK // d)
     worst = 0.0

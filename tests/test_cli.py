@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from graphmub.cli import main
+from graphmub.linalg import MatZp
 from graphmub.mubs import from_document
 from graphmub.symrep import tridiag_char_poly
 from graphmub.tables import REFERENCE_DIAGONALS, reference_poly
@@ -183,9 +185,9 @@ def test_gen_companion_family_size_bound(p, n):
     assert proc.stdout == ""
 
 
-def _set_entry(value):
+def _set_entry(value, at=(0, 0)):
     def change(doc):
-        doc["matrices"][1][0][0] = value
+        doc["matrices"][1][at[0]][at[1]] = value
     return change
 
 
@@ -204,6 +206,12 @@ MALFORMED = {
     "float-shift-entry": lambda doc: doc.update(
         shifts=[[[0.5, 0, 0], [0, 0, 0], [0, 0, 0]]]),
     "object-method": lambda doc: doc.update(method={"x": [1.5]}),
+    "wrong-n-shift": lambda doc: doc.update(shifts=[[[1]]]),
+    "asymmetric-shift": lambda doc: doc.update(
+        shifts=[[[0, 1, 0], [0, 0, 0], [0, 0, 0]]]),
+    "ragged-row": lambda doc: doc["matrices"][1][0].pop(),
+    "wrong-n-matrix": lambda doc: doc["matrices"].__setitem__(1, [[1, 0], [0, 1]]),
+    "asymmetric-matrix": _set_entry(1, (0, 1)),
 }
 
 
@@ -261,6 +269,45 @@ def test_verify_malformed_input(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["verify", str(path)])
     assert code == 2
     assert "malformed" in err
+
+
+def test_cli_paths_build_no_member_matrices(capsys, tmp_path, monkeypatch):
+    # the family is its int64 stack: no MatZp per member on these paths
+    # (256 members at (2, 8), 243 at (3, 5))
+    built = []
+    init = MatZp.__init__
+
+    def counting_init(self, p, rows):
+        built.append(p)
+        init(self, p, rows)
+
+    monkeypatch.setattr(MatZp, "__init__", counting_init)
+    path = str(tmp_path / "fam.json")
+    for argv in (["gen", "-p", "2", "-n", "8", "--out", path], ["verify", path],
+                 ["verify", path, "--numeric"],
+                 ["analyze", path, "--out", str(tmp_path / "a.json")],
+                 ["gen", "-p", "3", "-n", "5", "--method", "companion"]):
+        built.clear()
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert len(built) < 32, argv
+
+
+def test_unreduced_entries_load_reduced(capsys, tmp_path):
+    code, text, err = run_cli(capsys, ["gen", "-p", "3", "-n", "3"])
+    doc = json.loads(text)
+    doc["matrices"][5][0][0] += 3 * 2**64
+    doc["matrices"][7][2][2] -= 3
+    assert doc["matrices"][7][2][2] < 0
+    fam, odd = from_document(json.loads(text)), from_document(doc)
+    assert odd.stack.dtype == np.int64 and np.array_equal(odd.stack, fam.stack)
+    assert odd.field_rep and odd.matrices == fam.matrices
+    lines = []
+    for name, d in (("fam.json", json.loads(text)), ("odd.json", doc)):
+        path = tmp_path / name
+        path.write_text(json.dumps(d))
+        lines.append(run_cli(capsys, ["verify", str(path), "--numeric"]))
+    assert lines[0] == lines[1] and lines[0][0] == 0
 
 
 def test_analyze_report(capsys, tmp_path):

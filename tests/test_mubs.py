@@ -2,6 +2,7 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from graphmub.fields import PolyZp
@@ -167,7 +168,7 @@ def test_verify_condition_exhaustive_pairwise(p, n):
 def test_verify_condition_reports_first_failing_pair():
     bad = MubSet(
         p=2, n=2,
-        matrices=(MatZp.zeros(2, 2), MatZp(2, [[1, 0], [0, 0]])),
+        stack=[m.rows for m in (MatZp.zeros(2, 2), MatZp(2, [[1, 0], [0, 0]]))],
         field_rep=False,
     )
     report = verify_mu_condition(bad)
@@ -178,7 +179,7 @@ def test_verify_condition_reports_first_failing_pair():
 def test_verify_condition_closure_mode_failure():
     bad = MubSet(
         p=2, n=2,
-        matrices=(MatZp.zeros(2, 2), MatZp(2, [[1, 0], [0, 0]])),
+        stack=[m.rows for m in (MatZp.zeros(2, 2), MatZp(2, [[1, 0], [0, 0]]))],
         field_rep=True,
     )
     report = verify_mu_condition(bad)
@@ -193,7 +194,7 @@ def _corrupt(fam, rng, copies):
     for _ in range(copies):
         i, j = rng.sample(range(len(mats)), 2)
         mats[i] = mats[j]
-    return MubSet(p=fam.p, n=fam.n, matrices=tuple(mats), field_rep=fam.field_rep)
+    return MubSet(p=fam.p, n=fam.n, stack=[m.rows for m in mats], field_rep=fam.field_rep)
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 5), (3, 2), (3, 3), (5, 2), (13, 1)])
@@ -207,8 +208,8 @@ def test_stacked_mu_condition_matches_scalar_loop(p, n):
     # two singular members under the closure flag, and a truncated family
     mats = list(fam.matrices)
     mats[len(mats) // 2] = mats[-1] = MatZp.zeros(p, n)
-    families.append(MubSet(p=p, n=n, matrices=tuple(mats), field_rep=True))
-    families.append(replace(shifted, matrices=shifted.matrices[: p**n // 2 + 1]))
+    families.append(MubSet(p=p, n=n, stack=[m.rows for m in mats], field_rep=True))
+    families.append(replace(shifted, stack=shifted.stack[: p**n // 2 + 1]))
     failures = 0
     for s in families:
         for pairwise in (False, True):
@@ -246,6 +247,24 @@ def test_shift_rejects_nonsymmetric():
     fam = qubit_triple_family()
     with pytest.raises(ValueError):
         shift_set(fam, MatZp(2, [[0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+
+
+def test_stack_is_the_stored_family():
+    fam = qubit_triple_family()
+    assert fam.stack.dtype == np.int64 and fam.stack.shape == (8, 3, 3)
+    with pytest.raises(ValueError):
+        fam.stack[0, 0, 0] = 1  # read-only
+    assert fam.matrices == tuple(MatZp(2, rows) for rows in fam.stack.tolist())
+    assert fam.matrices is fam.matrices  # built once, on first use
+    # entries of any size and sign are reduced before they become int64
+    raw = MubSet(p=3, n=2, stack=[[[4, -1], [2, 3 * 2**70]]])
+    assert raw.stack.tolist() == [[[1, 2], [2, 0]]]
+    for bad in ([[[0, 1], [0, 0]]], [[[0]]], [[0, 0], [0, 0]], [], [[[0, 0], [0]]]):
+        with pytest.raises(ValueError):
+            MubSet(p=2, n=2, stack=bad)
+    for shift in (MatZp(2, [[0, 1], [0, 0]]), MatZp(2, [[1]]), MatZp(3, [[0, 0], [0, 0]])):
+        with pytest.raises(ValueError):
+            MubSet(p=2, n=2, stack=[[[0, 0], [0, 0]]], shifts=(shift,))
 
 
 def test_family_sizes_examples():
@@ -309,7 +328,7 @@ def test_field_rep_claim_stands_only_for_the_index_ordered_span(p, n):
              "truncated": mats[:-1], "reversed": mats[::-1]}
     verdicts = {}
     for name, ms in cases.items():
-        s = replace(fam, matrices=tuple(ms))
+        s = replace(fam, stack=[m.rows for m in ms])
         doc = dict(to_document(s), field_rep=True)
         verdicts[name] = from_document(doc).field_rep
         assert verdicts[name] == _span_by_recursion(s), name

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import permutations, product
 
 import numpy as np
@@ -261,7 +262,7 @@ def corrupted_qubit_triple():
     rows[0][1] = rows[1][0] = (rows[0][1] + 1) % 2  # break one matrix
     return MubSet(
         p=2, n=3,
-        matrices=fam.matrices[:2] + (MatZp(2, rows),) + fam.matrices[3:],
+        stack=[m.rows for m in fam.matrices[:2] + (MatZp(2, rows),) + fam.matrices[3:]],
         field_rep=False,
     )
 
@@ -299,7 +300,7 @@ def explicit_element(s, basis, label):
 def computational_only():
     """One (7,2) graph basis: its only pair is against the computational
     basis, whose squared overlaps 1/49 round off 0 at some phases."""
-    return MubSet(p=7, n=2, matrices=(MatZp(7, [[1, 1], [1, 2]]),))
+    return MubSet(p=7, n=2, stack=[m.rows for m in (MatZp(7, [[1, 1], [1, 2]]),)])
 
 
 SWEEP_CASES = {
@@ -363,12 +364,12 @@ def with_corrupted_member(fam, k):
     b = MatZp(p, [[int(i == j < n - k) for j in range(n)] for i in range(n)])
     mats = list(fam.matrices)
     mats[2] = mats[1] + b
-    return MubSet(p=p, n=n, matrices=tuple(mats), field_rep=False)
+    return MubSet(p=p, n=n, stack=[m.rows for m in mats], field_rep=False)
 
 
 def random_family(p, n):
     rng = random.Random(p * n)
-    return MubSet(p=p, n=n, matrices=tuple(random_adjacency(rng, p, n) for _ in range(p**n)))
+    return MubSet(p=p, n=n, stack=[random_adjacency(rng, p, n).rows for _ in range(p**n)])
 
 
 EXACT_CASES = {
@@ -383,9 +384,9 @@ EXACT_CASES = {
     # the digit differences of the pairs (0, 2) and (1, 3) are (-1, -2, 0)
     # and (-1, 1, -1), both -7 in base 3 until reduced mod 3; only the
     # second pair is biased (det [[2, 1], [1, 2]] = 0 mod 3)
-    "negative-digits": lambda: MubSet(p=3, n=2, matrices=tuple(
-        MatZp(3, rows) for rows in ([[2, 2], [2, 2]], [[1, 1], [1, 2]], [[1, 0], [0, 2]],
-                                    [[0, 2], [2, 1]]))),
+    "negative-digits": lambda: MubSet(p=3, n=2, stack=[
+        MatZp(3, rows).rows for rows in ([[2, 2], [2, 2]], [[1, 1], [1, 2]], [[1, 0], [0, 2]],
+                                    [[0, 2], [2, 1]])]),
 }
 
 
@@ -428,7 +429,7 @@ def test_full_sweep_two_word_keys():
     a, b = random_adjacency(rng, 2, 11), random_adjacency(rng, 2, 11)
     corner = MatZp(2, [[int(i == j == 10) for j in range(11)] for i in range(11)])
     mats = (a, a + corner, b, b) + tuple(random_adjacency(rng, 2, 11) for _ in range(6))
-    fam = MubSet(p=2, n=11, matrices=mats)
+    fam = MubSet(p=2, n=11, stack=[m.rows for m in mats])
     report = verify_mu_numeric(fam, tol=1e-10)
     nullity = {(r, t): 11 - rank_mod_p((mats[t] - mats[r]).rows, 2)
                for r in range(len(mats)) for t in range(r + 1, len(mats))}
@@ -440,7 +441,7 @@ def test_full_sweep_two_word_keys():
 
 
 def test_numeric_full_mode_dimension_guard():
-    huge = MubSet(p=101, n=2, matrices=(MatZp.zeros(101, 2),), field_rep=False)
+    huge = MubSet(p=101, n=2, stack=[m.rows for m in (MatZp.zeros(101, 2),)], field_rep=False)
     with pytest.raises(ValueError):
         verify_mu_numeric(huge)
 
@@ -459,7 +460,7 @@ def with_identical_members(fam):
     """The family with member 3 overwritten by member 2."""
     mats = list(fam.matrices)
     mats[3] = mats[2]
-    return MubSet(p=fam.p, n=fam.n, matrices=tuple(mats), field_rep=False)
+    return MubSet(p=fam.p, n=fam.n, stack=[m.rows for m in mats], field_rep=False)
 
 
 @pytest.mark.parametrize("kind", ["sound", "shifted", "identical"])
@@ -656,6 +657,35 @@ def test_fourier_inverse():
         amps = rng_state(rng, p**2)
         out = apply_fourier(apply_fourier(amps, p, 2, 1), p, 2, 1, dagger=True)
         assert np.allclose(out, amps, atol=1e-13)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fourier_matches_explicit_dft(p):
+    # F = w_p^{jk} / sqrt(p) on qupit i, the identity on the others
+    # (qupit 1 most significant); FDAG is its conjugate transpose
+    n = 3 if p < 5 else 2
+    amps = rng_state(random.Random(349 + p), p**n)
+    j = np.arange(p)
+    f = np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
+    for i in range(1, n + 1):
+        full = np.kron(np.kron(np.eye(p ** (i - 1)), f), np.eye(p ** (n - i)))
+        assert np.allclose(apply_fourier(amps, p, n, i), full @ amps, atol=1e-13)
+        assert np.allclose(apply_fourier(amps, p, n, i, dagger=True),
+                           full.conj().T @ amps, atol=1e-13)
+
+
+def test_fourier_on_a_large_qupit_stays_small():
+    # a dense p x p matrix would take 64 MB at p = 2003
+    p = 2003
+    amps = plus_state(p, 1)
+    tracemalloc.start()
+    try:
+        out = apply_fourier(amps, p, 1, 1, dagger=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert abs(out[0] - 1) < 1e-12 and np.abs(out[1:]).max() < 1e-12
 
 
 # -- circuit text format -------------------------------------------------------
