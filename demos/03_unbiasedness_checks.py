@@ -32,7 +32,6 @@ rows[0][1] = rows[1][0] = (rows[0][1] + 1) % 2
 corrupted = MubSet(
     p=2, n=3,
     stack=[m.rows for m in family.matrices[:2] + (MatZp(2, rows),) + family.matrices[3:]],
-    field_rep=False,
 )
 algebraic = verify_mu_condition(corrupted)
 numeric = verify_mu_numeric(corrupted, tol=1e-10)

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 from .entanglement import Bipartition, analysis_report
 from .fields import PolyZp, check_prime
@@ -130,9 +131,15 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> MubSet:
-    raw = sys.stdin.read() if path == "-" else open(path).read()
-    return from_document(json.loads(raw))
+def _load(path: str) -> MubSet | None:
+    """The family at path (- for stdin), or None after a `malformed input`
+    line on stderr (nesting too deep to parse included)."""
+    try:
+        raw = sys.stdin.read() if path == "-" else Path(path).read_text()
+        return from_document(json.loads(raw))
+    except (OSError, ValueError, KeyError, RecursionError) as exc:
+        print(f"malformed input: {exc}", file=sys.stderr)
+        return None
 
 
 def _fmt_matrix(m: MatZp) -> str:
@@ -160,10 +167,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        fam = _load(args.doc)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
+    fam = _load(args.doc)
+    if fam is None:
         return EXIT_USAGE
     if len(fam.stack) != fam.dim:
         print(f"FAIL incomplete family: {len(fam.stack)} of p^n = {fam.dim} "
@@ -195,10 +200,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    try:
-        fam = _load(args.doc)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
+    fam = _load(args.doc)
+    if fam is None:
         return EXIT_USAGE
     bips = None
     if args.bipartition:
@@ -228,10 +231,8 @@ def adjacency_to_dot(m: MatZp, name: str) -> str:
 
 
 def _cmd_export(args) -> int:
-    try:
-        fam = _load(args.doc)
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"malformed input: {exc}", file=sys.stderr)
+    fam = _load(args.doc)
+    if fam is None:
         return EXIT_USAGE
     indices = range(len(fam.stack))
     if args.index is not None:

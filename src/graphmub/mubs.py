@@ -10,6 +10,7 @@ full family p^n + 1 bases.
 
 A family is stored once, as its int64 stack `MubSet.stack`, which every
 check reads; `MubSet.matrices` is a view of it built on first use.
+`MubSet.field_rep` proves from the stack that the members form a field.
 """
 
 from __future__ import annotations
@@ -38,18 +39,16 @@ class MubSet:
     reduced mod p, from nested integers of any size or an integer array
     (ValueError for members or shifts that are not symmetric n x n).
     Index i corresponds to the coefficient vector (a_0, ..., a_{n-1})
-    with a_0 varying fastest: stack[i] = sum_k a_k Q^k.  `field_rep`
-    records whether the family is still closed under subtraction
-    (collective shifts clear it).  `matrices` is a view of `stack`.  The
-    implicit computational basis is always part of the family and never
-    stored.
+    with a_0 varying fastest: stack[i] = sum_k a_k Q^k.  `field_rep` is
+    derived from `stack`, never given.  `matrices` is a view of `stack`.
+    The implicit computational basis is always part of the family and
+    never stored.
     """
 
     p: int
     n: int
     stack: np.ndarray
     witness: SymmetricRep | None = None
-    field_rep: bool = False
     shifts: tuple[MatZp, ...] = ()
     method: str = "unknown"
     polynomial: PolyZp | None = None
@@ -74,6 +73,18 @@ class MubSet:
         """The members as `MatZp` objects, built on first use."""
         return tuple(MatZp(self.p, rows) for rows in self.stack.tolist())
 
+    @cached_property
+    def field_rep(self) -> bool:
+        """True when the stack is the index-ordered span of I, Q, ...,
+        Q^(n-1), Q = stack[p] (I alone for n = 1), and Q has an irreducible
+        characteristic polynomial: then the p^n members are the field
+        Z_p[Q], so every difference of two members is invertible."""
+        p, n = self.p, self.n
+        if len(self.stack) != p**n:
+            return False
+        q = MatZp(p, self.stack[p].tolist()) if n > 1 else MatZp.identity(p, 1)
+        return q.char_poly().is_irreducible() and np.array_equal(_field(q), self.stack)
+
     @property
     def dim(self) -> int:
         return self.p**self.n
@@ -95,53 +106,52 @@ def index_to_coeffs(index: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
-    """The n powers Q^0, ..., Q^{n-1}; every family member is a
-    Z_p-linear combination of these."""
-    q = witness.q
-    out = [MatZp.identity(witness.p, witness.n)]
-    for _ in range(witness.n - 1):
+def _powers(q: MatZp) -> list[MatZp]:
+    """I, Q, ..., Q^(n-1)."""
+    out = [MatZp.identity(q.p, q.n)]
+    for _ in range(q.n - 1):
         out.append(out[-1] @ q)
     return out
 
 
-def _span(basis: np.ndarray, p: int) -> np.ndarray:
-    """All p^n Z_p-combinations sum_k a_k basis[k] of the n reduced
-    matrices of an int64 stack (n, m, m), in index order (a_0 varying
-    fastest): basis[k] extends the table of the first k to p^(k+1) rows,
-    row j p^k + i being j basis[k] + row i."""
-    acc = np.zeros((1,) + basis.shape[1:], dtype=np.int64)
-    for b in basis:
-        acc = (acc + np.arange(p)[:, None, None, None] * b % p) % p
-        acc = acc.reshape((-1,) + basis.shape[1:])
+def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
+    """The n powers Q^0, ..., Q^{n-1}; every family member is a
+    Z_p-linear combination of these."""
+    return _powers(witness.q)
+
+
+def _field(q: MatZp) -> np.ndarray:
+    """All p^n Z_p-combinations sum_k a_k Q^k as an int64 stack, in index
+    order (a_0 varying fastest): Q^k extends the table of the first k
+    powers to p^(k+1) rows, row j p^k + i being j Q^k + row i."""
+    p, n = q.p, q.n
+    acc = np.zeros((1, n, n), dtype=np.int64)
+    for b in _powers(q):
+        b = np.array(b.rows, dtype=np.int64)
+        acc = ((acc + np.arange(p)[:, None, None, None] * b % p) % p).reshape(-1, n, n)
     return acc
 
 
 def adjacency_set(witness: SymmetricRep) -> MubSet:
     """All p^n linear combinations of the fundamental graphs."""
-    basis = np.array([m.rows for m in fundamental_graphs(witness)], dtype=np.int64)
     return MubSet(
-        p=witness.p, n=witness.n, stack=_span(basis, witness.p), witness=witness,
-        field_rep=True, method=witness.method, polynomial=witness.f, d=witness.d,
+        p=witness.p, n=witness.n, stack=_field(witness.q), witness=witness,
+        method=witness.method, polynomial=witness.f, d=witness.d,
     )
 
 
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
     """Check det(A_r - A_s) != 0 for all r != s.
 
-    For subtraction-closed families this reduces to invertibility of
-    every nonzero member (p^n - 1 determinants in one stacked
-    elimination); shifted or imported sets fall back to the full
-    pairwise sweep, one stacked elimination of A_r - A_t over t > r per
-    r.  Returns a report with the first failing pair, if any.
+    A family that `field_rep` proves to be a field passes in closure mode
+    with no determinant.  Any other family, or any family when pairwise
+    is set, gets the full pairwise sweep, one stacked elimination of
+    A_r - A_t over t > r per r.  Returns a report with the first failing
+    pair, if any.
     """
-    stack = s.stack
     if s.field_rep and not pairwise:
-        singular = np.flatnonzero(eliminate_stack(stack[1:], s.p)[1] == 0)
-        if singular.size:
-            return MuConditionReport(ok=False, mode="closure",
-                                     failing_pair=(int(singular[0]) + 1, 0))
         return MuConditionReport(ok=True, mode="closure", failing_pair=None)
+    stack = s.stack
     for r in range(len(stack) - 1):
         singular = np.flatnonzero(eliminate_stack(stack[r] - stack[r + 1:], s.p)[1] == 0)
         if singular.size:
@@ -160,13 +170,9 @@ class MuConditionReport:
 def shift_set(s: MubSet, m: MatZp) -> MubSet:
     """Add a symmetric matrix to every member (a collective phase-gate
     action; MubSet checks m); differences and hence unbiasedness are
-    unchanged, but the family need not represent a field any more."""
-    return replace(
-        s,
-        stack=s.stack + np.array(m.rows, dtype=np.int64),
-        field_rep=False,
-        shifts=s.shifts + (m,),
-    )
+    unchanged, but the family is no field unless m = 0."""
+    return replace(s, stack=s.stack + np.array(m.rows, dtype=np.int64),
+                   shifts=s.shifts + (m,))
 
 
 def mub_set(p: int, n: int, method: str = "auto", poly: PolyZp | None = None,
@@ -218,19 +224,11 @@ def _ints(v, what: str, depth: int = 0):
     return v
 
 
-def _is_index_ordered_span(p: int, n: int, stack: np.ndarray) -> bool:
-    """True when the stack holds the p^n Z_p-combinations of its members
-    p^k in index order (so closed under subtraction)."""
-    if len(stack) != p**n:
-        return False
-    return bool((_span(stack[p ** np.arange(n)], p) == stack).all())
-
-
 def from_document(doc: dict) -> MubSet:
     """Parse a family document (ValueError for non-int scalars, a non-str
     method, non-list containers, and members or shifts that are not
-    symmetric n x n); a `field_rep` claim stands only if the matrices
-    prove it."""
+    symmetric n x n).  The document's `field_rep` key is ignored:
+    `MubSet.field_rep` proves it from the matrices."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     p = _ints(doc["p"], "p")
@@ -247,15 +245,13 @@ def from_document(doc: dict) -> MubSet:
     method = doc.get("method", "unknown")
     if not isinstance(method, str):
         raise ValueError(f"method: expected a string, got {method!r}")
-    s = MubSet(
+    return MubSet(
         p=p, n=n, stack=mats,
         shifts=tuple(MatZp(p, r) for r in _ints(doc.get("shifts", []), "shifts", 3)),
         method=method,
         polynomial=PolyZp(p, poly) if poly else None,
         d=tuple(_ints(doc["d"], "d", 1)) if doc.get("d") is not None else None,
     )
-    proven = doc.get("field_rep") is True and _is_index_ordered_span(p, n, s.stack)
-    return replace(s, field_rep=True) if proven else s
 
 
 def canonical_json(doc: dict) -> str:

@@ -384,8 +384,8 @@ def verify_mu_numeric(s: MubSet, tol: float = 1e-10, sample: int | None = None,
     The implicit computational basis participates as basis index p^n.
     Full mode sweeps all pairs of bases (dimension capped), one Fourier
     transform per distinct difference A_t - A_r, and reports labels
-    (0, k) with k the worst label difference; sampled mode draws `sample`
-    random cross-basis pairs.
+    (0, k) with k the first label at the pair's exact worst overlap;
+    sampled mode draws `sample` random cross-basis pairs.
     A tol that is negative or not finite is a ValueError (no deviation
     exceeds NaN, so a NaN tol would pass any family).
     """
@@ -417,7 +417,7 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
     weights = _key_weights(p, coefs.shape[1])
     table = np.empty(0, dtype=f"V{8 * weights.shape[1]}")
     table_dev = np.empty(0)
-    comp_dev, comp_label = _computational_devs(coefs, p, n)
+    comp_dev = _computational_devs(coefs, p, n)
     worst = float(comp_dev.max(initial=0.0))
     first = None
     for r in range(comp):
@@ -444,7 +444,7 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
             if bad.size:
                 first = _pair_violation(s, r, r + 1 + int(bad[0]))
             elif comp_dev[r] > tol:
-                first = (r, comp, 0, int(comp_label[r]), float(comp_dev[r]))
+                first = (r, comp, 0, 0, float(comp_dev[r]))
     return NumericReport(
         ok=first is None,
         mode="full",
@@ -467,19 +467,17 @@ def _key_weights(p: int, k: int) -> np.ndarray:
     return weights
 
 
-def _computational_devs(coefs: np.ndarray, p: int, n: int):
-    """max_x ||g_A(x)|^2 - 1/d| and its first x, for each coefficient row
-    of A, in chunks of about SAMPLE_CHUNK amplitudes."""
+def _computational_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
+    """max_x ||g_A(x)|^2 - 1/d| for each coefficient row of A, in chunks
+    of about SAMPLE_CHUNK amplitudes.  Every |g_A(x)|^2 is exactly 1/d, so
+    this is rounding and the first label x = 0 is at the exact worst."""
     d = p**n
     dev_of = np.abs(np.abs(p ** (-n / 2) * _roots(_phase_modulus(p))) ** 2 - 1.0 / d)
     rows = max(1, SAMPLE_CHUNK // d)
     dev = np.empty(len(coefs))
-    label = np.empty(len(coefs), dtype=np.int64)
     for lo in range(0, len(coefs), rows):
-        chunk = dev_of[_exponents(coefs[lo:lo + rows], p, n)]
-        dev[lo:lo + rows] = chunk.max(axis=1)
-        label[lo:lo + rows] = chunk.argmax(axis=1)
-    return dev, label
+        dev[lo:lo + rows] = dev_of[_exponents(coefs[lo:lo + rows], p, n)].max(axis=1)
+    return dev
 
 
 def _fourier_devs(amps: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -507,13 +505,14 @@ def _class_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
 
 
 def _pair_violation(s: MubSet, r: int, t: int) -> tuple:
-    """(r, t, 0, k, dev) for the pair's worst label difference k, from
-    |F h|^2 with h = sqrt(d) conj(g_r) g_t, read from the stack rows."""
+    """(r, t, 0, k, dev) for the pair's largest deviation dev, from |F h|^2
+    with h = sqrt(d) conj(g_r) g_t, read from the stack rows.  Exact
+    overlaps are 0 or p^j / d, so d * dev rounds to an integer: k is the
+    first label where it is largest, whatever the rounding of the ties."""
     p, n = s.p, s.n
     g = _roots(_phase_modulus(p))[_exponents(_upper(s.stack[[r, t]]), p, n)]
     devs = _fourier_devs(p ** (-n / 2) * g[0].conj() * g[1], p, n)[0]
-    k = int(devs.argmax())
-    return (r, t, 0, k, float(devs[k]))
+    return (r, t, 0, int(np.rint(p**n * devs).argmax()), float(devs.max()))
 
 
 def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:

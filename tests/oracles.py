@@ -10,8 +10,10 @@ explicit matrix powers instead of the coefficient table, dense
 basis-matrix grams instead of the difference-class Fourier sweep, the
 rank rule for the overlap spectrum of a difference B instead of its
 Fourier transform, one explicit state pair per sampled overlap instead
-of the batched exponent matmul, and a scan of every bipartition's
-crossing block instead of the component walk.
+of the batched exponent matmul, a scan of every bipartition's crossing
+block instead of the component walk, and explicit combinations of powers
+with a cofactor determinant per member instead of the characteristic-
+polynomial field proof.
 """
 
 from itertools import combinations, product
@@ -140,6 +142,24 @@ def power_enumeration(q: MatZp) -> set:
         acc = acc @ q
         out.add(acc)
     return out
+
+
+def field_brute(s) -> bool:
+    """MubSet.field_rep from the definition: p^n members, member i equal to
+    sum_k a_k Q^k for the base-p digits a of i, Q = member p (the powers
+    are I alone for n = 1), and every nonzero member invertible, which
+    makes Z_p[Q] a field."""
+    p, n, mats = s.p, s.n, s.matrices
+    if len(mats) != p**n:
+        return False
+    powers = [mats[p] ** k for k in range(n)] if n > 1 else [MatZp.identity(p, 1)]
+    for i, m in enumerate(mats):
+        combo = MatZp.zeros(p, n)
+        for k, g in enumerate(powers):
+            combo = combo + g.scale(i // p**k % p)
+        if m != combo:
+            return False
+    return all(det_cofactor(m.to_lists(), p) != 0 for m in mats[1:])
 
 
 def mu_condition_scalar(s, pairwise: bool = False) -> MuConditionReport:

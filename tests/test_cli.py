@@ -1,15 +1,22 @@
+import contextlib
+import gc
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmub.cli import main
 from graphmub.linalg import MatZp
-from graphmub.mubs import from_document
+from graphmub.mubs import from_document, mub_set, to_document
 from graphmub.symrep import tridiag_char_poly
 from graphmub.tables import REFERENCE_DIAGONALS, reference_poly
+from oracles import mu_condition_scalar
 
 
 def run_cli(capsys, argv):
@@ -227,12 +234,50 @@ def test_malformed_document_is_usage_error(capsys, tmp_path, command, case):
     assert "malformed input" in err and out == ""
 
 
-def test_non_object_document_is_usage_error(capsys, tmp_path):
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2]")
-    code, out, err = run_cli(capsys, ["verify", str(path)])
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "export"])
+@pytest.mark.parametrize("text", ["[1, 2]", DEEP, '{"p": 2, "n": 1, "matrices": %s}' % DEEP],
+                         ids=["list", "deep-list", "deep-matrices"])
+def test_non_object_document_is_usage_error(capsys, tmp_path, command, text):
+    # nesting too deep for the JSON parser is malformed input, not a crash
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, [command, str(path)])
     assert code == 2
-    assert "malformed input" in err
+    assert err.startswith("malformed input") and out == ""
+
+
+def test_loading_closes_the_document(capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text(gen_doc(capsys))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for command in ("verify", "analyze", "export"):
+            assert run_cli(capsys, [command, str(path)])[0] == 0
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2)])
+def test_field_rep_key_changes_no_output(capsys, tmp_path, p, n):
+    # the key is ignored on input: the matrices alone decide the mode
+    code, text, err = run_cli(capsys, ["gen", "-p", str(p), "-n", str(n)])
+    outputs = []
+    for claim in (True, False, None):
+        doc = json.loads(text)
+        if claim is None:
+            del doc["field_rep"]
+        else:
+            doc["field_rep"] = claim
+        path = tmp_path / f"{claim}.json"
+        path.write_text(json.dumps(doc))
+        outputs.append([run_cli(capsys, argv) for argv in (
+            ["verify", str(path)], ["verify", str(path), "--numeric", "--sample", "50"],
+            ["analyze", str(path)], ["export", str(path)])])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert "closure mode" in outputs[0][0][1] and outputs[0][3][1] == text
 
 
 def test_gen_flag_conflict_is_usage_error(capsys):
@@ -436,3 +481,93 @@ def test_verify_reads_stdin():
         input=gen.stdout, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+# -- fuzzed document mutations -------------------------------------------------
+
+FUZZ_SIZES = [(2, 2), (2, 3), (3, 2)]
+ENTRY = st.one_of(st.integers(-9, 9), st.integers(-2**80, 2**80),
+                  st.sampled_from([2**63, -2**63 - 1, 3 * 2**70]), st.floats(),
+                  st.booleans(), st.none(), st.text(max_size=2),
+                  st.lists(st.integers(0, 2), max_size=2))
+INDEX = st.integers(0, 63)
+MUTATION = st.one_of(
+    st.tuples(st.just("entry"), INDEX, INDEX, INDEX, ENTRY, st.booleans()),
+    st.tuples(st.just("swap"), INDEX, INDEX),
+    st.tuples(st.just("copy"), INDEX, INDEX),
+    st.tuples(st.just("duplicate"), INDEX, INDEX),
+    st.tuples(st.just("drop"), INDEX),
+    st.tuples(st.just("field_rep"), st.one_of(st.booleans(), st.none(), st.integers(),
+                                              st.just("absent"))),
+    st.tuples(st.just("shift"), st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+              st.booleans()),
+)
+
+
+def _mutate(doc, op):
+    """Apply one mutation; indices wrap around what the document holds."""
+    mats, n = doc["matrices"], doc["n"]
+    kind, *args = op
+    if kind == "field_rep":
+        if args[0] == "absent":
+            doc.pop("field_rep", None)
+        else:
+            doc["field_rep"] = args[0]
+    elif kind == "shift":
+        # a symmetric shift added to every member keeps every difference;
+        # an asymmetric one makes the members asymmetric
+        flat, symmetric = args
+        m = [[flat[3 * min(i, j) + max(i, j) if symmetric else 3 * i + j]
+              for j in range(n)] for i in range(n)]
+        doc["matrices"] = [[[a + b for a, b in zip(ra, rb)] for ra, rb in zip(x, m)]
+                           for x in mats]
+        doc.setdefault("shifts", []).append(m)
+    elif mats:
+        i, j = (a % len(mats) for a in (args + [0])[:2])
+        if kind == "entry":
+            r, c = args[1] % n, args[2] % n
+            mats[i][r][c] = args[3]
+            if args[4]:
+                mats[i][c][r] = args[3]
+        elif kind == "swap":
+            mats[i], mats[j] = mats[j], mats[i]
+        elif kind == "copy":
+            mats[i] = json.loads(json.dumps(mats[j]))
+        elif kind == "duplicate":
+            mats.insert(i, json.loads(json.dumps(mats[j])))
+        else:
+            del mats[i]
+
+
+def _expected_exit(text):
+    """2 if the document does not load, 1 unless it is a complete family
+    that the brute-force pairwise oracle finds mutually unbiased, else 0."""
+    try:
+        fam = from_document(json.loads(text))
+    except (ValueError, KeyError):
+        return 2
+    if len(fam.stack) != fam.dim:
+        return 1
+    return 0 if mu_condition_scalar(fam, pairwise=True).ok else 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(size=st.sampled_from(FUZZ_SIZES), ops=st.lists(MUTATION, min_size=1, max_size=3),
+       numeric=st.booleans())
+def test_mutated_documents_keep_the_exit_code_contract(fuzz_dir, size, ops, numeric):
+    doc = to_document(mub_set(*size))
+    for op in ops:
+        _mutate(doc, op)
+    text = json.dumps(doc)
+    path = fuzz_dir / "doc.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)] + ["--numeric"] * numeric)
+    assert code == _expected_exit(text), (ops, err.getvalue())
+    assert (code == 0) == ("pass" in out.getvalue() and err.getvalue() == "")

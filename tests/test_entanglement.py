@@ -110,7 +110,7 @@ def test_design_identity_shifted_family():
 
 def test_design_identity_rejects_incomplete():
     fam = qubit_triple_family()
-    partial = type(fam)(p=2, n=3, stack=fam.stack[:4], field_rep=False)
+    partial = type(fam)(p=2, n=3, stack=fam.stack[:4])
     with pytest.raises(ValueError):
         design_purity_check(partial, Bipartition.of((1,), 3))
 

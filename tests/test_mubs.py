@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from graphmub import mubs
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
 from graphmub.mubs import (
     MubSet,
+    MuConditionReport,
     adjacency_set,
     canonical_json,
     from_document,
@@ -20,7 +22,7 @@ from graphmub.mubs import (
     verify_mu_condition,
 )
 from graphmub.symrep import symmetric_representation, symmetrize_companion, tridiagonal_rep
-from oracles import mu_condition_scalar, power_enumeration
+from oracles import field_brute, mu_condition_scalar, power_enumeration
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -169,32 +171,76 @@ def test_verify_condition_reports_first_failing_pair():
     bad = MubSet(
         p=2, n=2,
         stack=[m.rows for m in (MatZp.zeros(2, 2), MatZp(2, [[1, 0], [0, 0]]))],
-        field_rep=False,
     )
     report = verify_mu_condition(bad)
     assert not report.ok
     assert report.failing_pair == (0, 1)
 
 
-def test_verify_condition_closure_mode_failure():
-    bad = MubSet(
-        p=2, n=2,
-        stack=[m.rows for m in (MatZp.zeros(2, 2), MatZp(2, [[1, 0], [0, 0]]))],
-        field_rep=True,
-    )
+def test_unproven_family_fails_pairwise():
+    # members 1 and 2 differ by the singular all-ones matrix; no flag can
+    # send this family to closure mode any more
+    with pytest.raises(TypeError):
+        MubSet(p=2, n=2, stack=[[[0, 0], [0, 0]]], field_rep=True)
+    bad = MubSet(p=2, n=2, stack=[[[0, 0], [0, 0]], [[1, 0], [0, 1]],
+                                  [[0, 1], [1, 0]], [[1, 1], [1, 0]]])
+    assert not bad.field_rep
+    with pytest.raises(AttributeError):  # frozen: the proof cannot be overwritten
+        bad.field_rep = True
     report = verify_mu_condition(bad)
-    assert not report.ok and report.mode == "closure"
-    assert report.failing_pair == (1, 0)
+    assert report == mu_condition_scalar(bad, pairwise=True)
+    assert not report.ok and report.mode == "pairwise" and report.failing_pair == (1, 2)
+
+
+def _span_of(basis, p, n):
+    """The p^n combinations sum_k a_k basis[k] in index order."""
+    out = []
+    for i in range(p**n):
+        acc = MatZp.zeros(p, n)
+        for a, b in zip(index_to_coeffs(i, p, n), basis):
+            acc = acc + b.scale(a)
+        out.append(acc)
+    return MubSet(p=p, n=n, stack=[m.rows for m in out])
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_non_field_spans_are_checked_pairwise(p, n):
+    q = mub_set(p, n).witness.q
+    # the powers of diag(1, 0, ..., 0), whose characteristic polynomial
+    # x^(n-1) (x - 1) is reducible: a ring with zero divisors
+    e = MatZp(p, [[int(i == j == 0) for j in range(n)] for i in range(n)])
+    reducible = _span_of([e**k for k in range(n)], p, n)
+    # Q, ..., Q^n: the field Z_p[Q] again, but not in the order of the
+    # powers of one member, so nothing proves it
+    rotated = _span_of([q ** (k + 1) for k in range(n)], p, n)
+    for s, ok in ((reducible, False), (rotated, True)):
+        assert not s.field_rep and not field_brute(s)
+        report = verify_mu_condition(s)
+        assert report == mu_condition_scalar(s, pairwise=True)
+        assert report.mode == "pairwise" and report.ok == ok
+
+
+def test_field_family_passes_closure_without_a_determinant(monkeypatch):
+    calls = []
+    eliminate = mubs.eliminate_stack
+    monkeypatch.setattr(mubs, "eliminate_stack",
+                        lambda stack, p: calls.append(len(stack)) or eliminate(stack, p))
+    for p, n in ((2, 1), (2, 3), (2, 8), (3, 5), (7, 3), (13, 2)):
+        fam = from_document(to_document(mub_set(p, n)))
+        calls.clear()
+        assert verify_mu_condition(fam) == MuConditionReport(True, "closure", None)
+        assert fam.field_rep and not calls
+    assert verify_mu_condition(fam, pairwise=True).ok and calls
 
 
 def _corrupt(fam, rng, copies):
     """fam with `copies` members overwritten by other members (so some pair
-    has a zero difference and its closure flag still set)."""
+    has a zero difference, and the field proof fails)."""
     mats = list(fam.matrices)
     for _ in range(copies):
         i, j = rng.sample(range(len(mats)), 2)
         mats[i] = mats[j]
-    return MubSet(p=fam.p, n=fam.n, stack=[m.rows for m in mats], field_rep=fam.field_rep)
+    return MubSet(p=fam.p, n=fam.n, stack=[m.rows for m in mats])
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 5), (3, 2), (3, 3), (5, 2), (13, 1)])
@@ -205,10 +251,10 @@ def test_stacked_mu_condition_matches_scalar_loop(p, n):
     families = [fam, shifted]
     for copies in (1, 1, 2, 3):
         families += [_corrupt(fam, rng, copies), _corrupt(shifted, rng, copies)]
-    # two singular members under the closure flag, and a truncated family
+    # two singular members, and a truncated family
     mats = list(fam.matrices)
     mats[len(mats) // 2] = mats[-1] = MatZp.zeros(p, n)
-    families.append(MubSet(p=p, n=n, stack=[m.rows for m in mats], field_rep=True))
+    families.append(MubSet(p=p, n=n, stack=[m.rows for m in mats]))
     families.append(replace(shifted, stack=shifted.stack[: p**n // 2 + 1]))
     failures = 0
     for s in families:
@@ -297,23 +343,8 @@ def test_document_roundtrip_shifted():
     assert back.shifts == (m,)
 
 
-def _span_by_recursion(fam):
-    """mats[i] == mats[i - q] + mats[q], q = p^k for the lowest nonzero
-    base-p digit k of i: index order, mats[0] = 0, closed under addition."""
-    mats, p = fam.matrices, fam.p
-    if len(mats) != p**fam.n:
-        return False
-    for i in range(1, len(mats)):
-        q = 1
-        while i % (q * p) == 0:
-            q *= p
-        if mats[i] != mats[i - q] + mats[q]:
-            return False
-    return True
-
-
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3), (5, 2), (13, 1)])
-def test_field_rep_claim_stands_only_for_the_index_ordered_span(p, n):
+def test_field_proof_accepts_only_the_powers_of_an_irreducible_seed(p, n):
     rng = random.Random(229 + p * 10 + n)
     fam = mub_set(p, n)
     m = random_symmetric(rng, p, n)
@@ -322,18 +353,24 @@ def test_field_rep_claim_stands_only_for_the_index_ordered_span(p, n):
     swapped[1], swapped[-1] = swapped[-1], swapped[1]
     edited = mats[:]
     edited[-1] = edited[-1] + MatZp.identity(p, n)
+    q = mats[p] if n > 1 else MatZp(p, [[2]])
     cases = {"sound": mats, "swapped": swapped, "edited": edited,
              "nonzero-first": [MatZp.identity(p, n)] + mats[1:],
              "shifted": list(shift_set(fam, m).matrices),
-             "truncated": mats[:-1], "reversed": mats[::-1]}
+             "truncated": mats[:-1], "reversed": mats[::-1],
+             # the index-ordered span of Q, ..., Q^n: not the powers of
+             # member p, though for a field it holds the same members
+             "non-power-span": list(_span_of([q ** (k + 1) for k in range(n)], p, n).matrices)}
     verdicts = {}
     for name, ms in cases.items():
         s = replace(fam, stack=[m.rows for m in ms])
-        doc = dict(to_document(s), field_rep=True)
-        verdicts[name] = from_document(doc).field_rep
-        assert verdicts[name] == _span_by_recursion(s), name
+        # the document's claim is ignored in both directions
+        for claim in (True, False):
+            assert from_document(dict(to_document(s), field_rep=claim)).field_rep == s.field_rep
+        verdicts[name] = s.field_rep
+        assert verdicts[name] == field_brute(s), name
     assert verdicts["sound"]
-    assert not any(verdicts[k] for k in ("swapped", "edited", "nonzero-first"))
+    assert not any(v for k, v in verdicts.items() if k != "sound")
 
 
 def test_document_validation():

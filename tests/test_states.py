@@ -263,7 +263,6 @@ def corrupted_qubit_triple():
     return MubSet(
         p=2, n=3,
         stack=[m.rows for m in fam.matrices[:2] + (MatZp(2, rows),) + fam.matrices[3:]],
-        field_rep=False,
     )
 
 
@@ -342,7 +341,9 @@ def test_numeric_sweep_matches_dense_oracle(case):
     u, v = explicit_element(fam, r, mr), explicit_element(fam, t, ms)
     assert abs(abs(overlap(u, v) - 1 / fam.dim) - dev) < 1e-12
     if case == "computational":
-        assert (r, t) == (0, 1) and ms != 0  # the worst x is not the first
+        # every |g(x)|^2 is exactly 1/d: the tie goes to the first label,
+        # not to the one rounding lifted most
+        assert (r, t, mr, ms) == (0, 1, 0, 0)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
@@ -364,7 +365,7 @@ def with_corrupted_member(fam, k):
     b = MatZp(p, [[int(i == j < n - k) for j in range(n)] for i in range(n)])
     mats = list(fam.matrices)
     mats[2] = mats[1] + b
-    return MubSet(p=p, n=n, stack=[m.rows for m in mats], field_rep=False)
+    return MubSet(p=p, n=n, stack=[m.rows for m in mats])
 
 
 def random_family(p, n):
@@ -401,6 +402,33 @@ def test_full_sweep_worst_deviation_is_exact(monkeypatch, case):
     singular = [(r, t) for r in range(len(mats)) for t in range(r + 1, len(mats))
                 if rank_brute((mats[t] - mats[r]).to_lists(), p) < n]
     assert report.first_violation[:2] == singular[0]
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4), (5, 2)])
+def test_violation_label_is_the_first_at_the_exact_worst_overlap(p, n):
+    # a pair of nullity k has p^(n-k) labels at its worst deviation, all
+    # equal in exact arithmetic; the first of them is reported (label 0 is
+    # not among them for the random (3,2) and (5,2) families)
+    fam = mub_set(p, n)
+    shifted = shift_set(fam, random_adjacency(random.Random(p + n), p, n))
+    cases = [with_corrupted_member(fam, k) for k in range(1, n + 1)]
+    cases += [with_identical_members(fam), with_identical_members(shifted),
+              with_corrupted_member(shifted, 1), random_family(p, n)]
+    d = fam.dim
+    for case in cases:
+        r, t, mr, ms, dev = verify_mu_numeric(case).first_violation
+        gram = basis_matrix(case.matrices[r]).conj().T @ basis_matrix(case.matrices[t])
+        exact = np.abs(np.rint(d * np.abs(gram[mr]) ** 2) - 1)  # d |overlap - 1/d|
+        assert mr == 0 and ms == int(exact.argmax())
+        assert abs(dev - exact.max() / d) < 1e-12
+
+
+@pytest.mark.parametrize("p,n", [(2, 3), (3, 2), (2, 4), (5, 2), (7, 2), (13, 1)])
+def test_sound_family_at_zero_tolerance_reports_label_zero(p, n):
+    # at tol 0 rounding noise fails the first pair; no label is worse
+    report = verify_mu_numeric(mub_set(p, n), tol=0)
+    assert not report.ok
+    assert report.first_violation[2:4] == (0, 0) and report.first_violation[4] < 1e-12
 
 
 @pytest.mark.parametrize("p,k", [(2, 78), (2, 91), (3, 36), (5, 15), (9973, 1),
@@ -441,7 +469,7 @@ def test_full_sweep_two_word_keys():
 
 
 def test_numeric_full_mode_dimension_guard():
-    huge = MubSet(p=101, n=2, stack=[m.rows for m in (MatZp.zeros(101, 2),)], field_rep=False)
+    huge = MubSet(p=101, n=2, stack=[m.rows for m in (MatZp.zeros(101, 2),)])
     with pytest.raises(ValueError):
         verify_mu_numeric(huge)
 
@@ -460,7 +488,7 @@ def with_identical_members(fam):
     """The family with member 3 overwritten by member 2."""
     mats = list(fam.matrices)
     mats[3] = mats[2]
-    return MubSet(p=fam.p, n=fam.n, stack=[m.rows for m in mats], field_rep=False)
+    return MubSet(p=fam.p, n=fam.n, stack=[m.rows for m in mats])
 
 
 @pytest.mark.parametrize("kind", ["sound", "shifted", "identical"])
