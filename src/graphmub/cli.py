@@ -167,6 +167,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.sample is not None and not args.numeric:
+        print("usage error: --sample needs --numeric", file=sys.stderr)
+        return EXIT_USAGE
     fam = _load(args.doc)
     if fam is None:
         return EXIT_USAGE
@@ -204,7 +207,7 @@ def _cmd_analyze(args) -> int:
     if fam is None:
         return EXIT_USAGE
     bips = None
-    if args.bipartition:
+    if args.bipartition is not None:
         try:
             bips = [Bipartition.of(args.bipartition, fam.n)]
         except ValueError as exc:

@@ -10,7 +10,8 @@ full family p^n + 1 bases.
 
 A family is stored once, as its int64 stack `MubSet.stack`, which every
 check reads; `MubSet.matrices` is a view of it built on first use.
-`MubSet.field_rep` proves from the stack that the members form a field.
+`MubSet.field_rep` proves from the stack that the members form a field;
+other families get one determinant per distinct difference A_t - A_r.
 """
 
 from __future__ import annotations
@@ -140,20 +141,68 @@ def adjacency_set(witness: SymmetricRep) -> MubSet:
     )
 
 
+def _upper(stack: np.ndarray) -> np.ndarray:
+    """A_ij for i <= j of (..., n, n) matrices, in row-major order."""
+    i, j = np.triu_indices(stack.shape[-1])
+    return stack[..., i, j]
+
+
+def _key_weights(p: int, k: int) -> np.ndarray:
+    """Int64 weights (k, words) that pack k base-p digits into words of
+    c digits, c the largest with p^c <= 2^62: digit j has weight
+    p^(j mod c) in word j // c, so the packing is exact and injective."""
+    c = 1
+    while p ** (c + 1) <= 2**62:
+        c += 1
+    j = np.arange(k)
+    weights = np.zeros((k, -(-k // c)), dtype=np.int64)
+    weights[j, j // c] = p ** (j % c)
+    return weights
+
+
+def difference_rows(stack: np.ndarray, p: int, value):
+    """Per row r of an (N, n, n) stack, float64 values of D = A_t - A_r
+    mod p for t > r.  value(r, ts) gives those of A_ts - A_r, called once per
+    distinct D by the first row that meets it: a sorted table holds the keys
+    met so far, the base-p digits of D's upper triangle (_key_weights)."""
+    coefs = _upper(stack).astype(np.min_scalar_type(-p))
+    weights = _key_weights(p, coefs.shape[1])
+    table = np.empty(0, dtype=f"V{8 * weights.shape[1]}")
+    table_val = np.empty(0)
+    for r in range(len(coefs)):
+        diff = coefs[r + 1:] - coefs[r]
+        np.add(diff, p, out=diff, where=diff < 0)
+        keys = (diff @ weights).view(table.dtype).ravel()
+        pos = np.searchsorted(table, keys)
+        hit = pos < len(table)
+        hit[hit] = table[pos[hit]] == keys[hit]
+        vals = np.empty(len(keys))
+        vals[hit] = table_val[pos[hit]]
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            new, rep, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
+            new_val = value(r, r + 1 + miss[rep])
+            vals[miss] = new_val[inverse]
+            at = np.searchsorted(table, new)
+            table = np.insert(table, at, new)
+            table_val = np.insert(table_val, at, new_val)
+        yield vals
+
+
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
     """Check det(A_r - A_s) != 0 for all r != s.
 
     A family that `field_rep` proves to be a field passes in closure mode
     with no determinant.  Any other family, or any family when pairwise
-    is set, gets the full pairwise sweep, one stacked elimination of
-    A_r - A_t over t > r per r.  Returns a report with the first failing
-    pair, if any.
+    is set, gets one determinant per distinct difference A_t - A_r
+    (`difference_rows`).  Returns a report with the first failing pair.
     """
     if s.field_rep and not pairwise:
         return MuConditionReport(ok=True, mode="closure", failing_pair=None)
     stack = s.stack
-    for r in range(len(stack) - 1):
-        singular = np.flatnonzero(eliminate_stack(stack[r] - stack[r + 1:], s.p)[1] == 0)
+    for r, dets in enumerate(difference_rows(
+            stack, s.p, lambda r, ts: eliminate_stack(stack[ts] - stack[r], s.p)[1])):
+        singular = np.flatnonzero(dets == 0)
         if singular.size:
             return MuConditionReport(ok=False, mode="pairwise",
                                      failing_pair=(r, r + 1 + int(singular[0])))

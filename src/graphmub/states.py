@@ -11,9 +11,8 @@ character table of Z_p^n: the overlap of |G_r(m)> and |G_t(m')> depends
 only on the label difference m' - m, and the n-qupit Fourier transform
 of conj(g_r) g_t yields all p^n of them at once.  That product is the
 graph state of D = A_t - A_r mod p over sqrt(p^n), up to a label shift
-for p = 2, so the full sweep transforms one state per difference class:
-pairs with the same D, found by exact integer keys, share one transform.
-A subtraction-closed or shifted family has only p^n - 1 nonzero classes.
+for p = 2, so the full sweep transforms one state per distinct D
+(`mubs.difference_rows`): p^n - 1 for a subtraction-closed or shifted family.
 
 The sampled check builds no state vectors.  Every amplitude of a basis
 element is w_M^e(x) / sqrt(p^n) with e(x) linear in the upper triangle of
@@ -38,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import MatZp
-from .mubs import MubSet
+from .mubs import MubSet, _upper, difference_rows
 
 FULL_SWEEP_LIMIT = 10**4
 SAMPLE_CHUNK = 1 << 16  # amplitudes per chunk of the numeric checks
@@ -166,13 +165,6 @@ def _phase_table(p: int, n: int) -> np.ndarray:
     table = (np.array(rows, dtype=np.int64) % m).astype(np.float64)
     table.setflags(write=False)
     return table
-
-
-def _upper(stack: np.ndarray) -> np.ndarray:
-    """A_ij for i <= j of (..., n, n) matrices, in the row order of
-    _phase_table."""
-    i, j = np.triu_indices(stack.shape[-1])
-    return stack[..., i, j]
 
 
 def _exponents(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -401,44 +393,19 @@ def verify_mu_numeric(s: MubSet, tol: float = 1e-10, sample: int | None = None,
 
 
 def _verify_full(s: MubSet, tol: float) -> NumericReport:
-    """Row r holds the pairs (r, t), t > r, then (r, computational).
-
-    The overlaps of graph bases r and t, as a multiset over labels, are
-    the Fourier spectrum of the graph state g_D of D = A_t - A_r mod p:
-    for odd p the phase exponent is linear in A, and for p = 2 a diagonal
-    entry -1 in Z_4 is +1 plus a label shift, which permutes the labels.
-    So each difference class is transformed once, when a row first meets
-    it.  Its key is the base-p digits of the upper triangle of D packed
-    into int64 words (_key_weights); a sorted table holds the keys met so
-    far and the deviation of each class."""
-    p, n, d = s.p, s.n, s.dim
-    comp = len(s.stack)  # index of the computational basis
-    coefs = _upper(s.stack).astype(np.min_scalar_type(-p))
-    weights = _key_weights(p, coefs.shape[1])
-    table = np.empty(0, dtype=f"V{8 * weights.shape[1]}")
-    table_dev = np.empty(0)
+    """Row r holds the pairs (r, t), t > r, then (r, computational).  The
+    overlaps of graph bases r and t, as a multiset over labels, are the
+    Fourier spectrum of the graph state g_D of D = A_t - A_r mod p (the
+    phase exponent is linear in A for odd p; for p = 2 a diagonal -1 in Z_4
+    is +1 plus a label shift), so each distinct D is transformed once."""
+    p, n, coefs = s.p, s.n, _upper(s.stack)
+    comp = len(coefs)  # index of the computational basis
     comp_dev = _computational_devs(coefs, p, n)
     worst = float(comp_dev.max(initial=0.0))
     first = None
-    for r in range(comp):
-        diff = coefs[r + 1:] - coefs[r]
-        np.add(diff, p, out=diff, where=diff < 0)
-        keys = (diff @ weights).view(table.dtype).ravel()
-        pos = np.searchsorted(table, keys)
-        hit = pos < len(table)
-        hit[hit] = table[pos[hit]] == keys[hit]
-        devs = np.empty(len(keys))
-        devs[hit] = table_dev[pos[hit]]
-        miss = np.flatnonzero(~hit)
-        if miss.size:
-            new, rep, inverse = np.unique(keys[miss], return_index=True,
-                                          return_inverse=True)
-            new_dev = _class_devs(diff[miss[rep]], p, n)
-            devs[miss] = new_dev[inverse]
-            at = np.searchsorted(table, new)
-            table = np.insert(table, at, new)
-            table_dev = np.insert(table_dev, at, new_dev)
-            worst = max(worst, float(new_dev.max()))
+    for r, devs in enumerate(difference_rows(
+            s.stack, p, lambda r, ts: _class_devs((coefs[ts] - coefs[r]) % p, p, n))):
+        worst = max(worst, float(devs.max(initial=0.0)))
         if first is None:
             bad = np.flatnonzero(devs > tol)
             if bad.size:
@@ -452,19 +419,6 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
         worst_deviation=worst,
         first_violation=first,
     )
-
-
-def _key_weights(p: int, k: int) -> np.ndarray:
-    """Int64 weights (k, words) that pack k base-p digits into words of
-    c digits, c the largest with p^c <= 2^62: digit j has weight
-    p^(j mod c) in word j // c, so the packing is exact and injective."""
-    c = 1
-    while p ** (c + 1) <= 2**62:
-        c += 1
-    j = np.arange(k)
-    weights = np.zeros((k, -(-k // c)), dtype=np.int64)
-    weights[j, j // c] = p ** (j % c)
-    return weights
 
 
 def _computational_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:

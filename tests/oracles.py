@@ -11,9 +11,10 @@ basis-matrix grams instead of the difference-class Fourier sweep, the
 rank rule for the overlap spectrum of a difference B instead of its
 Fourier transform, one explicit state pair per sampled overlap instead
 of the batched exponent matmul, a scan of every bipartition's crossing
-block instead of the component walk, and explicit combinations of powers
+block instead of the component walk, explicit combinations of powers
 with a cofactor determinant per member instead of the characteristic-
-polynomial field proof.
+polynomial field proof, and a dict of nested-tuple differences instead of
+the packed int64 keys of the sorted difference-class table.
 """
 
 from itertools import combinations, product
@@ -176,6 +177,20 @@ def mu_condition_scalar(s, pairwise: bool = False) -> MuConditionReport:
         if det_cofactor((mats[r] - mats[t]).to_lists(), s.p) == 0:
             return MuConditionReport(ok=False, mode="pairwise", failing_pair=(r, t))
     return MuConditionReport(ok=True, mode="pairwise", failing_pair=None)
+
+
+def difference_rows_brute(stack, p: int):
+    """Per row r, the differences (A_t - A_r) mod p for t > r as nested
+    tuples, and a dict from each distinct difference to the first row
+    that meets it."""
+    rows, first = [], {}
+    for r in range(len(stack)):
+        row = [tuple(tuple(int(v) % p for v in line) for line in np.subtract(a, stack[r]))
+               for a in stack[r + 1:]]
+        for d in row:
+            first.setdefault(d, r)
+        rows.append(row)
+    return rows, first
 
 
 def numeric_sweep_brute(s, tol: float = 1e-10) -> NumericReport:

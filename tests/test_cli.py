@@ -119,6 +119,15 @@ def test_verify_sampled_numeric_pass(capsys, tmp_path):
     assert "sampled(200)" in out
 
 
+def test_verify_sample_without_numeric_is_usage_error(capsys, tmp_path):
+    # --sample only sizes the numeric check, so alone it would be ignored
+    path = tmp_path / "fam.json"
+    path.write_text(gen_doc(capsys))
+    code, out, err = run_cli(capsys, ["verify", str(path), "--sample", "10"])
+    assert code == 2 and out == ""
+    assert err == "usage error: --sample needs --numeric\n"
+
+
 def test_verify_numeric_failure(capsys, tmp_path):
     # two identical bases; whichever stage catches it, verify must fail
     doc = json.loads(gen_doc(capsys))
@@ -295,6 +304,16 @@ def test_analyze_bad_bipartition_is_usage_error(capsys, tmp_path):
         capsys, ["analyze", str(path), "--bipartition", "1,2,3"])
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("spelling", [",", ""])
+def test_analyze_empty_bipartition_is_usage_error(capsys, tmp_path, spelling):
+    # an empty X is no bipartition, not a request for all of them
+    path = tmp_path / "fam.json"
+    path.write_text(gen_doc(capsys))
+    code, out, err = run_cli(capsys, ["analyze", str(path), "--bipartition", spelling])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: X must be a nonempty subset of [1, 3]")
 
 
 def test_analyze_single_vertex_family(capsys, tmp_path):

@@ -13,6 +13,7 @@ from graphmub.mubs import (
     MuConditionReport,
     adjacency_set,
     canonical_json,
+    difference_rows,
     from_document,
     fundamental_graphs,
     index_to_coeffs,
@@ -22,7 +23,7 @@ from graphmub.mubs import (
     verify_mu_condition,
 )
 from graphmub.symrep import symmetric_representation, symmetrize_companion, tridiagonal_rep
-from oracles import field_brute, mu_condition_scalar, power_enumeration
+from oracles import difference_rows_brute, field_brute, mu_condition_scalar, power_enumeration
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -231,6 +232,63 @@ def test_field_family_passes_closure_without_a_determinant(monkeypatch):
         assert verify_mu_condition(fam) == MuConditionReport(True, "closure", None)
         assert fam.field_rep and not calls
     assert verify_mu_condition(fam, pairwise=True).ok and calls
+
+
+def test_pairwise_check_takes_one_determinant_per_difference(monkeypatch):
+    # a nonzero shift hides the field, so the pairwise check runs; its
+    # differences are the p^n - 1 nonzero members of the field, and each
+    # takes one determinant however many pairs share it
+    rows = []
+    eliminate = mubs.eliminate_stack
+    monkeypatch.setattr(mubs, "eliminate_stack",
+                        lambda stack, p: rows.append(len(stack)) or eliminate(stack, p))
+    for p, n in ((2, 5), (3, 3), (5, 2)):
+        fam = shift_set(mub_set(p, n), MatZp.identity(p, n))
+        rows.clear()
+        assert verify_mu_condition(fam) == MuConditionReport(True, "pairwise", None)
+        assert not fam.field_rep and sum(rows) == p**n - 1
+
+
+def _difference_stacks():
+    """(p, stack) cases: duplicated members, repeated differences, two-word
+    keys and the largest admitted prime."""
+    rng = np.random.default_rng(31)
+
+    def symmetric(p, n, count):
+        a = rng.integers(p, size=(count, n, n))
+        return np.triu(a) + np.triu(a, 1).transpose(0, 2, 1)
+
+    dup = mub_set(3, 2).stack.copy()
+    dup[[4, 7, 8]] = dup[[1, 1, 0]]
+    shifted = shift_set(mub_set(2, 3), MatZp(2, symmetric(2, 3, 1)[0].tolist())).stack
+    # n = 11 has 66 key digits, two words: members 0 and 1 differ only in
+    # digit 65, members 2 and 3 not at all
+    wide = symmetric(2, 11, 8)
+    wide[1], wide[3] = wide[0], wide[2]
+    wide[1, 10, 10] ^= 1
+    big = 2**31 - 1
+    x, y = symmetric(big, 3, 2)
+    progression = np.array([(x + c * y) % big for c in (0, 1, 2, 3, big - 1, big - 2, 1)])
+    return [(3, dup), (2, shifted), (2, wide), (big, progression),
+            (big, np.vstack([progression, symmetric(big, 3, 3)]))]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_difference_rows_match_brute_force(case):
+    p, stack = _difference_stacks()[case]
+    calls = []
+
+    def value(r, ts):
+        calls.extend((r, (stack[t] - stack[r]) % p) for t in ts)
+        return np.arange(len(calls) - len(ts), len(calls), dtype=float)
+
+    rows = list(difference_rows(stack, p, value))
+    expected, first = difference_rows_brute(stack, p)
+    met = [(r, tuple(map(tuple, d.tolist()))) for r, d in calls]
+    assert [[met[int(v)][1] for v in row] for row in rows] == expected
+    # one call per distinct D, by the first row that meets it
+    assert sorted(met) == sorted((r, d) for d, r in first.items())
+    assert len(first) < sum(map(len, expected))
 
 
 def _corrupt(fam, rng, copies):

@@ -8,7 +8,7 @@ import pytest
 
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp, rank_mod_p
-from graphmub.mubs import MubSet, mub_set, shift_set, verify_mu_condition
+from graphmub.mubs import MubSet, _key_weights, mub_set, shift_set, verify_mu_condition
 from graphmub import states
 from graphmub.states import (
     Circuit,
@@ -30,7 +30,6 @@ from graphmub.states import (
     stabilizer_check,
     state_index,
     verify_mu_numeric,
-    _key_weights,
     _sample_draws,
     _verify_sampled,
 )
