@@ -9,8 +9,10 @@ averaged-purity identity over a complete family,
 
     (1 + sum_i p^{-rank_i}) / (p^n + 1) = (d_X + d_Y) / (d_X d_Y + 1),
 
-is checked with exact equality.  Self-loops (diagonal entries) are local
-operations and never affect any classification here.
+is checked with exact equality.  The sum runs over the rank histogram:
+one exact term count_r * p^{-r} per distinct rank r, not one per member.
+Self-loops (diagonal entries) are local operations and never affect any
+classification here.
 """
 
 from __future__ import annotations
@@ -109,7 +111,9 @@ class DesignCheck:
 def _design_check(p: int, b: Bipartition, ranks) -> DesignCheck:
     """Averaged purity of a complete family with these ranks at b (the
     computational basis adds purity 1) against the Haar value."""
-    lhs = (1 + sum(Fraction(1, p**r) for r in ranks)) / (len(ranks) + 1)
+    counts = np.bincount(ranks)
+    total = sum(Fraction(int(k), p**r) for r, k in enumerate(counts) if k)
+    lhs = (1 + total) / (len(ranks) + 1)
     dx = p ** len(b.x)
     dy = p ** len(b.y)
     rhs = Fraction(dx + dy, dx * dy + 1)
@@ -190,11 +194,12 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
         "bipartitions": {},
     }
     complete = len(s.stack) == s.dim
+    purity = [str(Fraction(1, s.p**r)) for r in range(s.n + 1)]
     for b in bips:
         ranks = _cut_ranks(s.stack, s.p, b)
         entry = {
             "ranks": ranks,
-            "purities": [str(Fraction(1, s.p**r)) for r in ranks],
+            "purities": [purity[r] for r in ranks],
         }
         if complete:
             check = _design_check(s.p, b, ranks)

@@ -2,8 +2,10 @@
 
 `eliminate_stack` is the one Gaussian elimination: it ranks and takes the
 determinants of a whole int64 stack of matrices at once, and the rank
-and determinant of a single matrix are a stack of one.  The
-characteristic polynomial uses the division-free Berkowitz recursion,
+and determinant of a single matrix are a stack of one.  For p = 2 it
+has a bit-packed path: rows become uint64 words and each row operation
+is one XOR.  The characteristic polynomial uses the division-free
+Berkowitz recursion,
 which stays correct for every prime p including p <= n
 (Faddeev-LeVerrier would divide by k!); the inverse follows from it by
 Cayley-Hamilton.
@@ -217,15 +219,29 @@ def eliminate_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray | None]:
 
     Entries may be any int64 values (they are reduced first).  p < 2^31
     (`check_prime`) keeps every product of two residues below 2^62, and
-    each product is reduced before it is added.  Returns int64 arrays of
-    length N: the ranks, and the determinants (None when r != c).
+    each product is reduced before it is added.  For p = 2 each row is
+    packed into ceil(c/64) uint64 words and a column step is one XOR of
+    the pivot row into the rows that have the column's bit, the pivot
+    row included; a square member's determinant is then rank == r.
+    Returns int64 arrays of length N: the ranks, and the determinants
+    (None when r != c).
     """
     check_prime(p)
     m = np.asarray(stack, dtype=np.int64) % p
     count, nrows, ncols = m.shape
     members = np.arange(count)
-    row = np.arange(nrows)
     rank = np.zeros(count, dtype=np.int64)
+    if p == 2:
+        words = -(-ncols // 64)
+        packed = np.zeros((count, nrows, 8 * words), dtype=np.uint8)
+        packed[:, :, : -(-ncols // 8)] = np.packbits(m, axis=2, bitorder="little")
+        bits = packed.view("<u8")
+        for c in range(ncols):
+            has = (bits[:, :, c // 64] >> np.uint64(c % 64)) & np.uint64(1) != 0
+            bits ^= has[:, :, None] * bits[members, has.argmax(axis=1)][:, None, :]
+            rank += has.any(axis=1)
+        return rank, (rank == nrows).astype(np.int64) if nrows == ncols else None
+    row = np.arange(nrows)
     det = np.ones(count, dtype=np.int64)
     for c in range(ncols):
         # the pivot of each member is its first nonzero at or under row rank

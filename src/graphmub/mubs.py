@@ -167,7 +167,8 @@ def difference_rows(stack: np.ndarray, p: int, value):
     met so far, the base-p digits of D's upper triangle (_key_weights)."""
     coefs = _upper(stack).astype(np.min_scalar_type(-p))
     weights = _key_weights(p, coefs.shape[1])
-    table = np.empty(0, dtype=f"V{8 * weights.shape[1]}")
+    words = weights.shape[1]
+    table = np.empty(0, dtype=np.int64 if words == 1 else f"V{8 * words}")
     table_val = np.empty(0)
     for r in range(len(coefs)):
         diff = coefs[r + 1:] - coefs[r]

@@ -13,10 +13,13 @@ Fourier transform, one explicit state pair per sampled overlap instead
 of the batched exponent matmul, a scan of every bipartition's crossing
 block instead of the component walk, explicit combinations of powers
 with a cofactor determinant per member instead of the characteristic-
-polynomial field proof, and a dict of nested-tuple differences instead of
-the packed int64 keys of the sorted difference-class table.
+polynomial field proof, a dict of nested-tuple differences instead of
+the packed int64 keys of the sorted difference-class table, and one
+`Fraction` term and one purity string per member instead of the rank
+histogram and the per-rank lookup of the analysis report.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -273,3 +276,33 @@ def classify_by_bipartitions(a: MatZp) -> str:
     if p == 2 and (degrees == [n - 1] * n or degrees == [1] * (n - 1) + [n - 1]):
         return GHZ_TYPE
     return GENUINELY_MULTIPARTITE
+
+
+def analysis_report_brute(s, cuts=None) -> dict:
+    """analysis_report member by member: rank_brute of each crossing block,
+    one purity string and one Fraction term of the design sum per member,
+    and labels from the bipartition scan.  cuts are X sides (1-based); by
+    default every X that holds vertex 1."""
+    p, n, mats = s.p, s.n, s.matrices
+    if cuts is None:
+        cuts = [(1,) + rest for size in range(n - 1)
+                for rest in combinations(range(2, n + 1), size)]
+    labels = [classify_by_bipartitions(m) for m in mats]
+    report = {"p": p, "n": n, "labels": labels,
+              "census": {label: labels.count(label) for label in set(labels)},
+              "computational_basis": FULLY_SEPARABLE, "bipartitions": {}}
+    for x in cuts:
+        y = [v for v in range(1, n + 1) if v not in x]
+        ranks = [rank_brute(m.submatrix([v - 1 for v in x], [v - 1 for v in y]), p)
+                 for m in mats]
+        entry = {"ranks": ranks, "purities": [str(Fraction(1, p**r)) for r in ranks]}
+        if len(mats) == p**n:
+            lhs = Fraction(1)
+            for r in ranks:
+                lhs += Fraction(1, p**r)
+            lhs /= len(mats) + 1
+            dx, dy = p ** len(x), p ** len(y)
+            rhs = Fraction(dx + dy, dx * dy + 1)
+            entry.update(design_lhs=str(lhs), design_rhs=str(rhs), design_pass=lhs == rhs)
+        report["bipartitions"][",".join(map(str, x)) + "|" + ",".join(map(str, y))] = entry
+    return report

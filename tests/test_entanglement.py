@@ -21,8 +21,8 @@ from graphmub.entanglement import (
 )
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
-from graphmub.mubs import mub_set, shift_set
-from oracles import classify_by_bipartitions
+from graphmub.mubs import canonical_json, mub_set, shift_set
+from oracles import analysis_report_brute, classify_by_bipartitions
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -232,3 +232,31 @@ def test_analysis_report_single_bipartition():
     fam = qubit_triple_family()
     report = analysis_report(fam, [Bipartition.of((2,), 3)])
     assert list(report["bipartitions"]) == ["2|1,3"]
+
+
+def random_shift(p, n, seed):
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randrange(p)
+    return MatZp(p, rows)
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+                                  (3, 3), (3, 4), (5, 3), (7, 2)])
+def test_analysis_report_matches_member_by_member_oracle(p, n):
+    # the rank histogram, the per-rank purity strings and the p = 2 kernel
+    # against rank_brute, one Fraction and one string per member
+    fam = mub_set(p, n)
+    shifted = shift_set(fam, random_shift(p, n, 10 * p + n))
+    truncated = type(fam)(p=p, n=n, stack=shifted.stack[1:])
+    for s in (fam, shifted, truncated):
+        report = analysis_report(s)
+        assert canonical_json(report) == canonical_json(analysis_report_brute(s))
+    assert all(set(entry) == {"ranks", "purities"}
+               for entry in report["bipartitions"].values())
+    x = (1, 3) if n > 2 else (2,)
+    single = analysis_report(shifted, [Bipartition.of(x, n)])
+    assert canonical_json(single) == canonical_json(analysis_report_brute(shifted, [x]))
+    assert len(single["bipartitions"]) == 1

@@ -143,6 +143,49 @@ def test_eliminate_stack_matches_scalar_and_oracles(p):
     assert singular >= 10
 
 
+@pytest.mark.parametrize("nrows, ncols", [(3, 70), (1, 130), (70, 3)])
+def test_gf2_kernel_on_multiword_and_tall_blocks(nrows, ncols):
+    # p = 2 packs rows into ceil(c/64) uint64 words: 70 and 130 columns
+    # take two and three words, 70 rows one word each; unreduced entries,
+    # a member of rank <= 2 and a member that is zero mod 2 in each stack
+    rng = random.Random(67 + ncols)
+    stack = random_stack(rng, 2, 4, nrows, ncols)
+    u, v = ([rng.randrange(2) for _ in range(ncols)] for _ in range(2))
+    coef = [(rng.randrange(2), rng.randrange(2)) for _ in range(nrows)]
+    stack.append([[a * s + b * t + 2 * rng.randrange(-2, 3) for s, t in zip(u, v)]
+                  for a, b in coef])
+    stack.append([[2 * rng.randrange(-2, 3) for _ in range(ncols)] for _ in range(nrows)])
+    ranks, dets = eliminate_stack(np.array(stack), 2)
+    assert dets is None
+    expected = [rank_brute(m, 2) for m in stack]
+    assert ranks.tolist() == expected
+    assert expected[-2] <= 2 and expected[-1] == 0
+    assert max(expected) == min(nrows, ncols)
+    assert [rank_mod_p(m, 2) for m in stack] == expected
+    # member j is odd only in column j, so every bit of every word must
+    # be found: rank 1 each
+    unit = [[[int(j == k) + 2 * rng.randrange(-2, 3) for k in range(ncols)]
+             for _ in range(nrows)] for j in range(ncols)]
+    assert eliminate_stack(np.array(unit), 2)[0].tolist() == [1] * ncols
+
+
+def test_det_and_rank_at_p2_meet_oracles():
+    # MatZp.det and rank_mod_p are the bit-packed path on a stack of one
+    rng = random.Random(71)
+    singular = 0
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        rows = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        rank = rank_brute(rows, 2)
+        assert MatZp(2, rows).det() == det_cofactor(rows, 2) == int(rank == n)
+        assert rank_mod_p(rows, 2) == MatZp(2, rows).rank() == rank
+        ncols = rng.randrange(1, n + 1)
+        block = [r[:ncols] for r in rows[: rng.randrange(1, n + 1)]]
+        assert rank_mod_p(block, 2) == rank_brute(block, 2)
+        singular += rank < n
+    assert singular >= 40
+
+
 def test_eliminate_stack_near_the_modulus_bound():
     # p = 2^31 - 1 is the largest admitted prime: residues near p must
     # not overflow int64 in any product or sum
