@@ -10,8 +10,12 @@ full family p^n + 1 bases.
 
 A family is stored once, as its int64 stack `MubSet.stack`, which every
 check reads; `MubSet.matrices` is a view of it built on first use.
-`MubSet.field_rep` proves from the stack that the members form a field;
-other families get one determinant per distinct difference A_t - A_r.
+`MubSet.field_rep` proves from the stack that the members form a field.
+Other families get one determinant per distinct difference A_t - A_r:
+the N - 1 differences from member 0 when `MubSet.affine` proves the stack
+a coset of a subspace (a shifted or reordered field), since member 0 then
+meets every difference; a walk over all pairs (`difference_rows`) for
+any other stack.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ class MubSet:
     reduced mod p, from nested integers of any size or an integer array
     (ValueError for members or shifts that are not symmetric n x n).
     Index i corresponds to the coefficient vector (a_0, ..., a_{n-1})
-    with a_0 varying fastest: stack[i] = sum_k a_k Q^k.  `field_rep` is
-    derived from `stack`, never given.  `matrices` is a view of `stack`.
-    The implicit computational basis is always part of the family and
-    never stored.
+    with a_0 varying fastest: stack[i] = sum_k a_k Q^k.  `field_rep` and
+    `affine` are derived from `stack`, never given.  `matrices` is a view
+    of `stack`.  The implicit computational basis is always part of the
+    family and never stored.
     """
 
     p: int
@@ -85,6 +89,26 @@ class MubSet:
             return False
         q = MatZp(p, self.stack[p].tolist()) if n > 1 else MatZp.identity(p, 1)
         return q.char_poly().is_irreducible() and np.array_equal(_field(q), self.stack)
+
+    @cached_property
+    def affine(self) -> bool:
+        """True when the stack is a coset s_0 + G of a Z_p-subspace G, so
+        member 0 meets every difference class: each A_t - A_r is a nonzero
+        member of G, and those are exactly the A_t - s_0, t > 0.  Proven
+        from the stack alone, in any index order: the upper-triangle rows
+        of S - s_0 mod p are N distinct rows (sorted packed keys) of rank k
+        with p^k = N, so they are all of their span.  A proven field is one
+        (s_0 = 0, G = Z_p[Q]) and skips that test."""
+        if self.field_rep:  # proven already wherever the checks ask
+            return True
+        p, coefs = self.p, _upper(self.stack)
+        if not len(coefs):  # no member 0, and no pair to walk
+            return False
+        coefs = (coefs - coefs[0]) % p
+        keys = np.sort(_keys(coefs, _key_weights(p, coefs.shape[1])))
+        if (keys[1:] == keys[:-1]).any():  # cheaper than the rank
+            return False
+        return p ** int(eliminate_stack(coefs[None], p)[0][0]) == len(coefs)
 
     @property
     def dim(self) -> int:
@@ -160,34 +184,61 @@ def _key_weights(p: int, k: int) -> np.ndarray:
     return weights
 
 
+def _keys(digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One sortable key per row of base-p digits: int64 for one word,
+    else the row's words as one opaque (void) item."""
+    words = digits @ weights
+    if words.shape[1] == 1:
+        return words.ravel()
+    return words.view(f"V{8 * words.shape[1]}").ravel()
+
+
 def difference_rows(stack: np.ndarray, p: int, value):
     """Per row r of an (N, n, n) stack, float64 values of D = A_t - A_r
     mod p for t > r.  value(r, ts) gives those of A_ts - A_r, called once per
-    distinct D by the first row that meets it: a sorted table holds the keys
-    met so far, the base-p digits of D's upper triangle (_key_weights)."""
+    distinct D by the first row that meets it.  The keys met so far, the
+    base-p digits of D's upper triangle (_key_weights), are held in sorted
+    runs with their values; a new run is merged into the one before it
+    while that one is at most twice as long as the new run or as the row.
+    So there are O(log N) runs, each key is copied O(log N) times, and a
+    row that meets few new keys keeps one table, copying no more than it
+    looks up."""
     coefs = _upper(stack).astype(np.min_scalar_type(-p))
     weights = _key_weights(p, coefs.shape[1])
-    words = weights.shape[1]
-    table = np.empty(0, dtype=np.int64 if words == 1 else f"V{8 * words}")
-    table_val = np.empty(0)
+    runs = []  # (sorted keys, values), each run over twice the next one
     for r in range(len(coefs)):
         diff = coefs[r + 1:] - coefs[r]
         np.add(diff, p, out=diff, where=diff < 0)
-        keys = (diff @ weights).view(table.dtype).ravel()
-        pos = np.searchsorted(table, keys)
-        hit = pos < len(table)
-        hit[hit] = table[pos[hit]] == keys[hit]
+        keys = _keys(diff, weights)
         vals = np.empty(len(keys))
-        vals[hit] = table_val[pos[hit]]
-        miss = np.flatnonzero(~hit)
+        miss = np.ones(len(keys), dtype=bool)
+        for table, table_val in runs:
+            pos = np.searchsorted(table, keys)
+            hit = pos < len(table)
+            hit[hit] = table[pos[hit]] == keys[hit]
+            vals[hit] = table_val[pos[hit]]
+            miss &= ~hit
+        miss = np.flatnonzero(miss)
         if miss.size:
             new, rep, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
             new_val = value(r, r + 1 + miss[rep])
             vals[miss] = new_val[inverse]
-            at = np.searchsorted(table, new)
-            table = np.insert(table, at, new)
-            table_val = np.insert(table_val, at, new_val)
+            runs.append((new, new_val))
+            while len(runs) > 1 and 2 * max(len(runs[-1][0]), len(keys)) >= len(runs[-2][0]):
+                (table, table_val), (new, new_val) = runs.pop(-2), runs.pop()
+                at = np.searchsorted(table, new)
+                runs.append((np.insert(table, at, new), np.insert(table_val, at, new_val)))
         yield vals
+
+
+def difference_classes(s: MubSet, value):
+    """The rows of `difference_rows` that can meet a class first: row 0
+    alone, value(0, [1, ..., N - 1]), when `s.affine`, since row 0 of
+    an affine stack meets every class (so a later row meets none); every
+    row of the walk otherwise."""
+    if s.affine:
+        return [value(0, np.arange(1, len(s.stack)))]
+    return difference_rows(s.stack, s.p, value)
 
 
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
@@ -196,13 +247,17 @@ def verify_mu_condition(s: MubSet, pairwise: bool = False):
     A family that `field_rep` proves to be a field passes in closure mode
     with no determinant.  Any other family, or any family when pairwise
     is set, gets one determinant per distinct difference A_t - A_r
-    (`difference_rows`).  Returns a report with the first failing pair.
+    (`difference_classes`): one `eliminate_stack` call of the N - 1
+    differences from member 0 for an affine stack (a field, shifted or
+    reordered), else the walk over all pairs.  Returns a report with the
+    first failing pair, which for an affine stack is (0, least failing t),
+    the pair the walk meets first.
     """
     if s.field_rep and not pairwise:
         return MuConditionReport(ok=True, mode="closure", failing_pair=None)
     stack = s.stack
-    for r, dets in enumerate(difference_rows(
-            stack, s.p, lambda r, ts: eliminate_stack(stack[ts] - stack[r], s.p)[1])):
+    for r, dets in enumerate(difference_classes(
+            s, lambda r, ts: eliminate_stack(stack[ts] - stack[r], s.p)[1])):
         singular = np.flatnonzero(dets == 0)
         if singular.size:
             return MuConditionReport(ok=False, mode="pairwise",

@@ -12,7 +12,9 @@ only on the label difference m' - m, and the n-qupit Fourier transform
 of conj(g_r) g_t yields all p^n of them at once.  That product is the
 graph state of D = A_t - A_r mod p over sqrt(p^n), up to a label shift
 for p = 2, so the full sweep transforms one state per distinct D
-(`mubs.difference_rows`): p^n - 1 for a subtraction-closed or shifted family.
+(`mubs.difference_classes`): the p^n - 1 differences from member 0 for
+a family that `MubSet.affine` proves a coset of a subspace (a field,
+shifted or reordered), found by a walk over all pairs for any other.
 
 The sampled check builds no state vectors.  Every amplitude of a basis
 element is w_M^e(x) / sqrt(p^n) with e(x) linear in the upper triangle of
@@ -37,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import MatZp
-from .mubs import MubSet, _upper, difference_rows
+from .mubs import MubSet, _upper, difference_classes
 
 FULL_SWEEP_LIMIT = 10**4
 SAMPLE_CHUNK = 1 << 16  # amplitudes per chunk of the numeric checks
@@ -397,21 +399,29 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
     overlaps of graph bases r and t, as a multiset over labels, are the
     Fourier spectrum of the graph state g_D of D = A_t - A_r mod p (the
     phase exponent is linear in A for odd p; for p = 2 a diagonal -1 in Z_4
-    is +1 plus a label shift), so each distinct D is transformed once."""
+    is +1 plus a label shift), so each distinct D is transformed once
+    (`difference_classes`): the N - 1 classes of row 0 for an affine stack,
+    whose later rows meet no new class, else those of the walk.  The first
+    violation is in the least row with a failing class or computational
+    pair, the class first at a tie, as a row-by-row scan meets them."""
     p, n, coefs = s.p, s.n, _upper(s.stack)
     comp = len(coefs)  # index of the computational basis
     comp_dev = _computational_devs(coefs, p, n)
     worst = float(comp_dev.max(initial=0.0))
-    first = None
-    for r, devs in enumerate(difference_rows(
-            s.stack, p, lambda r, ts: _class_devs((coefs[ts] - coefs[r]) % p, p, n))):
+    pair = None
+    for r, devs in enumerate(difference_classes(
+            s, lambda r, ts: _class_devs((coefs[ts] - coefs[r]) % p, p, n))):
         worst = max(worst, float(devs.max(initial=0.0)))
-        if first is None:
+        if pair is None:
             bad = np.flatnonzero(devs > tol)
             if bad.size:
-                first = _pair_violation(s, r, r + 1 + int(bad[0]))
-            elif comp_dev[r] > tol:
-                first = (r, comp, 0, 0, float(comp_dev[r]))
+                pair = (r, r + 1 + int(bad[0]))
+    first = None
+    bad = np.flatnonzero(comp_dev > tol)
+    if bad.size and (pair is None or bad[0] < pair[0]):
+        first = (int(bad[0]), comp, 0, 0, float(comp_dev[bad[0]]))
+    elif pair is not None:
+        first = _pair_violation(s, *pair)
     return NumericReport(
         ok=first is None,
         mode="full",

@@ -14,7 +14,9 @@ of the batched exponent matmul, a scan of every bipartition's crossing
 block instead of the component walk, explicit combinations of powers
 with a cofactor determinant per member instead of the characteristic-
 polynomial field proof, a dict of nested-tuple differences instead of
-the packed int64 keys of the sorted difference-class table, and one
+the packed int64 keys of the sorted difference-class table, a span
+enumerated one difference at a time instead of the rank and sorted keys
+of the affine check, and one
 `Fraction` term and one purity string per member instead of the rank
 histogram and the per-rank lookup of the analysis report.
 """
@@ -194,6 +196,22 @@ def difference_rows_brute(stack, p: int):
             first.setdefault(d, r)
         rows.append(row)
     return rows, first
+
+
+def affine_brute(stack, p: int) -> bool:
+    """True when the members form a coset s_0 + G of a Z_p-subspace G: the
+    differences from member 0 are distinct and are all of the span they
+    generate, enumerated by adding every multiple of each difference not
+    yet in it."""
+    rows = [tuple(int(v) % p for v in np.ravel(m)) for m in stack]
+    diffs = {tuple((a - b) % p for a, b in zip(row, rows[0])) for row in rows}
+    span = {(0,) * len(rows[0])}
+    for g in diffs:
+        if g not in span:
+            span = {tuple((x + c * y) % p for x, y in zip(v, g)) for v in span for c in range(p)}
+            if len(span) > len(rows):
+                return False
+    return len(diffs) == len(rows) and span == diffs
 
 
 def numeric_sweep_brute(s, tol: float = 1e-10) -> NumericReport:

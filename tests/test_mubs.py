@@ -237,11 +237,17 @@ def test_field_family_passes_closure_without_a_determinant(monkeypatch):
 def test_pairwise_check_takes_one_determinant_per_difference(monkeypatch):
     # a nonzero shift hides the field, so the pairwise check runs; its
     # differences are the p^n - 1 nonzero members of the field, and each
-    # takes one determinant however many pairs share it
+    # takes one determinant however many pairs share it (square calls
+    # only: the affine check's rank is one call on an (N, n(n+1)/2) block)
     rows = []
     eliminate = mubs.eliminate_stack
-    monkeypatch.setattr(mubs, "eliminate_stack",
-                        lambda stack, p: rows.append(len(stack)) or eliminate(stack, p))
+
+    def counting(stack, p):
+        if stack.shape[1] == stack.shape[2]:
+            rows.append(len(stack))
+        return eliminate(stack, p)
+
+    monkeypatch.setattr(mubs, "eliminate_stack", counting)
     for p, n in ((2, 5), (3, 3), (5, 2)):
         fam = shift_set(mub_set(p, n), MatZp.identity(p, n))
         rows.clear()
@@ -251,7 +257,9 @@ def test_pairwise_check_takes_one_determinant_per_difference(monkeypatch):
 
 def _difference_stacks():
     """(p, stack) cases: duplicated members, repeated differences, two-word
-    keys and the largest admitted prime."""
+    keys, the largest admitted prime, and two that hold several sorted runs
+    at once: a field with one member edited (one new key per row) and 40
+    random members (mostly new keys)."""
     rng = np.random.default_rng(31)
 
     def symmetric(p, n, count):
@@ -269,11 +277,14 @@ def _difference_stacks():
     big = 2**31 - 1
     x, y = symmetric(big, 3, 2)
     progression = np.array([(x + c * y) % big for c in (0, 1, 2, 3, big - 1, big - 2, 1)])
+    edited = mub_set(2, 5).stack.copy()
+    edited[20, 0, 0] ^= 1
     return [(3, dup), (2, shifted), (2, wide), (big, progression),
-            (big, np.vstack([progression, symmetric(big, 3, 3)]))]
+            (big, np.vstack([progression, symmetric(big, 3, 3)])),
+            (2, edited), (2, symmetric(2, 4, 40))]
 
 
-@pytest.mark.parametrize("case", range(5))
+@pytest.mark.parametrize("case", range(7))
 def test_difference_rows_match_brute_force(case):
     p, stack = _difference_stacks()[case]
     calls = []
