@@ -15,6 +15,10 @@ for p = 2, so the full sweep transforms one state per distinct D
 (`mubs.difference_classes`): the p^n - 1 differences from member 0 for
 a family that `MubSet.affine` proves a coset of a subspace (a field,
 shifted or reordered), found by a walk over all pairs for any other.
+The transform takes the qupits in ceil(n / b) blocks of at most b, with
+p^b <= FOURIER_BLOCK: one complex matmul per block against a cached
+dense table of F on the block's qupits.  A qupit with p > FOURIER_BLOCK
+takes a length-p FFT instead, so no table grows past FOURIER_BLOCK^2.
 
 The sampled check builds no state vectors.  Every amplitude of a basis
 element is w_M^e(x) / sqrt(p^n) with e(x) linear in the upper triangle of
@@ -43,6 +47,7 @@ from .mubs import MubSet, _upper, difference_classes
 
 FULL_SWEEP_LIMIT = 10**4
 SAMPLE_CHUNK = 1 << 16  # amplitudes per chunk of the numeric checks
+FOURIER_BLOCK = 128  # side of the largest dense Fourier table in the full sweep
 
 
 @lru_cache(maxsize=None)
@@ -444,26 +449,54 @@ def _computational_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
     return dev
 
 
+@lru_cache(maxsize=None)
+def _fourier_block(p: int, b: int) -> np.ndarray:
+    """F on b qupits as a dense read-only (p^b, p^b) table: entry (j, k) is
+    w_p^{j.k} / sqrt(p^b), j.k the dot product of the base-p digits, a
+    lookup in _roots(p) like every phase."""
+    dig = _digits(p, b)
+    table = p ** (-b / 2) * _roots(p)[(dig @ dig.T) % p]
+    table.setflags(write=False)
+    return table
+
+
 def _fourier_devs(amps: np.ndarray, p: int, n: int) -> np.ndarray:
-    """||F a(k)|^2 - 1/d| for each row a of amps (N, p^n).  F is the
-    n-qupit Fourier transform: n length-p inverse FFTs (numpy's sign is
-    F's) along the last qupit, each followed by a rotation that makes the
-    first qupit last, O(d log p) per qupit for any p."""
+    """||F a(k)|^2 - 1/d| for each row a of amps (N, p^n), or for one row
+    (p^n,), as shape (N, p^n).  F is the n-qupit Fourier transform, applied
+    in ceil(n / b) blocks of c <= b qupits, as even as they come, with b
+    the largest such that p^b <= FOURIER_BLOCK: the last c qupits take one
+    matmul against the symmetric _fourier_block(p, c), O(d p^c), then a
+    rotation brings them to the front.  A qupit with p > FOURIER_BLOCK
+    takes a length-p inverse FFT (numpy's sign is F's) instead, O(d log p)
+    and no p x p table."""
     d = p**n
-    for _ in range(n):
-        amps = np.fft.ifft(amps.reshape(-1, p), norm="ortho")
-        amps = amps.reshape(-1, p, d // p).transpose(0, 2, 1)
-    return np.abs(np.abs(amps.reshape(-1, d)) ** 2 - 1.0 / d)
+    b = 1
+    while p ** (b + 1) <= FOURIER_BLOCK:
+        b += 1
+    blocks = -(-n // b)
+    for i in range(blocks):
+        c = (n + i) // blocks
+        q = p**c
+        amps = amps.reshape(-1, q)
+        if q > FOURIER_BLOCK:
+            amps = np.fft.ifft(amps, norm="ortho")
+        else:
+            amps = amps @ _fourier_block(p, c)
+        amps = amps.reshape(-1, d // q, q).transpose(0, 2, 1)
+    dev = np.abs(amps)
+    dev **= 2
+    dev -= 1.0 / d
+    return np.abs(dev, out=dev).reshape(-1, d)
 
 
 def _class_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
     """max_k ||F g_D(k)|^2 - 1/d| for each coefficient row of D, in chunks
     of about SAMPLE_CHUNK amplitudes."""
-    roots = _roots(_phase_modulus(p))
+    amp_of = p ** (-n / 2) * _roots(_phase_modulus(p))
     rows = max(1, SAMPLE_CHUNK // p**n)
     out = np.empty(len(coefs))
     for lo in range(0, len(coefs), rows):
-        amps = p ** (-n / 2) * roots[_exponents(coefs[lo:lo + rows], p, n)]
+        amps = amp_of[_exponents(coefs[lo:lo + rows], p, n)]
         out[lo:lo + rows] = _fourier_devs(amps, p, n).max(axis=1)
     return out
 

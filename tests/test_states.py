@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -367,9 +368,10 @@ def with_corrupted_member(fam, k):
     return MubSet(p=p, n=n, stack=[m.rows for m in mats])
 
 
-def random_family(p, n):
+def random_family(p, n, size=None):
     rng = random.Random(p * n)
-    return MubSet(p=p, n=n, stack=[random_adjacency(rng, p, n).rows for _ in range(p**n)])
+    return MubSet(p=p, n=n, stack=[random_adjacency(rng, p, n).rows
+                                   for _ in range(size or p**n)])
 
 
 EXACT_CASES = {
@@ -387,6 +389,12 @@ EXACT_CASES = {
     "negative-digits": lambda: MubSet(p=3, n=2, stack=[
         MatZp(3, rows).rows for rows in ([[2, 2], [2, 2]], [[1, 1], [1, 2]], [[1, 0], [0, 2]],
                                     [[0, 2], [2, 1]])]),
+    # p^n above FOURIER_BLOCK, so every class takes two dense blocks; a
+    # few members keep the brute-force oracle fast, and neither stack is
+    # affine, so the walk runs
+    "multi-block-corrupted-2,8": lambda: MubSet(
+        p=2, n=8, stack=with_corrupted_member(mub_set(2, 8), 3).stack[:12]),
+    "multi-block-random-3,5": lambda: random_family(3, 5, size=10),
 }
 
 
@@ -699,6 +707,40 @@ def test_fourier_matches_explicit_dft(p):
         assert np.allclose(apply_fourier(amps, p, n, i), full @ amps, atol=1e-13)
         assert np.allclose(apply_fourier(amps, p, n, i, dagger=True),
                            full.conj().T @ amps, atol=1e-13)
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 4), (7, 3), (11, 3), (127, 1), (131, 1)])
+def test_fourier_devs_match_kron_across_block_boundaries(p, n):
+    # two blocks compose for the first five (4 + 4, 3 + 2, 2 + 2, 2 + 1
+    # and 2 + 1 qupits); 127 is the largest dense block and 131 takes the
+    # FFT
+    d = p**n
+    rng = np.random.default_rng(p * n)
+    amps = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    j = np.arange(p)
+    f = np.exp(2j * np.pi * np.outer(j, j) / p) / np.sqrt(p)
+    full = functools.reduce(np.kron, [f] * n)
+    exact = np.abs(np.abs(amps @ full.T) ** 2 - 1 / d)
+    assert np.allclose(states._fourier_devs(amps, p, n), exact, rtol=0, atol=1e-14)
+    # one 1-D row, as _pair_violation passes it
+    row = states._fourier_devs(amps[1], p, n)
+    assert row.shape == (1, d)
+    assert np.allclose(row[0], exact[1], rtol=0, atol=1e-14)
+
+
+def test_fourier_devs_on_a_large_qupit_stays_small():
+    # a dense Fourier block would take 64 MB at p = 2003
+    p = 2003
+    amps = plus_state(p, 1)
+    tracemalloc.start()
+    try:
+        devs = states._fourier_devs(amps, p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert abs(devs[0, 0] - (1 - 1 / p)) < 1e-12 and abs(devs[0, 1:] - 1 / p).max() < 1e-12
 
 
 def test_fourier_on_a_large_qupit_stays_small():
