@@ -24,9 +24,14 @@ The sampled check builds no state vectors.  Every amplitude of a basis
 element is w_M^e(x) / sqrt(p^n) with e(x) linear in the upper triangle of
 the adjacency matrix and in the label (M = 4 for p = 2, else M = p), so a
 cross-basis overlap is a character sum over the exponents of a difference
-row.  Each chunk of samples, about 2^16 amplitudes whatever p^n and the
-sample count, takes one float64 matmul of difference rows against a
-monomial table, exact in integers; graph_state uses the same table.
+row.  Splitting the qupits into a head of ceil(n/2) and a tail of
+floor(n/2), the exponent is a head part, a tail part and one bilinear
+term u.C v between them, so the sum is the head's phases times the
+tail's Fourier transform (the full sweep's kernel) read at the
+frequencies C^T u: O(p^ceil(n/2) n^2) per draw, not O(p^n n^2).  Exponents
+come from float64 matmuls against monomial tables, exact in integers;
+graph_state uses the same tables.  A draw against the computational
+basis evaluates its one exponent at the drawn input, O(n^2).
 
 Gate conventions: the local phase gate is diag(i^k) for p = 2 and
 diag(w_p^{k(k-1)/2}) for p >= 3; the controlled phase multiplies
@@ -46,7 +51,7 @@ from .linalg import MatZp
 from .mubs import MubSet, _upper, difference_classes
 
 FULL_SWEEP_LIMIT = 10**4
-SAMPLE_CHUNK = 1 << 16  # amplitudes per chunk of the numeric checks
+SAMPLE_CHUNK = 1 << 16  # array entries per chunk of the numeric checks
 FOURIER_BLOCK = 128  # side of the largest dense Fourier table in the full sweep
 
 
@@ -57,13 +62,16 @@ def _roots(m: int) -> np.ndarray:
     return table
 
 
+def _digits_of(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Base-p digits of the indices idx, shape idx.shape + (n,), most
+    significant digit first."""
+    return idx[..., None] // p ** np.arange(n - 1, -1, -1) % p
+
+
 @lru_cache(maxsize=None)
 def _digits(p: int, n: int) -> np.ndarray:
     """Base-p digit table, shape (p^n, n), most significant digit first."""
-    d = p**n
-    idx = np.arange(d)
-    cols = [(idx // p ** (n - 1 - i)) % p for i in range(n)]
-    table = np.stack(cols, axis=1)
+    table = _digits_of(np.arange(p**n), p, n)
     table.setflags(write=False)
     return table
 
@@ -148,28 +156,36 @@ def _phase_modulus(p: int) -> int:
     return 4 if p == 2 else p
 
 
-@lru_cache(maxsize=None)
-def _phase_table(p: int, n: int) -> np.ndarray:
-    """Float64 table of shape (n(n+1)/2 + n, p^n), entries reduced mod M.
+def _monomials(dig: np.ndarray, p: int) -> np.ndarray:
+    """Float64 monomials of the phase exponent at the inputs whose base-p
+    digits are the columns of dig (n, X), shape (n(n+1)/2 + n, X), entries
+    reduced mod M.
 
     Row (i, j), i <= j in row-major order, is the monomial that A_ij
     multiplies in the phase exponent of |G(m)>(x): x_i (p = 2) or
     x_i(x_i - 1)/2 (odd p) on the diagonal, 2 x_i x_j (p = 2) or x_i x_j
     (odd p) off it.  The last n rows are (M/p) x_i, multiplied by m_i.
     A row of k coefficients below M against it sums k terms below M^2, so
-    the float64 matmul in _exponents is exact while k M^2 < 2^53."""
+    the float64 products in _exponents and _verify_sampled are exact while
+    k M^2 < 2^53."""
+    n = len(dig)
     m = _phase_modulus(p)
     lab = m // p
     k = n * (n + 1) // 2 + n
     if k * (m - 1) ** 2 >= 2**53:
         raise ValueError(f"phase exponents for p={p}, n={n} exceed float64 precision")
-    dig = _digits(p, n).T
     rows = []
     for i in range(n):
         rows.append(dig[i] if p == 2 else dig[i] * (dig[i] - 1) // 2)
         rows.extend(lab * dig[i] * dig[j] for j in range(i + 1, n))
     rows.extend(lab * dig)
-    table = (np.array(rows, dtype=np.int64) % m).astype(np.float64)
+    return (np.array(rows, dtype=np.int64).reshape(k, dig.shape[1]) % m).astype(np.float64)
+
+
+@lru_cache(maxsize=None)
+def _phase_table(p: int, n: int) -> np.ndarray:
+    """_monomials at all p^n inputs in computational order, read-only."""
+    table = _monomials(_digits(p, n).T, p)
     table.setflags(write=False)
     return table
 
@@ -177,11 +193,20 @@ def _phase_table(p: int, n: int) -> np.ndarray:
 def _exponents(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
     """Phase exponents mod M at all p^n inputs x, shape (..., p^n), for
     coefficient rows (..., k) against the first k rows of _phase_table:
-    one float64 matmul, exact (see _phase_table)."""
+    one float64 matmul, exact (see _monomials)."""
     m = _phase_modulus(p)
     coefs = np.asarray(coefs, dtype=np.int64) % m
     table = _phase_table(p, n)[: coefs.shape[-1]]
-    return (coefs.astype(np.float64) @ table).astype(np.int64) % m
+    return _mod((coefs.astype(np.float64) @ table).astype(np.int64), m)
+
+
+def _mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m, in place, for an int64 array x: numpy divides by a scalar
+    several times faster than it takes the remainder."""
+    q = x // m
+    q *= m
+    x -= q
+    return x
 
 
 def graph_state(a: MatZp) -> np.ndarray:
@@ -386,10 +411,14 @@ def verify_mu_numeric(s: MubSet, tol: float = 1e-10, sample: int | None = None,
     (0, k) with k the first label at the pair's exact worst overlap;
     sampled mode draws `sample` random cross-basis pairs.
     A tol that is negative or not finite is a ValueError (no deviation
-    exceeds NaN, so a NaN tol would pass any family).
+    exceeds NaN, so a NaN tol would pass any family), and so is a sample
+    that is not an int >= 1 (zero draws would pass any family).
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if sample is not None and not (isinstance(sample, (int, np.integer))
+                                   and not isinstance(sample, bool) and sample >= 1):
+        raise ValueError(f"sample must be an int >= 1, got {sample!r}")
     d = s.dim
     if sample is None:
         if d > FULL_SWEEP_LIMIT:
@@ -460,11 +489,11 @@ def _fourier_block(p: int, b: int) -> np.ndarray:
     return table
 
 
-def _fourier_devs(amps: np.ndarray, p: int, n: int) -> np.ndarray:
-    """||F a(k)|^2 - 1/d| for each row a of amps (N, p^n), or for one row
-    (p^n,), as shape (N, p^n).  F is the n-qupit Fourier transform, applied
-    in ceil(n / b) blocks of c <= b qupits, as even as they come, with b
-    the largest such that p^b <= FOURIER_BLOCK: the last c qupits take one
+def _fourier(amps: np.ndarray, p: int, n: int) -> np.ndarray:
+    """F a for each row a of amps (N, p^n), or for one row (p^n,), as
+    shape (N, p^n).  F is the n-qupit Fourier transform, applied in
+    ceil(n / b) blocks of c <= b qupits, as even as they come, with b the
+    largest such that p^b <= FOURIER_BLOCK: the last c qupits take one
     matmul against the symmetric _fourier_block(p, c), O(d p^c), then a
     rotation brings them to the front.  A qupit with p > FOURIER_BLOCK
     takes a length-p inverse FFT (numpy's sign is F's) instead, O(d log p)
@@ -483,10 +512,16 @@ def _fourier_devs(amps: np.ndarray, p: int, n: int) -> np.ndarray:
         else:
             amps = amps @ _fourier_block(p, c)
         amps = amps.reshape(-1, d // q, q).transpose(0, 2, 1)
-    dev = np.abs(amps)
+    return amps.reshape(-1, d)
+
+
+def _fourier_devs(amps: np.ndarray, p: int, n: int) -> np.ndarray:
+    """||F a(k)|^2 - 1/d| for each row a of amps (N, p^n), or for one row
+    (p^n,), as shape (N, p^n), F as in _fourier."""
+    dev = np.abs(_fourier(amps, p, n))
     dev **= 2
-    dev -= 1.0 / d
-    return np.abs(dev, out=dev).reshape(-1, d)
+    dev -= 1.0 / p**n
+    return np.abs(dev, out=dev)
 
 
 def _class_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -512,6 +547,17 @@ def _pair_violation(s: MubSet, r: int, t: int) -> tuple:
     return (r, t, 0, int(np.rint(p**n * devs).argmax()), float(devs.max()))
 
 
+def _frequencies(cross: np.ndarray, p: int, h: int, l: int) -> np.ndarray:
+    """Flat indices into an (N, p^l) array of the frequencies C^T u mod p
+    at every head input u, shape (N, p^h), for the rows (N, h l) of C, an
+    h x l block in row-major order: one float64 matmul against the head's
+    digits (sums below h p^2, exact), then a remainder per digit."""
+    k = cross.reshape(-1, h, l).transpose(0, 2, 1).reshape(-1, h) % p
+    k = _mod((k @ _digits(p, h).T.astype(np.float64)).astype(np.int64), p)
+    rows = np.arange(len(cross))[:, None]
+    return p ** np.arange(l - 1, -1, -1) @ k.reshape(len(cross), l, p**h) + p**l * rows
+
+
 def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:
     """The sampled check's draws (r, t, m_r, m_s) as int64 arrays: ordered
     basis pairs r != t over the graph bases and the computational one
@@ -525,43 +571,70 @@ def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:
 
 
 def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
-    """|<B_r(m_r)|B_t(m_s)>|^2 for every draw, in chunks of about
-    SAMPLE_CHUNK amplitudes.  Between graph bases the overlap is
+    """|<B_r(m_r)|B_t(m_s)>|^2 for every draw.  Between graph bases it is
     |sum_x w_M^e(x)|^2 / d^2 with e the exponents of the coefficient row
-    [A_t - A_r, m_s - m_r]; against the computational basis it is
-    |G(m)(x)|^2 at the drawn x."""
+    [A_t - A_r, m_s - m_r].  Split x = (u, v) into its first h = ceil(n/2)
+    and last l = floor(n/2) digits: e(u, v) = e_H(u) + e_L(v) + (M/p) u.C v
+    with C the head-by-tail block of A_t - A_r, so the sum is
+    sum_u w_M^e_H(u) h_L(C^T u) with h_L the Fourier transform (_fourier)
+    of w_M^e_L, O(p^h n^2) per draw instead of O(d n^2).  Against the
+    computational basis the overlap is |G(m)(x)|^2, from the monomials at
+    the drawn x alone (the columns of _phase_table at x, with no table),
+    O(n^2) per draw.  Both kinds of draw run in chunks of about SAMPLE_CHUNK
+    entries of their largest per-draw array: p^h max(l, 1) for a graph
+    draw, n(n+1)/2 + n for a computational one."""
     p, n, d = s.p, s.n, s.dim
+    h, l = n - n // 2, n // 2
     m = _phase_modulus(p)
     roots = _roots(m)
-    dig = _digits(p, n)
-    comp = len(s.stack)  # index of the computational basis
+    scale = p**l / d**2  # _fourier divides h_L by sqrt(p^l)
+    row, col = np.triu_indices(n)
+    k_head, k_tail = h * (h + 1) // 2, l * (l + 1) // 2
+    # coefficient columns: the head's, the tail's, then C (h x l, row-major)
+    order = np.concatenate([np.flatnonzero(col < h), np.flatnonzero(row >= h),
+                            np.flatnonzero((row < h) & (col >= h))])
     coefs = _upper(s.stack)
-    rows = max(1, SAMPLE_CHUNK // d)
-    worst = 0.0
+    comp = len(coefs)  # index of the computational basis
+    r, t, mr, ms = draws
+    dev = np.empty(len(r))
+    graph = (r != comp) & (t != comp)
+    ungraph = np.flatnonzero(~graph)
+    rows = max(1, SAMPLE_CHUNK // (coefs.shape[1] + n))
+    for lo in range(0, len(ungraph), rows):
+        j = ungraph[lo:lo + rows]
+        on_r = r[j] == comp
+        g = np.where(on_r, t[j], r[j])
+        label = np.where(on_r, ms[j], mr[j])
+        x = np.where(on_r, mr[j], ms[j])
+        c = np.hstack([coefs[g], _digits_of(label, p, n)]) % m
+        e = np.einsum("ij,ji->i", c.astype(np.float64), _monomials(_digits_of(x, p, n).T, p))
+        dev[j] = np.abs(np.abs(p ** (-n / 2) * roots[_mod(e.astype(np.int64), m)]) ** 2 - 1.0 / d)
+    coefs = coefs[:, order]
+    head, tail = _digits(p, h), _digits(p, l)
+    rows = max(1, SAMPLE_CHUNK // (p**h * max(l, 1)))
+    for lo in range(0, len(r), rows):
+        j = lo + np.flatnonzero(graph[lo:lo + rows])
+        if j.size:
+            diff = coefs[t[j]] - coefs[r[j]]
+            hr, lr = np.divmod(mr[j], p**l)
+            hs, ls = np.divmod(ms[j], p**l)
+            hat = 1.0  # h_L(C^T u) / sqrt(p^l), and 1 without a tail (n = 1)
+            if l:
+                hat = _fourier(roots[_exponents(np.hstack([diff[:, k_head:k_head + k_tail],
+                                                           tail[ls] - tail[lr]]), p, l)], p, l)
+                hat = hat.ravel()[_frequencies(diff[:, k_head + k_tail:], p, h, l)]
+            amp = roots[_exponents(np.hstack([diff[:, :k_head], head[hs] - head[hr]]), p, h)]
+            amp *= hat
+            dev[j] = np.abs(np.abs(np.einsum("ij->i", amp)) ** 2 * scale - 1.0 / d)
+    bad = np.flatnonzero(dev > tol)
     first = None
-    for lo in range(0, len(draws[0]), rows):
-        r, t, mr, ms = (v[lo:lo + rows] for v in draws)
-        dev = np.empty(len(r))
-        graph = (r != comp) & (t != comp)
-        rg, tg = r[graph], t[graph]
-        e = _exponents(np.hstack([coefs[tg] - coefs[rg], dig[ms[graph]] - dig[mr[graph]]]),
-                       p, n)
-        dev[graph] = np.abs(np.abs(roots[e].sum(axis=1) / d) ** 2 - 1.0 / d)
-        on_r = r[~graph] == comp
-        g = np.where(on_r, t[~graph], r[~graph])
-        label = np.where(on_r, ms[~graph], mr[~graph])
-        x = np.where(on_r, mr[~graph], ms[~graph])
-        e = _exponents(np.hstack([coefs[g], dig[label]]), p, n)[np.arange(len(x)), x]
-        dev[~graph] = np.abs(np.abs(p ** (-n / 2) * roots[e]) ** 2 - 1.0 / d)
-        worst = max(worst, float(dev.max()))
-        bad = np.flatnonzero(dev > tol)
-        if first is None and bad.size:
-            j = int(bad[0])
-            first = (int(r[j]), int(t[j]), int(mr[j]), int(ms[j]), float(dev[j]))
+    if bad.size:
+        j = int(bad[0])
+        first = (int(r[j]), int(t[j]), int(mr[j]), int(ms[j]), float(dev[j]))
     return NumericReport(
         ok=first is None,
         mode=f"sampled({len(draws[0])})",
         pairs_checked=len(draws[0]),
-        worst_deviation=worst,
+        worst_deviation=float(dev.max(initial=0.0)),
         first_violation=first,
     )

@@ -261,7 +261,9 @@ def numeric_sampled_brute(s, draws, tol: float = 1e-10) -> NumericReport:
 
     def element(basis: int, label: int) -> np.ndarray:
         if basis == comp:
-            return np.eye(d)[label].astype(np.complex128)
+            unit = np.zeros(d, dtype=np.complex128)
+            unit[label] = 1
+            return unit
         digits = np.unravel_index(label, (s.p,) * s.n)
         return basis_element(s.matrices[basis], [int(v) for v in digits])
 

@@ -499,9 +499,14 @@ def with_identical_members(fam):
 
 
 @pytest.mark.parametrize("kind", ["sound", "shifted", "identical"])
-@pytest.mark.parametrize("p,n", [(2, 4), (3, 3), (5, 2), (7, 2), (13, 2)])
+@pytest.mark.parametrize("p,n", [(2, 4), (2, 5), (3, 3), (5, 2), (7, 2), (13, 1), (13, 2),
+                                 (131, 2)])
 def test_sampled_check_matches_brute(monkeypatch, p, n, kind):
+    # (13,1) has no tail qupits, (2,5) splits into 3 + 2, and the tail
+    # qupit of (131,2) takes the FFT; its few members keep the oracle fast
     fam = mub_set(p, n)
+    if p == 131:
+        fam = MubSet(p=p, n=n, stack=fam.stack[:6])
     if kind == "shifted":
         fam = shift_set(fam, random_adjacency(random.Random(p * n), p, n))
     elif kind == "identical":
@@ -516,8 +521,10 @@ def test_sampled_check_matches_brute(monkeypatch, p, n, kind):
         # overlap 0 in the second chunk
         for j, label in ((4, mr[4] + 1), (6, mr[6]), (11, mr[11] + 1)):
             r[j], t[j], ms[j] = 2 + j % 2, 3 - j % 2, label % fam.dim
-    # seven samples per chunk, so the draws span many chunks
-    monkeypatch.setattr(states, "SAMPLE_CHUNK", 7 * fam.dim)
+    # seven draws per chunk (a draw counts p^h max(l, 1) entries for a head
+    # of h = ceil(n/2) and a tail of l = floor(n/2) qupits), so the draws
+    # span many chunks
+    monkeypatch.setattr(states, "SAMPLE_CHUNK", 7 * p ** (n - n // 2) * max(n // 2, 1))
     fast = _verify_sampled(fam, 1e-10, draws)
     slow = numeric_sampled_brute(fam, draws, 1e-10)
     assert fast.ok == slow.ok == (kind != "identical")
@@ -530,6 +537,56 @@ def test_sampled_check_matches_brute(monkeypatch, p, n, kind):
     assert abs(fast.first_violation[4] - slow.first_violation[4]) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_sampled_check_on_one_member(n):
+    # every draw pairs the one graph basis with the computational basis, so
+    # no chunk holds a graph-graph draw
+    fam = MubSet(p=2, n=n, stack=[np.zeros((n, n), dtype=np.int64)])
+    draws = _sample_draws(fam, 50, seed=n)
+    fast = _verify_sampled(fam, 1e-10, draws)
+    slow = numeric_sampled_brute(fam, draws, 1e-10)
+    assert fast.ok and slow.ok
+    assert abs(fast.worst_deviation - slow.worst_deviation) < 1e-12
+    assert verify_mu_numeric(fam, sample=50).ok
+
+
+@pytest.mark.parametrize("kind", ["sound", "identical"])
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 3)])
+def test_sampled_check_one_draw_per_chunk(monkeypatch, p, n, kind):
+    # many chunks hold only computational-basis draws, or only graph ones
+    fam = mub_set(p, n)
+    if kind == "identical":
+        fam = with_identical_members(fam)
+    draws = _sample_draws(fam, 200, seed=p * n)
+    r, t, mr, ms = draws
+    r[7], t[7], ms[7] = 2, 3, mr[7]  # overlap 1 when the members are identical
+    monkeypatch.setattr(states, "SAMPLE_CHUNK", 1)
+    fast = _verify_sampled(fam, 1e-10, draws)
+    slow = numeric_sampled_brute(fam, draws, 1e-10)
+    assert fast.ok == slow.ok == (kind == "sound")
+    assert abs(fast.worst_deviation - slow.worst_deviation) < 1e-12
+    if not fast.ok:
+        assert fast.first_violation[:4] == slow.first_violation[:4]
+
+
+def test_sampled_check_on_many_qubits_stays_small():
+    # the X, Y and Z bases of 20 qubits: about 2000 of the draws pair a
+    # graph basis with the computational one, whose monomials at n = 20
+    # take 230 entries a draw, over 3.5 MB an array if taken all at once
+    n = 20
+    fam = MubSet(p=2, n=n, stack=[np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)])
+    verify_mu_numeric(fam, sample=50, seed=1)
+    tracemalloc.start()
+    try:
+        report = verify_mu_numeric(fam, sample=3000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+    assert report.ok and report.pairs_checked == 3000
+    assert report.worst_deviation < 1e-12
+
+
 def test_sampled_draws_are_cross_basis_pairs():
     fam = mub_set(3, 2)
     r, t, mr, ms = _sample_draws(fam, 5000, seed=1)
@@ -538,6 +595,61 @@ def test_sampled_draws_are_cross_basis_pairs():
     assert set(r.tolist()) == set(t.tolist()) == set(range(nb))
     assert mr.min() == ms.min() == 0 and mr.max() == ms.max() == fam.dim - 1
     assert all((a == b).all() for a, b in zip((r, t, mr, ms), _sample_draws(fam, 5000, seed=1)))
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (5, 3)])
+def test_sampled_deviations_match_state_overlaps(p, n):
+    # beyond the sizes of the brute-force tests: every graph-basis draw's
+    # deviation against the overlap of the two explicit basis elements; the
+    # random members make biased pairs, whose overlaps depend on the labels
+    fam = mub_set(p, n)
+    shifted = shift_set(fam, random_adjacency(random.Random(7 * p + n), p, n))
+    d = fam.dim
+    for case in (fam, shifted, random_family(p, n, size=12)):
+        comp = len(case.stack)
+        draws = _sample_draws(case, 400, seed=p * n)
+        graph = np.flatnonzero((draws[0] != comp) & (draws[1] != comp))[:200]
+        assert len(graph) == 200
+        for j in graph.tolist():
+            r, t, mr, ms = (int(v[j]) for v in draws)
+            one = tuple(v[j:j + 1] for v in draws)
+            dev = _verify_sampled(case, 1e-10, one).worst_deviation
+            labels = [np.unravel_index(v, (p,) * n) for v in (mr, ms)]
+            exact = abs(np.vdot(basis_element(case.matrices[r], labels[0]),
+                                basis_element(case.matrices[t], labels[1]))) ** 2 - 1 / d
+            assert abs(dev - abs(exact)) < 1e-12
+
+
+def test_sampled_check_on_large_qupits_stays_small():
+    # one draw's exponents at all p^n = 4012009 inputs, or a dense p x p
+    # table for the tail qupit, would take 64 MB
+    p = 2003
+    sound = MubSet(p=p, n=2, stack=[[[0, 0], [0, 0]], [[1, 1], [1, 0]]])
+    same = MubSet(p=p, n=2, stack=[[[1, 1], [1, 0]], [[1, 1], [1, 0]]])
+    # the first call builds the small digit and phase tables and imports
+    # numpy.fft, whose module objects alone take about 0.8 MB
+    verify_mu_numeric(sound, sample=200, seed=1)
+    tracemalloc.start()
+    try:
+        good = verify_mu_numeric(sound, sample=200, seed=1)
+        bad = verify_mu_numeric(same, sample=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    assert good.ok and good.worst_deviation < 1e-12
+    # two identical bases: overlap 0 or 1 instead of 1/d
+    r, t, mr, ms, dev = bad.first_violation
+    assert {r, t} == {0, 1}
+    assert abs(dev - (1 - 1 / p**2 if mr == ms else 1 / p**2)) < 1e-12
+
+
+@pytest.mark.parametrize("sample", [0, -3, True, 2.5])
+def test_numeric_rejects_bad_sample(sample):
+    # zero draws would pass two identical bases; the rest leaked numpy errors
+    bad = with_identical_members(qubit_triple_family())
+    with pytest.raises(ValueError, match="sample"):
+        verify_mu_numeric(bad, sample=sample)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
