@@ -234,6 +234,9 @@ def adjacency_to_dot(m: MatZp, name: str) -> str:
 
 
 def _cmd_export(args) -> int:
+    if args.index is not None and args.format == "json":
+        print("usage error: --index needs --format dot or circuit", file=sys.stderr)
+        return EXIT_USAGE
     fam = _load(args.doc)
     if fam is None:
         return EXIT_USAGE

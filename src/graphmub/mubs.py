@@ -14,8 +14,9 @@ check reads; `MubSet.matrices` is a view of it built on first use.
 Other families get one determinant per distinct difference A_t - A_r:
 the N - 1 differences from member 0 when `MubSet.affine` proves the stack
 a coset of a subspace (a shifted or reordered field), since member 0 then
-meets every difference; a walk over all pairs (`difference_rows`) for
-any other stack.
+meets every difference; for any other stack, the pairs where a walk in
+row-major order (`difference_rows`) first meets each difference, its
+packed key not yet in the set of those met.
 """
 
 from __future__ import annotations
@@ -193,52 +194,31 @@ def _keys(digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return words.view(f"V{8 * words.shape[1]}").ravel()
 
 
-def difference_rows(stack: np.ndarray, p: int, value):
-    """Per row r of an (N, n, n) stack, float64 values of D = A_t - A_r
-    mod p for t > r.  value(r, ts) gives those of A_ts - A_r, called once per
-    distinct D by the first row that meets it.  The keys met so far, the
-    base-p digits of D's upper triangle (_key_weights), are held in sorted
-    runs with their values; a new run is merged into the one before it
-    while that one is at most twice as long as the new run or as the row.
-    So there are O(log N) runs, each key is copied O(log N) times, and a
-    row that meets few new keys keeps one table, copying no more than it
-    looks up."""
+def difference_rows(stack: np.ndarray, p: int):
+    """(r, ts) for each row r of an (N, n, n) stack that meets a new class:
+    ts holds, ascending, the t > r whose D = A_t - A_r mod p is met first
+    at (r, t), so each distinct D comes once, at its least pair in
+    row-major order.  A class is its key, the base-p digits of D's upper
+    triangle (_key_weights); the keys met so far are one set."""
     coefs = _upper(stack).astype(np.min_scalar_type(-p))
     weights = _key_weights(p, coefs.shape[1])
-    runs = []  # (sorted keys, values), each run over twice the next one
+    seen = set()
     for r in range(len(coefs)):
         diff = coefs[r + 1:] - coefs[r]
         np.add(diff, p, out=diff, where=diff < 0)
-        keys = _keys(diff, weights)
-        vals = np.empty(len(keys))
-        miss = np.ones(len(keys), dtype=bool)
-        for table, table_val in runs:
-            pos = np.searchsorted(table, keys)
-            hit = pos < len(table)
-            hit[hit] = table[pos[hit]] == keys[hit]
-            vals[hit] = table_val[pos[hit]]
-            miss &= ~hit
-        miss = np.flatnonzero(miss)
-        if miss.size:
-            new, rep, inverse = np.unique(keys[miss], return_index=True, return_inverse=True)
-            new_val = value(r, r + 1 + miss[rep])
-            vals[miss] = new_val[inverse]
-            runs.append((new, new_val))
-            while len(runs) > 1 and 2 * max(len(runs[-1][0]), len(keys)) >= len(runs[-2][0]):
-                (table, table_val), (new, new_val) = runs.pop(-2), runs.pop()
-                at = np.searchsorted(table, new)
-                runs.append((np.insert(table, at, new), np.insert(table_val, at, new_val)))
-        yield vals
+        ts = [t for t, key in enumerate(_keys(diff, weights).tolist(), r + 1)
+              if key not in seen and not seen.add(key)]
+        if ts:
+            yield r, np.array(ts)
 
 
-def difference_classes(s: MubSet, value):
-    """The rows of `difference_rows` that can meet a class first: row 0
-    alone, value(0, [1, ..., N - 1]), when `s.affine`, since row 0 of
-    an affine stack meets every class (so a later row meets none); every
-    row of the walk otherwise."""
+def difference_classes(s: MubSet):
+    """The (r, ts) of `difference_rows`: (0, [1, ..., N - 1]) alone when
+    `s.affine`, since row 0 of an affine stack meets every class (so a
+    later row meets none); the walk otherwise."""
     if s.affine:
-        return [value(0, np.arange(1, len(s.stack)))]
-    return difference_rows(s.stack, s.p, value)
+        return [(0, np.arange(1, len(s.stack)))]
+    return difference_rows(s.stack, s.p)
 
 
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
@@ -246,22 +226,21 @@ def verify_mu_condition(s: MubSet, pairwise: bool = False):
 
     A family that `field_rep` proves to be a field passes in closure mode
     with no determinant.  Any other family, or any family when pairwise
-    is set, gets one determinant per distinct difference A_t - A_r
-    (`difference_classes`): one `eliminate_stack` call of the N - 1
-    differences from member 0 for an affine stack (a field, shifted or
-    reordered), else the walk over all pairs.  Returns a report with the
-    first failing pair, which for an affine stack is (0, least failing t),
-    the pair the walk meets first.
+    is set, gets one determinant per distinct difference A_t - A_r, at its
+    least pair in row-major order (`difference_classes`), one
+    `eliminate_stack` call per row of pairs.  A failing pair whose class
+    came earlier failed there already, so the report names the first
+    failing pair of a scan over all pairs: (0, least failing t) for an
+    affine stack (a field, shifted or reordered).
     """
     if s.field_rep and not pairwise:
         return MuConditionReport(ok=True, mode="closure", failing_pair=None)
     stack = s.stack
-    for r, dets in enumerate(difference_classes(
-            s, lambda r, ts: eliminate_stack(stack[ts] - stack[r], s.p)[1])):
-        singular = np.flatnonzero(dets == 0)
+    for r, ts in difference_classes(s):
+        singular = np.flatnonzero(eliminate_stack(stack[ts] - stack[r], s.p)[1] == 0)
         if singular.size:
             return MuConditionReport(ok=False, mode="pairwise",
-                                     failing_pair=(r, r + 1 + int(singular[0])))
+                                     failing_pair=(r, int(ts[singular[0]])))
     return MuConditionReport(ok=True, mode="pairwise", failing_pair=None)
 
 

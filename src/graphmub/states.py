@@ -11,10 +11,10 @@ character table of Z_p^n: the overlap of |G_r(m)> and |G_t(m')> depends
 only on the label difference m' - m, and the n-qupit Fourier transform
 of conj(g_r) g_t yields all p^n of them at once.  That product is the
 graph state of D = A_t - A_r mod p over sqrt(p^n), up to a label shift
-for p = 2, so the full sweep transforms one state per distinct D
-(`mubs.difference_classes`): the p^n - 1 differences from member 0 for
-a family that `MubSet.affine` proves a coset of a subspace (a field,
-shifted or reordered), found by a walk over all pairs for any other.
+for p = 2, so the full sweep transforms one state per distinct D, at the
+least pair that meets it (`mubs.difference_classes`): row 0 for a family
+that `MubSet.affine` proves a coset of a subspace (a field, shifted or
+reordered), a walk over all pairs for any other.
 The transform takes the qupits in ceil(n / b) blocks of at most b, with
 p^b <= FOURIER_BLOCK: one complex matmul per block against a cached
 dense table of F on the block's qupits.  A qupit with p > FOURIER_BLOCK
@@ -433,23 +433,23 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
     overlaps of graph bases r and t, as a multiset over labels, are the
     Fourier spectrum of the graph state g_D of D = A_t - A_r mod p (the
     phase exponent is linear in A for odd p; for p = 2 a diagonal -1 in Z_4
-    is +1 plus a label shift), so each distinct D is transformed once
-    (`difference_classes`): the N - 1 classes of row 0 for an affine stack,
-    whose later rows meet no new class, else those of the walk.  The first
-    violation is in the least row with a failing class or computational
-    pair, the class first at a tie, as a row-by-row scan meets them."""
+    is +1 plus a label shift), so each distinct D is transformed once, at
+    its least pair (`difference_classes`: row 0 of an affine stack, else
+    the walk).  So the first violation is in the least row with a failing
+    class or computational pair, the class first at a tie, as a row-by-row
+    scan meets them."""
     p, n, coefs = s.p, s.n, _upper(s.stack)
     comp = len(coefs)  # index of the computational basis
     comp_dev = _computational_devs(coefs, p, n)
     worst = float(comp_dev.max(initial=0.0))
     pair = None
-    for r, devs in enumerate(difference_classes(
-            s, lambda r, ts: _class_devs((coefs[ts] - coefs[r]) % p, p, n))):
+    for r, ts in difference_classes(s):
+        devs = _class_devs((coefs[ts] - coefs[r]) % p, p, n)
         worst = max(worst, float(devs.max(initial=0.0)))
         if pair is None:
             bad = np.flatnonzero(devs > tol)
             if bad.size:
-                pair = (r, r + 1 + int(bad[0]))
+                pair = (r, int(ts[bad[0]]))
     first = None
     bad = np.flatnonzero(comp_dev > tol)
     if bad.size and (pair is None or bad[0] < pair[0]):

@@ -14,7 +14,7 @@ of the batched exponent matmul, a scan of every bipartition's crossing
 block instead of the component walk, explicit combinations of powers
 with a cofactor determinant per member instead of the characteristic-
 polynomial field proof, a dict of nested-tuple differences instead of
-the packed int64 keys of the sorted difference-class table, a span
+the set of packed int64 keys of the difference-class walk, a span
 enumerated one difference at a time instead of the rank and sorted keys
 of the affine check, and one
 `Fraction` term and one purity string per member instead of the rank
@@ -184,18 +184,14 @@ def mu_condition_scalar(s, pairwise: bool = False) -> MuConditionReport:
     return MuConditionReport(ok=True, mode="pairwise", failing_pair=None)
 
 
-def difference_rows_brute(stack, p: int):
-    """Per row r, the differences (A_t - A_r) mod p for t > r as nested
-    tuples, and a dict from each distinct difference to the first row
-    that meets it."""
-    rows, first = [], {}
-    for r in range(len(stack)):
-        row = [tuple(tuple(int(v) % p for v in line) for line in np.subtract(a, stack[r]))
-               for a in stack[r + 1:]]
-        for d in row:
-            first.setdefault(d, r)
-        rows.append(row)
-    return rows, first
+def difference_rows_brute(stack, p: int) -> dict:
+    """A dict from each distinct difference (A_t - A_r) mod p, as nested
+    tuples, to its least pair (r, t), t > r, in row-major order."""
+    first = {}
+    for r, t in combinations(range(len(stack)), 2):
+        d = tuple(tuple(int(v) % p for v in line) for line in np.subtract(stack[t], stack[r]))
+        first.setdefault(d, (r, t))
+    return first
 
 
 def affine_brute(stack, p: int) -> bool:

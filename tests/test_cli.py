@@ -430,6 +430,16 @@ def test_export_index_out_of_range(capsys, tmp_path):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_export_json_with_index_is_usage_error(capsys, tmp_path, fmt):
+    # a json export is the whole document, so --index would be ignored
+    path = tmp_path / "fam.json"
+    path.write_text(gen_doc(capsys))
+    code, out, err = run_cli(capsys, ["export", str(path), *fmt, "--index", "2"])
+    assert code == 2 and out == ""
+    assert err == "usage error: --index needs --format dot or circuit\n"
+
+
 def test_export_circuits(capsys, tmp_path):
     path = tmp_path / "fam.json"
     path.write_text(gen_doc(capsys))

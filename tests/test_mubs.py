@@ -23,7 +23,15 @@ from graphmub.mubs import (
     verify_mu_condition,
 )
 from graphmub.symrep import symmetric_representation, symmetrize_companion, tridiagonal_rep
-from oracles import difference_rows_brute, field_brute, mu_condition_scalar, power_enumeration
+from graphmub.states import verify_mu_numeric
+from oracles import (
+    det_cofactor,
+    difference_rows_brute,
+    field_brute,
+    mu_condition_scalar,
+    numeric_sweep_brute,
+    power_enumeration,
+)
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -257,9 +265,9 @@ def test_pairwise_check_takes_one_determinant_per_difference(monkeypatch):
 
 def _difference_stacks():
     """(p, stack) cases: duplicated members, repeated differences, two-word
-    keys, the largest admitted prime, and two that hold several sorted runs
-    at once: a field with one member edited (one new key per row) and 40
-    random members (mostly new keys)."""
+    keys, the largest admitted prime, a field with one member edited (one
+    new class per row), 40 random members (mostly new classes), no member
+    and one member."""
     rng = np.random.default_rng(31)
 
     def symmetric(p, n, count):
@@ -281,25 +289,34 @@ def _difference_stacks():
     edited[20, 0, 0] ^= 1
     return [(3, dup), (2, shifted), (2, wide), (big, progression),
             (big, np.vstack([progression, symmetric(big, 3, 3)])),
-            (2, edited), (2, symmetric(2, 4, 40))]
+            (2, edited), (2, symmetric(2, 4, 40)), (5, symmetric(5, 3, 0)),
+            (5, symmetric(5, 3, 1))]
 
 
-@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("case", range(9))
 def test_difference_rows_match_brute_force(case):
     p, stack = _difference_stacks()[case]
-    calls = []
+    rows = list(difference_rows(stack, p))
+    first = difference_rows_brute(stack, p)
+    # each class exactly once, at its least pair in row-major order, so
+    # the ts of a row ascend and only rows that meet a new class come
+    assert [(r, int(t)) for r, ts in rows for t in ts] == sorted(first.values())
+    assert [r for r, _ in rows] == sorted({r for r, _ in first.values()})
+    assert len(stack) < 3 or len(first) < len(stack) * (len(stack) - 1) // 2
 
-    def value(r, ts):
-        calls.extend((r, (stack[t] - stack[r]) % p) for t in ts)
-        return np.arange(len(calls) - len(ts), len(calls), dtype=float)
 
-    rows = list(difference_rows(stack, p, value))
-    expected, first = difference_rows_brute(stack, p)
-    met = [(r, tuple(map(tuple, d.tolist()))) for r, d in calls]
-    assert [[met[int(v)][1] for v in row] for row in rows] == expected
-    # one call per distinct D, by the first row that meets it
-    assert sorted(met) == sorted((r, d) for d, r in first.items())
-    assert len(first) < sum(map(len, expected))
+@pytest.mark.parametrize("case", [5, 6])
+def test_walk_reports_match_brute_force(case):
+    # non-affine stacks with several failing classes: the first failing
+    # representative is the first failing pair of a scan over all pairs
+    p, stack = _difference_stacks()[case]
+    s = MubSet(p=p, n=stack.shape[1], stack=stack)
+    failing = {d for d, (r, t) in difference_rows_brute(stack, p).items()
+               if det_cofactor((s.matrices[t] - s.matrices[r]).to_lists(), p) == 0}
+    assert not s.affine and len(failing) > 1
+    assert verify_mu_condition(s) == mu_condition_scalar(s, pairwise=True)
+    assert verify_mu_numeric(s).first_violation[:2] == \
+        numeric_sweep_brute(s).first_violation[:2]
 
 
 def _corrupt(fam, rng, copies):
