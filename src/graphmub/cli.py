@@ -9,6 +9,7 @@ except the seeded sampler).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -69,6 +70,7 @@ def _csv_ints(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphmub",
@@ -188,7 +190,7 @@ def _cmd_verify(args) -> int:
     if args.numeric:
         try:
             report = verify_mu_numeric(fam, tol=args.tol, sample=args.sample)
-        except ValueError as exc:  # a full sweep above FULL_SWEEP_LIMIT
+        except ValueError as exc:  # above FULL_SWEEP_LIMIT, or inexact in float64
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if not report.ok:

@@ -19,6 +19,10 @@ The transform takes the qupits in ceil(n / b) blocks of at most b, with
 p^b <= FOURIER_BLOCK: one complex matmul per block against a cached
 dense table of F on the block's qupits.  A qupit with p > FOURIER_BLOCK
 takes a length-p FFT instead, so no table grows past FOURIER_BLOCK^2.
+Every amplitude is a root of unity over sqrt(p^n), so every overlap with
+the computational basis is exactly 1/d: both checks give each such pair
+or draw one closed-form bound on its rounding (_computational_dev) and
+evaluate no exponent for it.
 
 The sampled check builds no state vectors.  Every amplitude of a basis
 element is w_M^e(x) / sqrt(p^n) with e(x) linear in the upper triangle of
@@ -29,9 +33,9 @@ floor(n/2), the exponent is a head part, a tail part and one bilinear
 term u.C v between them, so the sum is the head's phases times the
 tail's Fourier transform (the full sweep's kernel) read at the
 frequencies C^T u: O(p^ceil(n/2) n^2) per draw, not O(p^n n^2).  Exponents
-come from float64 matmuls against monomial tables, exact in integers;
-graph_state uses the same tables.  A draw against the computational
-basis evaluates its one exponent at the drawn input, O(n^2).
+come from float64 matmuls against monomial tables, exact in integers
+while the (p, n) bound that verify_mu_numeric checks first holds;
+graph_state uses the same tables.
 
 Gate conventions: the local phase gate is diag(i^k) for p = 2 and
 diag(w_p^{k(k-1)/2}) for p >= 3; the controlled phase multiplies
@@ -62,16 +66,10 @@ def _roots(m: int) -> np.ndarray:
     return table
 
 
-def _digits_of(idx: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Base-p digits of the indices idx, shape idx.shape + (n,), most
-    significant digit first."""
-    return idx[..., None] // p ** np.arange(n - 1, -1, -1) % p
-
-
 @lru_cache(maxsize=None)
 def _digits(p: int, n: int) -> np.ndarray:
     """Base-p digit table, shape (p^n, n), most significant digit first."""
-    table = _digits_of(np.arange(p**n), p, n)
+    table = np.arange(p**n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
     table.setflags(write=False)
     return table
 
@@ -156,36 +154,34 @@ def _phase_modulus(p: int) -> int:
     return 4 if p == 2 else p
 
 
-def _monomials(dig: np.ndarray, p: int) -> np.ndarray:
-    """Float64 monomials of the phase exponent at the inputs whose base-p
-    digits are the columns of dig (n, X), shape (n(n+1)/2 + n, X), entries
-    reduced mod M.
+def _check_exact(p: int, n: int) -> None:
+    """A ValueError unless k (M - 1)^2 < 2^53 with k = n(n+1)/2 + n: a row
+    of k coefficients below M against _phase_table(p, n) sums k terms below
+    M^2, so its float64 matmul is exact in integers only then."""
+    if (n * (n + 1) // 2 + n) * (_phase_modulus(p) - 1) ** 2 >= 2**53:
+        raise ValueError(f"phase exponents for p={p}, n={n} exceed float64 precision")
+
+
+@lru_cache(maxsize=None)
+def _phase_table(p: int, n: int) -> np.ndarray:
+    """Float64 monomials of the phase exponent at all p^n inputs x in
+    computational order, shape (n(n+1)/2 + n, p^n), entries reduced mod M,
+    read-only; refused first unless _check_exact passes.
 
     Row (i, j), i <= j in row-major order, is the monomial that A_ij
     multiplies in the phase exponent of |G(m)>(x): x_i (p = 2) or
     x_i(x_i - 1)/2 (odd p) on the diagonal, 2 x_i x_j (p = 2) or x_i x_j
-    (odd p) off it.  The last n rows are (M/p) x_i, multiplied by m_i.
-    A row of k coefficients below M against it sums k terms below M^2, so
-    the float64 products in _exponents and _verify_sampled are exact while
-    k M^2 < 2^53."""
-    n = len(dig)
+    (odd p) off it.  The last n rows are (M/p) x_i, multiplied by m_i."""
+    _check_exact(p, n)
+    dig = _digits(p, n).T
     m = _phase_modulus(p)
     lab = m // p
-    k = n * (n + 1) // 2 + n
-    if k * (m - 1) ** 2 >= 2**53:
-        raise ValueError(f"phase exponents for p={p}, n={n} exceed float64 precision")
     rows = []
     for i in range(n):
         rows.append(dig[i] if p == 2 else dig[i] * (dig[i] - 1) // 2)
         rows.extend(lab * dig[i] * dig[j] for j in range(i + 1, n))
     rows.extend(lab * dig)
-    return (np.array(rows, dtype=np.int64).reshape(k, dig.shape[1]) % m).astype(np.float64)
-
-
-@lru_cache(maxsize=None)
-def _phase_table(p: int, n: int) -> np.ndarray:
-    """_monomials at all p^n inputs in computational order, read-only."""
-    table = _monomials(_digits(p, n).T, p)
+    table = (np.array(rows, dtype=np.int64).reshape(-1, p**n) % m).astype(np.float64)
     table.setflags(write=False)
     return table
 
@@ -193,7 +189,7 @@ def _phase_table(p: int, n: int) -> np.ndarray:
 def _exponents(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
     """Phase exponents mod M at all p^n inputs x, shape (..., p^n), for
     coefficient rows (..., k) against the first k rows of _phase_table:
-    one float64 matmul, exact (see _monomials)."""
+    one float64 matmul, exact (see _check_exact)."""
     m = _phase_modulus(p)
     coefs = np.asarray(coefs, dtype=np.int64) % m
     table = _phase_table(p, n)[: coefs.shape[-1]]
@@ -412,13 +408,16 @@ def verify_mu_numeric(s: MubSet, tol: float = 1e-10, sample: int | None = None,
     sampled mode draws `sample` random cross-basis pairs.
     A tol that is negative or not finite is a ValueError (no deviation
     exceeds NaN, so a NaN tol would pass any family), and so is a sample
-    that is not an int >= 1 (zero draws would pass any family).
+    that is not an int >= 1 (zero draws would pass any family), and so is
+    a (p, n) whose phase exponents float64 cannot hold exactly
+    (_check_exact), before anything is allocated.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     if sample is not None and not (isinstance(sample, (int, np.integer))
                                    and not isinstance(sample, bool) and sample >= 1):
         raise ValueError(f"sample must be an int >= 1, got {sample!r}")
+    _check_exact(s.p, s.n)
     d = s.dim
     if sample is None:
         if d > FULL_SWEEP_LIMIT:
@@ -435,13 +434,14 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
     phase exponent is linear in A for odd p; for p = 2 a diagonal -1 in Z_4
     is +1 plus a label shift), so each distinct D is transformed once, at
     its least pair (`difference_classes`: row 0 of an affine stack, else
-    the walk).  So the first violation is in the least row with a failing
-    class or computational pair, the class first at a tie, as a row-by-row
-    scan meets them."""
+    the walk).  Every computational pair takes _computational_dev, so if
+    that fails, row 0 holds the first violation: its failing class if any
+    (a class comes first in its row, as a row-by-row scan meets them),
+    else (0, computational)."""
     p, n, coefs = s.p, s.n, _upper(s.stack)
     comp = len(coefs)  # index of the computational basis
-    comp_dev = _computational_devs(coefs, p, n)
-    worst = float(comp_dev.max(initial=0.0))
+    comp_dev = _computational_dev(p, n) if comp else 0.0
+    worst = comp_dev
     pair = None
     for r, ts in difference_classes(s):
         devs = _class_devs((coefs[ts] - coefs[r]) % p, p, n)
@@ -451,11 +451,10 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
             if bad.size:
                 pair = (r, int(ts[bad[0]]))
     first = None
-    bad = np.flatnonzero(comp_dev > tol)
-    if bad.size and (pair is None or bad[0] < pair[0]):
-        first = (int(bad[0]), comp, 0, 0, float(comp_dev[bad[0]]))
-    elif pair is not None:
+    if pair is not None and (pair[0] == 0 or comp_dev <= tol):
         first = _pair_violation(s, *pair)
+    elif comp_dev > tol:
+        first = (0, comp, 0, 0, comp_dev)
     return NumericReport(
         ok=first is None,
         mode="full",
@@ -465,17 +464,13 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
     )
 
 
-def _computational_devs(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
-    """max_x ||g_A(x)|^2 - 1/d| for each coefficient row of A, in chunks
-    of about SAMPLE_CHUNK amplitudes.  Every |g_A(x)|^2 is exactly 1/d, so
-    this is rounding and the first label x = 0 is at the exact worst."""
-    d = p**n
-    dev_of = np.abs(np.abs(p ** (-n / 2) * _roots(_phase_modulus(p))) ** 2 - 1.0 / d)
-    rows = max(1, SAMPLE_CHUNK // d)
-    dev = np.empty(len(coefs))
-    for lo in range(0, len(coefs), rows):
-        dev[lo:lo + rows] = dev_of[_exponents(coefs[lo:lo + rows], p, n)].max(axis=1)
-    return dev
+def _computational_dev(p: int, n: int) -> float:
+    """max_k ||p^(-n/2) w_M^k|^2 - 1/d| over the M roots of _roots(M).
+    Every amplitude of a graph basis element is p^(-n/2) times one of them,
+    so every overlap with the computational basis, exactly 1/d, rounds to
+    within this bound of 1/d."""
+    return float(np.abs(np.abs(p ** (-n / 2) * _roots(_phase_modulus(p))) ** 2
+                        - 1.0 / p**n).max())
 
 
 @lru_cache(maxsize=None)
@@ -577,12 +572,9 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     and last l = floor(n/2) digits: e(u, v) = e_H(u) + e_L(v) + (M/p) u.C v
     with C the head-by-tail block of A_t - A_r, so the sum is
     sum_u w_M^e_H(u) h_L(C^T u) with h_L the Fourier transform (_fourier)
-    of w_M^e_L, O(p^h n^2) per draw instead of O(d n^2).  Against the
-    computational basis the overlap is |G(m)(x)|^2, from the monomials at
-    the drawn x alone (the columns of _phase_table at x, with no table),
-    O(n^2) per draw.  Both kinds of draw run in chunks of about SAMPLE_CHUNK
-    entries of their largest per-draw array: p^h max(l, 1) for a graph
-    draw, n(n+1)/2 + n for a computational one."""
+    of w_M^e_L, O(p^h n^2) per draw instead of O(d n^2), in chunks of
+    about SAMPLE_CHUNK entries of the largest per-draw array, p^h max(l, 1).
+    A draw against the computational basis takes _computational_dev."""
     p, n, d = s.p, s.n, s.dim
     h, l = n - n // 2, n // 2
     m = _phase_modulus(p)
@@ -593,23 +585,12 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     # coefficient columns: the head's, the tail's, then C (h x l, row-major)
     order = np.concatenate([np.flatnonzero(col < h), np.flatnonzero(row >= h),
                             np.flatnonzero((row < h) & (col >= h))])
-    coefs = _upper(s.stack)
+    coefs = _upper(s.stack)[:, order]
     comp = len(coefs)  # index of the computational basis
     r, t, mr, ms = draws
     dev = np.empty(len(r))
     graph = (r != comp) & (t != comp)
-    ungraph = np.flatnonzero(~graph)
-    rows = max(1, SAMPLE_CHUNK // (coefs.shape[1] + n))
-    for lo in range(0, len(ungraph), rows):
-        j = ungraph[lo:lo + rows]
-        on_r = r[j] == comp
-        g = np.where(on_r, t[j], r[j])
-        label = np.where(on_r, ms[j], mr[j])
-        x = np.where(on_r, mr[j], ms[j])
-        c = np.hstack([coefs[g], _digits_of(label, p, n)]) % m
-        e = np.einsum("ij,ji->i", c.astype(np.float64), _monomials(_digits_of(x, p, n).T, p))
-        dev[j] = np.abs(np.abs(p ** (-n / 2) * roots[_mod(e.astype(np.int64), m)]) ** 2 - 1.0 / d)
-    coefs = coefs[:, order]
+    dev[~graph] = _computational_dev(p, n)
     head, tail = _digits(p, h), _digits(p, l)
     rows = max(1, SAMPLE_CHUNK // (p**h * max(l, 1)))
     for lo in range(0, len(r), rows):

@@ -513,7 +513,11 @@ def symmetric_representation(p: int, n: int, method: str = "auto",
 
     `auto` tries the tridiagonal search first (compact witness) and falls
     back to companion symmetrization, seeding with a primitive polynomial
-    whenever the multiplier rule demands one.
+    whenever the multiplier rule demands one.  A malformed request (n < 1,
+    an unknown method, a diagonal of length other than n or with the
+    companion method, a polynomial not monic of degree n over Z_p) is a
+    ValueError; a well-formed one that the route cannot realize is a
+    ConstructionError.
     """
     check_prime(p)
     if n < 1:
@@ -524,7 +528,7 @@ def symmetric_representation(p: int, n: int, method: str = "auto",
         if method == "companion":
             raise ValueError("an explicit diagonal implies the tridiagonal method")
         if len(d) != n:
-            raise ConstructionError(f"diagonal length {len(d)} != n = {n}")
+            raise ValueError(f"diagonal length {len(d)} != n = {n}")
         rep = tridiagonal_rep(p, d)
         if primitive and not rep.f.is_primitive():
             raise ConstructionError(f"char poly {rep.f} of d={tuple(d)} is not primitive")
@@ -535,7 +539,7 @@ def symmetric_representation(p: int, n: int, method: str = "auto",
         return rep
     if poly is not None:
         if poly.p != p or poly.degree != n or not poly.is_monic:
-            raise ConstructionError("polynomial must be monic of degree n over Z_p")
+            raise ValueError("polynomial must be monic of degree n over Z_p")
         if not poly.is_irreducible():
             raise ConstructionError(f"{poly} is reducible over Z_{p}")
         if primitive and not poly.is_primitive():

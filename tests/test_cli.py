@@ -76,6 +76,15 @@ def test_gen_construction_failure(capsys):
     assert "construction failure" in err
 
 
+@pytest.mark.parametrize("flags", [["--d", "1,0,0"], ["--poly", "1,1,1"]])
+def test_gen_malformed_seed_is_usage_error(capsys, flags):
+    # a diagonal of the wrong length, a polynomial not monic of degree n:
+    # the request is malformed, not a route that failed
+    code, out, err = run_cli(capsys, ["gen", "-p", "2", "-n", "4", *flags])
+    assert code == 2
+    assert "usage error" in err and out == ""
+
+
 def test_gen_usage_error_nonprime():
     proc = subprocess.run(
         [sys.executable, "-m", "graphmub.cli", "gen", "-p", "6", "-n", "2"],

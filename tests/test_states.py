@@ -31,6 +31,7 @@ from graphmub.states import (
     stabilizer_check,
     state_index,
     verify_mu_numeric,
+    _computational_dev,
     _sample_draws,
     _verify_sampled,
 )
@@ -347,6 +348,28 @@ def test_numeric_sweep_matches_dense_oracle(case):
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                                 (5, 2), (7, 2), (131, 1)])
+def test_computational_bound_covers_every_amplitude(p, n):
+    # both numeric checks give every computational pair or draw this one
+    # bound, taken over the M roots p^(-n/2) w_M^k, where they used to look
+    # each amplitude up as one of them: every amplitude of every member of
+    # a field and of a shifted field is one of those roots ((131,1) takes
+    # the FFT), and the bound covers the rounding of each.  basis_matrix
+    # multiplies two roots, whose rounding can exceed the bound at odd p,
+    # so it serves only to identify the root.
+    m = 4 if p == 2 else p
+    roots = p ** (-n / 2) * np.exp(2j * np.pi * np.arange(m) / m)
+    bound = _computational_dev(p, n)
+    fam = mub_set(p, n)
+    for s in (fam, shift_set(fam, random_adjacency(random.Random(p + n), p, n))):
+        for a in s.matrices:
+            amps = basis_matrix(a)
+            k = np.rint(np.angle(amps) * m / (2 * np.pi)).astype(np.int64) % m
+            assert np.abs(amps - roots[k]).max() < 1e-12
+            assert bound >= np.abs(np.abs(roots[k]) ** 2 - 1 / s.dim).max()
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
                                  (5, 2), (7, 2)])
 def test_difference_spectrum_rule_matches_dense_gram(p, n):
     # every row of the gram of two graph bases that differ by B is the
@@ -570,9 +593,9 @@ def test_sampled_check_one_draw_per_chunk(monkeypatch, p, n, kind):
 
 
 def test_sampled_check_on_many_qubits_stays_small():
-    # the X, Y and Z bases of 20 qubits: about 2000 of the draws pair a
-    # graph basis with the computational one, whose monomials at n = 20
-    # take 230 entries a draw, over 3.5 MB an array if taken all at once
+    # the X, Y and Z bases of 20 qubits: about 1000 graph draws of 2^10
+    # head inputs each, over 16 MB an array if taken all at once, and about
+    # 2000 computational draws
     n = 20
     fam = MubSet(p=2, n=n, stack=[np.zeros((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)])
     verify_mu_numeric(fam, sample=50, seed=1)
@@ -585,6 +608,22 @@ def test_sampled_check_on_many_qubits_stays_small():
     assert peak < 5 << 20
     assert report.ok and report.pairs_checked == 3000
     assert report.worst_deviation < 1e-12
+
+
+def test_inexact_sizes_are_refused_before_allocating():
+    # at p = 2^31 - 1 the phase exponents are past float64's exact
+    # integers: both modes refuse the size before any table of p roots
+    # (16 GiB) is built
+    fam = MubSet(p=2**31 - 1, n=1, stack=[[[0]], [[1]]])
+    tracemalloc.start()
+    try:
+        for sample in (None, 10):
+            with pytest.raises(ValueError, match="float64"):
+                verify_mu_numeric(fam, sample=sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sampled_draws_are_cross_basis_pairs():
