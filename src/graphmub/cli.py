@@ -215,7 +215,11 @@ def _cmd_analyze(args) -> int:
         except ValueError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    report = analysis_report(fam, bips)
+    try:
+        report = analysis_report(fam, bips)
+    except ValueError as exc:  # all cuts over ALL_CUTS_LIMIT
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     _write(canonical_json(report), args.out)
     return EXIT_OK
 
@@ -248,14 +252,17 @@ def _cmd_export(args) -> int:
             print(f"index {args.index} out of range", file=sys.stderr)
             return EXIT_USAGE
         indices = [args.index]
+
+    def member(i):  # only the emitted members become MatZp
+        return MatZp(fam.p, fam.stack[i].tolist())
+
     if args.format == "json":
         out = canonical_json(to_document(fam))
     elif args.format == "dot":
-        out = "".join(adjacency_to_dot(fam.matrices[i], f"g{i}") for i in indices)
+        out = "".join(adjacency_to_dot(member(i), f"g{i}") for i in indices)
     else:
-        parts = [circuit_to_text(emit_measurement_circuit(fam.matrices[i]))
-                 for i in indices]
-        out = "\n".join(parts)
+        out = "\n".join(circuit_to_text(emit_measurement_circuit(member(i)))
+                        for i in indices)
     _write(out, args.out)
     return EXIT_OK
 

@@ -11,6 +11,9 @@ averaged-purity identity over a complete family,
 
 is checked with exact equality.  The sum runs over the rank histogram:
 one exact term count_r * p^{-r} per distinct rank r, not one per member.
+Ranks and labels are computed stack-wide, on the (N, n, n) int64 stack:
+the ranks at a cut by one stacked elimination, the labels by one pass
+over its boolean edge arrays.  A single `MatZp` is a stack of one.
 Self-loops (diagonal entries) are local operations and never affect any
 classification here.
 """
@@ -24,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatZp, eliminate_stack, rank_mod_p
+from .linalg import MatZp, eliminate_stack
 from .mubs import MubSet
 from .states import graph_state
 
@@ -32,6 +35,10 @@ FULLY_SEPARABLE = "fully-separable"
 GHZ_TYPE = "GHZ-type"
 GENUINELY_MULTIPARTITE = "genuinely-multipartite"
 BISEPARABLE = "biseparable-structure"
+
+# Most (cut, member) pairs an all-cuts report takes, each cut counted as at
+# least 2^10 members for its fixed cost: (2,12) and one-member n = 14 fit.
+ALL_CUTS_LIMIT = 2**23
 
 
 @dataclass(frozen=True)
@@ -70,10 +77,7 @@ def all_bipartitions(n: int) -> list[Bipartition]:
 
 def connectivity_rank(a: MatZp, b: Bipartition) -> int:
     """Z_p-rank of the |X| x |Y| off-diagonal block selected by b."""
-    if b.n != a.n:
-        raise ValueError("bipartition size does not match the matrix")
-    block = a.submatrix([v - 1 for v in b.x], [v - 1 for v in b.y])
-    return rank_mod_p(block, a.p)
+    return _cut_ranks(np.array([a.rows], dtype=np.int64), a.p, b)[0]
 
 
 def _cut_ranks(stack: np.ndarray, p: int, b: Bipartition) -> list[int]:
@@ -146,26 +150,25 @@ def classify_basis(a: MatZp) -> str:
     biseparable-structure: edges, but the edge graph is disconnected (some
     cut has connectivity rank 0).  GHZ-type: p = 2 connected star or
     complete graphs.  Every other connected graph: genuinely-multipartite.
+    The label of a stack of one (`_labels`).
     """
-    return _label(a.rows, a.p)
+    return _labels(np.array([a.rows], dtype=np.int64), a.p)[0]
 
 
-def _label(rows, p: int) -> str:
-    """classify_basis of the matrix with these rows (a MatZp's or a stack's)."""
-    n = len(rows)
-    nbrs = [[j for j in range(n) if j != i and rows[i][j]] for i in range(n)]
-    degrees = [len(js) for js in nbrs]
-    if not any(degrees):
-        return FULLY_SEPARABLE
-    seen, frontier = {0}, {0}
-    while frontier:
-        frontier = {j for i in frontier for j in nbrs[i]} - seen
-        seen |= frontier
-    if len(seen) < n:
-        return BISEPARABLE
-    if p == 2 and sorted(degrees) in ([n - 1] * n, [1] * (n - 1) + [n - 1]):
-        return GHZ_TYPE
-    return GENUINELY_MULTIPARTITE
+def _labels(stack: np.ndarray, p: int) -> list[str]:
+    """classify_basis of every member of an (N, n, n) stack reduced mod p:
+    the set reached from vertex 0 grows by one edge step per pass, and
+    n - 1 passes reach its whole component."""
+    n = stack.shape[1]
+    edges = (stack != 0) & ~np.eye(n, dtype=bool)
+    degrees = edges.sum(axis=2)
+    reached = np.broadcast_to(np.arange(n) == 0, stack.shape[:2])
+    for _ in range(n - 1):
+        reached = reached | (reached[:, :, None] & edges).any(axis=1)
+    hubs = (degrees == n - 1).sum(axis=1)  # complete graph, or a star
+    ghz = (hubs == n) | ((hubs == 1) & ((degrees == 1).sum(axis=1) == n - 1))
+    return np.select([~degrees.any(axis=1), ~reached.all(axis=1), ghz & (p == 2)],
+                     [FULLY_SEPARABLE, BISEPARABLE, GHZ_TYPE], GENUINELY_MULTIPARTITE).tolist()
 
 
 def census(s: MubSet, include_computational: bool = False) -> dict[str, int]:
@@ -174,7 +177,7 @@ def census(s: MubSet, include_computational: bool = False) -> dict[str, int]:
     The implicit computational basis counts as fully separable when
     requested.
     """
-    counts = Counter(_label(rows, s.p) for rows in s.stack.tolist())
+    counts = Counter(_labels(s.stack, s.p))
     if include_computational:
         counts[FULLY_SEPARABLE] += 1
     return dict(counts)
@@ -182,9 +185,18 @@ def census(s: MubSet, include_computational: bool = False) -> dict[str, int]:
 
 def analysis_report(s: MubSet, bipartitions=None) -> dict:
     """Per-graph ranks, purities and labels, keyed by bipartition,
-    plus the exact two sides of the design identity."""
-    bips = list(bipartitions) if bipartitions is not None else all_bipartitions(s.n)
-    labels = [_label(rows, s.p) for rows in s.stack.tolist()]
+    plus the exact two sides of the design identity.  All bipartitions by
+    default; ValueError, before any is built, if they are over
+    ALL_CUTS_LIMIT."""
+    if bipartitions is None:
+        cuts = 2 ** (s.n - 1) - 1
+        if cuts * max(len(s.stack), 2**10) > ALL_CUTS_LIMIT:
+            raise ValueError(f"all {cuts} bipartitions of n = {s.n} times "
+                             f"max({len(s.stack)} members, 1024) exceed "
+                             f"ALL_CUTS_LIMIT = {ALL_CUTS_LIMIT}; name a bipartition")
+        bipartitions = all_bipartitions(s.n)
+    bips = list(bipartitions)
+    labels = _labels(s.stack, s.p)
     report = {
         "p": s.p,
         "n": s.n,

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmub.cli import main
+from graphmub.cli import adjacency_to_dot, main
 from graphmub.linalg import MatZp
-from graphmub.mubs import from_document, mub_set, to_document
+from graphmub.mubs import MubSet, from_document, mub_set, to_document
+from graphmub.states import circuit_to_text, emit_measurement_circuit
 from graphmub.symrep import tridiag_char_poly
 from graphmub.tables import REFERENCE_DIAGONALS, reference_poly
 from oracles import mu_condition_scalar
@@ -336,6 +337,19 @@ def test_analyze_single_vertex_family(capsys, tmp_path):
     assert report["census"] == {"fully-separable": 5}
 
 
+def test_analyze_all_cuts_over_the_limit_is_usage_error(capsys, tmp_path):
+    # one 30 x 30 zero member: 2^29 - 1 cuts, refused before any is built
+    path = tmp_path / "one30.json"
+    path.write_text(json.dumps({"p": 2, "n": 30, "matrices": [[[0] * 30] * 30]}))
+    code, out, err = run_cli(capsys, ["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert err == ("usage error: all 536870911 bipartitions of n = 30 times max(1 members, "
+                   "1024) exceed ALL_CUTS_LIMIT = 8388608; name a bipartition\n")
+    code, out, err = run_cli(capsys, ["analyze", str(path), "--bipartition", "1"])
+    assert code == 0, err
+    assert json.loads(out)["labels"] == ["fully-separable"]
+
+
 def test_verify_malformed_input(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"p": 2, "n": 2}')
@@ -428,6 +442,26 @@ def test_export_dot_multiplicity_labels(capsys, tmp_path):
     assert code == 0
     assert "graph g0" in out and "graph g24" in out
     assert '[label="2"]' in out or '[label="3"]' in out or '[label="4"]' in out
+
+
+def test_export_builds_only_the_emitted_members(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "fam.json"
+    path.write_text(gen_doc(capsys))
+    fam = from_document(json.loads(path.read_text()))
+    dot = [adjacency_to_dot(m, f"g{i}") for i, m in enumerate(fam.matrices)]
+    circuits = [circuit_to_text(emit_measurement_circuit(m)) for m in fam.matrices]
+
+    def no_views(self):
+        raise AssertionError("MubSet.matrices built")
+
+    monkeypatch.setattr(MubSet, "matrices", property(no_views))
+    for flags, expected in ((["--format", "dot", "--index", "3"], dot[3]),
+                            (["--format", "circuit", "--index", "3"], circuits[3]),
+                            (["--format", "dot"], "".join(dot)),
+                            (["--format", "circuit"], "\n".join(circuits))):
+        code, out, err = run_cli(capsys, ["export", str(path), *flags])
+        assert code == 0, err
+        assert out == expected, flags
 
 
 def test_export_index_out_of_range(capsys, tmp_path):

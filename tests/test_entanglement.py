@@ -2,9 +2,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from graphmub import entanglement
 from graphmub.entanglement import (
+    ALL_CUTS_LIMIT,
     BISEPARABLE,
     FULLY_SEPARABLE,
     GENUINELY_MULTIPARTITE,
@@ -21,7 +24,7 @@ from graphmub.entanglement import (
 )
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
-from graphmub.mubs import canonical_json, mub_set, shift_set
+from graphmub.mubs import MubSet, canonical_json, mub_set, shift_set
 from oracles import analysis_report_brute, classify_by_bipartitions
 
 F27 = PolyZp(3, [1, 2, 1, 1])
@@ -173,6 +176,7 @@ def test_classify_matches_bipartition_scan_on_families(p, n):
 def test_classify_matches_bipartition_scan_on_random_graphs():
     rng = random.Random(2024)
     seen = Counter()
+    groups = {}
     for _ in range(1500):
         p = rng.choice((2, 3, 5))
         n = rng.randrange(1, 7)
@@ -180,9 +184,21 @@ def test_classify_matches_bipartition_scan_on_random_graphs():
         label = classify_basis(a)
         assert label == classify_by_bipartitions(a), a
         seen[label] += 1
+        groups.setdefault((p, n), []).append(a)
     # the sample reaches every label, disconnected graphs included
     assert min(seen[lab] for lab in (FULLY_SEPARABLE, BISEPARABLE, GHZ_TYPE,
                                      GENUINELY_MULTIPARTITE)) >= 50
+    # one stacked call per (p, n), labels in member order: a one-graph call
+    # cannot catch labels mixed across members
+    assert all((p, 1) in groups for p in (2, 3, 5))
+    stacks = [(p, n, group) for (p, n), group in groups.items()]
+    stacks += [(2, 4, []), (3, 1, [MatZp(3, [[v]]) for v in (0, 1, 2, 2, 0)])]
+    for p, n, group in stacks:
+        rows = np.array([a.rows for a in group], dtype=np.int64).reshape(-1, n, n)
+        s = MubSet(p=p, n=n, stack=rows)
+        expected = [classify_by_bipartitions(a) for a in group]
+        assert analysis_report(s, [])["labels"] == expected, (p, n)
+        assert census(s) == dict(Counter(expected)), (p, n)
 
 
 def test_census_three_qubits():
@@ -260,3 +276,30 @@ def test_analysis_report_matches_member_by_member_oracle(p, n):
     single = analysis_report(shifted, [Bipartition.of(x, n)])
     assert canonical_json(single) == canonical_json(analysis_report_brute(shifted, [x]))
     assert len(single["bipartitions"]) == 1
+
+
+def test_all_cuts_over_the_limit_are_refused_before_any_is_built(monkeypatch):
+    def no_cuts(n):
+        raise AssertionError("all_bipartitions ran")
+
+    monkeypatch.setattr(entanglement, "all_bipartitions", no_cuts)
+    one = MubSet(p=2, n=30, stack=np.zeros((1, 30, 30), dtype=np.int64))
+    with pytest.raises(ValueError, match="ALL_CUTS_LIMIT"):
+        analysis_report(one)
+    single = analysis_report(one, [Bipartition.of((1,), 30)])
+    assert single["labels"] == [FULLY_SEPARABLE]
+    assert single["bipartitions"]["1|" + ",".join(map(str, range(2, 31)))]["ranks"] == [0]
+
+
+@pytest.mark.parametrize("members, n, admitted", [(1, 14, True), (1, 15, False),
+                                                  (4096, 12, True), (8192, 13, False)])
+def test_all_cuts_limit_admits_2_12_and_one_member_n_14(monkeypatch, members, n, admitted):
+    # (2^(n-1) - 1) x max(members, 2^10) against 2^23; no cut is built here
+    monkeypatch.setattr(entanglement, "all_bipartitions", lambda n: [])
+    s = MubSet(p=2, n=n, stack=np.zeros((members, n, n), dtype=np.int64))
+    assert ALL_CUTS_LIMIT == 2**23
+    if admitted:
+        assert analysis_report(s)["census"] == {FULLY_SEPARABLE: members}
+    else:
+        with pytest.raises(ValueError, match="ALL_CUTS_LIMIT"):
+            analysis_report(s)
