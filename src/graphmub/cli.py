@@ -208,16 +208,10 @@ def _cmd_analyze(args) -> int:
     fam = _load(args.doc)
     if fam is None:
         return EXIT_USAGE
-    bips = None
-    if args.bipartition is not None:
-        try:
-            bips = [Bipartition.of(args.bipartition, fam.n)]
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        bips = None if args.bipartition is None else [Bipartition.of(args.bipartition, fam.n)]
         report = analysis_report(fam, bips)
-    except ValueError as exc:  # all cuts over ALL_CUTS_LIMIT
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _write(canonical_json(report), args.out)

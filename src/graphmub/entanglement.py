@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatZp, eliminate_stack
+from .linalg import MatZp, eliminate_stack, rank_mod_p
 from .mubs import MubSet
 from .states import graph_state
 
@@ -36,8 +36,10 @@ GHZ_TYPE = "GHZ-type"
 GENUINELY_MULTIPARTITE = "genuinely-multipartite"
 BISEPARABLE = "biseparable-structure"
 
-# Most (cut, member) pairs an all-cuts report takes, each cut counted as at
-# least 2^10 members for its fixed cost: (2,12) and one-member n = 14 fit.
+# Most (cut, member) pairs an all-cuts report takes, about 10 s.  A cut
+# costs a fixed ~100-230 us plus ~0.9-1.5 us per member (n = 12..16, one
+# BLAS thread, 2-vCPU Xeon VM), so it counts as at least 2^7 members:
+# (2,12) and one-member n = 17 fit, (2,13) and one-member n = 18 do not.
 ALL_CUTS_LIMIT = 2**23
 
 
@@ -76,18 +78,23 @@ def all_bipartitions(n: int) -> list[Bipartition]:
 
 
 def connectivity_rank(a: MatZp, b: Bipartition) -> int:
-    """Z_p-rank of the |X| x |Y| off-diagonal block selected by b."""
-    return _cut_ranks(np.array([a.rows], dtype=np.int64), a.p, b)[0]
+    """Z_p-rank of the |X| x |Y| off-diagonal block selected by b, by
+    `rank_mod_p`: the stacked elimination on a stack of one."""
+    return rank_mod_p(_crossing(np.array(a.rows, dtype=np.int64), b), a.p)
+
+
+def _crossing(m: np.ndarray, b: Bipartition) -> np.ndarray:
+    """The X rows and Y columns of an (n, n) matrix, or of every member of
+    an (N, n, n) stack."""
+    if b.n != m.shape[-1]:
+        raise ValueError("bipartition size does not match the matrices")
+    return m[..., [v - 1 for v in b.x], :][..., [v - 1 for v in b.y]]
 
 
 def _cut_ranks(stack: np.ndarray, p: int, b: Bipartition) -> list[int]:
     """connectivity_rank of every matrix of an (N, n, n) stack at b, by
     one stacked elimination of the (N, |X|, |Y|) crossing blocks."""
-    if b.n != stack.shape[1]:
-        raise ValueError("bipartition size does not match the matrices")
-    x = [v - 1 for v in b.x]
-    y = [v - 1 for v in b.y]
-    return eliminate_stack(stack[:, x][:, :, y], p)[0].tolist()
+    return eliminate_stack(_crossing(stack, b), p)[0].tolist()
 
 
 def reduced_purity(a: MatZp, b: Bipartition) -> Fraction:
@@ -190,9 +197,9 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
     ALL_CUTS_LIMIT."""
     if bipartitions is None:
         cuts = 2 ** (s.n - 1) - 1
-        if cuts * max(len(s.stack), 2**10) > ALL_CUTS_LIMIT:
+        if cuts * max(len(s.stack), 2**7) > ALL_CUTS_LIMIT:
             raise ValueError(f"all {cuts} bipartitions of n = {s.n} times "
-                             f"max({len(s.stack)} members, 1024) exceed "
+                             f"max({len(s.stack)} members, 128) exceed "
                              f"ALL_CUTS_LIMIT = {ALL_CUTS_LIMIT}; name a bipartition")
         bipartitions = all_bipartitions(s.n)
     bips = list(bipartitions)

@@ -344,7 +344,7 @@ def test_analyze_all_cuts_over_the_limit_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["analyze", str(path)])
     assert code == 2 and out == ""
     assert err == ("usage error: all 536870911 bipartitions of n = 30 times max(1 members, "
-                   "1024) exceed ALL_CUTS_LIMIT = 8388608; name a bipartition\n")
+                   "128) exceed ALL_CUTS_LIMIT = 8388608; name a bipartition\n")
     code, out, err = run_cli(capsys, ["analyze", str(path), "--bipartition", "1"])
     assert code == 0, err
     assert json.loads(out)["labels"] == ["fully-separable"]

@@ -291,10 +291,10 @@ def test_all_cuts_over_the_limit_are_refused_before_any_is_built(monkeypatch):
     assert single["bipartitions"]["1|" + ",".join(map(str, range(2, 31)))]["ranks"] == [0]
 
 
-@pytest.mark.parametrize("members, n, admitted", [(1, 14, True), (1, 15, False),
+@pytest.mark.parametrize("members, n, admitted", [(1, 17, True), (1, 18, False),
                                                   (4096, 12, True), (8192, 13, False)])
-def test_all_cuts_limit_admits_2_12_and_one_member_n_14(monkeypatch, members, n, admitted):
-    # (2^(n-1) - 1) x max(members, 2^10) against 2^23; no cut is built here
+def test_all_cuts_limit_admits_2_12_and_one_member_n_17(monkeypatch, members, n, admitted):
+    # (2^(n-1) - 1) x max(members, 2^7) against 2^23; no cut is built here
     monkeypatch.setattr(entanglement, "all_bipartitions", lambda n: [])
     s = MubSet(p=2, n=n, stack=np.zeros((members, n, n), dtype=np.int64))
     assert ALL_CUTS_LIMIT == 2**23
