@@ -63,9 +63,10 @@ def prime_factors(m: int) -> list[int]:
 
 
 class PolyZp:
-    """Immutable polynomial over Z_p, stored as ascending coefficients."""
+    """Immutable polynomial over Z_p, stored as ascending coefficients.
+    `is_irreducible` keeps its verdict on the instance."""
 
-    __slots__ = ("p", "coeffs")
+    __slots__ = ("p", "coeffs", "_irreducible")
 
     def __init__(self, p: int, coeffs) -> None:
         check_prime(p)
@@ -74,6 +75,7 @@ class PolyZp:
             cs.pop()
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_irreducible", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyZp is immutable")
@@ -234,13 +236,17 @@ class PolyZp:
     # -- irreducibility and primitivity --------------------------------
 
     def is_irreducible(self) -> bool:
-        """Distinct-degree criterion.
-
-        f of degree n is irreducible over Z_p iff x^(p^n) = x mod f and
-        gcd(x^(p^k) - x, f) = 1 for every k <= n/2.
-        """
+        """Distinct-degree criterion, computed once per instance: the
+        polynomial is immutable, so its verdict is kept with it."""
         if not self.is_monic or self.degree is None or self.degree < 1:
             raise ValueError("irreducibility is defined for monic polynomials of degree >= 1")
+        if self._irreducible is None:
+            object.__setattr__(self, "_irreducible", self._distinct_degree())
+        return self._irreducible
+
+    def _distinct_degree(self) -> bool:
+        """f of degree n is irreducible over Z_p iff x^(p^n) = x mod f and
+        gcd(x^(p^k) - x, f) = 1 for every k <= n/2."""
         p, n = self.p, self.degree
         if n == 1:
             return True

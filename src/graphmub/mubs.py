@@ -9,8 +9,11 @@ is implicit (always unbiased with respect to graph bases), making the
 full family p^n + 1 bases.
 
 A family is stored once, as its int64 stack `MubSet.stack`, which every
-check reads; `MubSet.matrices` is a view of it built on first use.
-`MubSet.field_rep` proves from the stack that the members form a field.
+check reads; `MubSet.matrices` is a view of it built on first use.  The
+seed is proven where its witness is built (`SymmetricRep`), so a family
+that `MubSet` builds from a witness is the field Z_p[Q] by construction
+(`mub_set`, `adjacency_set`); a stack passed in (a document, a shift, a
+hand-built family) is proven from the stack by `MubSet.field_rep`.
 Other families get one determinant per distinct difference A_t - A_r:
 the N - 1 differences from member 0 when `MubSet.affine` proves the stack
 a coset of a subspace (a shifted or reordered field), since member 0 then
@@ -22,7 +25,7 @@ packed key not yet in the set of those met.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,34 +47,44 @@ class MubSet:
     `stack` is the family: a read-only int64 array (N, n, n) of members
     reduced mod p, from nested integers of any size or an integer array
     (ValueError for members or shifts that are not symmetric n x n).
-    Index i corresponds to the coefficient vector (a_0, ..., a_{n-1})
-    with a_0 varying fastest: stack[i] = sum_k a_k Q^k.  `field_rep` and
-    `affine` are derived from `stack`, never given.  `matrices` is a view
-    of `stack`.  The implicit computational basis is always part of the
-    family and never stored.
+    Without a stack, the family is built here from `witness` (same p and
+    n, no shifts): its `_field`, Z_p[Q] by construction.  Index i
+    corresponds to the coefficient vector (a_0, ..., a_{n-1}) with a_0
+    varying fastest: stack[i] = sum_k a_k Q^k.  `field_rep` and `affine`
+    are derived, never given.  `matrices` is a view of `stack`.  The
+    implicit computational basis is always part of the family and never
+    stored.
     """
 
     p: int
     n: int
-    stack: np.ndarray
+    stack: np.ndarray | None = None
     witness: SymmetricRep | None = None
     shifts: tuple[MatZp, ...] = ()
     method: str = "unknown"
     polynomial: PolyZp | None = None
     d: tuple[int, ...] | None = None
+    _from_witness: bool = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        p, n = self.p, self.n
-        try:
-            stack = np.array(self.stack, dtype=np.int64) % p
-        except OverflowError:  # entries beyond int64: reduce them first
-            stack = (np.array(self.stack, dtype=object) % p).astype(np.int64)
-        if stack.ndim != 3 or stack.shape[1:] != (n, n) \
-                or (stack != stack.transpose(0, 2, 1)).any():
-            raise ValueError("adjacency matrices must be symmetric and n x n")
+        p, n, w = self.p, self.n, self.witness
         if any(m.p != p or m.n != n or not m.is_symmetric for m in self.shifts):
             raise ValueError("shift matrices must be symmetric n x n over Z_p")
+        if self.stack is None:
+            if w is None or (w.p, w.n) != (p, n) or self.shifts:
+                raise ValueError("a family without a stack is built from a "
+                                 "witness over the same p and n, unshifted")
+            stack = _field(w.q)
+        else:
+            try:
+                stack = np.array(self.stack, dtype=np.int64) % p
+            except OverflowError:  # entries beyond int64: reduce them first
+                stack = (np.array(self.stack, dtype=object) % p).astype(np.int64)
+            if stack.ndim != 3 or stack.shape[1:] != (n, n) \
+                    or (stack != stack.transpose(0, 2, 1)).any():
+                raise ValueError("adjacency matrices must be symmetric and n x n")
         stack.setflags(write=False)
+        object.__setattr__(self, "_from_witness", self.stack is None)
         object.__setattr__(self, "stack", stack)
 
     @cached_property
@@ -84,7 +97,11 @@ class MubSet:
         """True when the stack is the index-ordered span of I, Q, ...,
         Q^(n-1), Q = stack[p] (I alone for n = 1), and Q has an irreducible
         characteristic polynomial: then the p^n members are the field
-        Z_p[Q], so every difference of two members is invertible."""
+        Z_p[Q], so every difference of two members is invertible.  A stack
+        built from the witness is that span of its proven seed; a stack
+        passed in is proven here."""
+        if self._from_witness:
+            return True
         p, n = self.p, self.n
         if len(self.stack) != p**n:
             return False
@@ -159,9 +176,10 @@ def _field(q: MatZp) -> np.ndarray:
 
 
 def adjacency_set(witness: SymmetricRep) -> MubSet:
-    """All p^n linear combinations of the fundamental graphs."""
+    """All p^n linear combinations of the fundamental graphs: the field
+    Z_p[Q], built from the witness."""
     return MubSet(
-        p=witness.p, n=witness.n, stack=_field(witness.q), witness=witness,
+        p=witness.p, n=witness.n, witness=witness,
         method=witness.method, polynomial=witness.f, d=witness.d,
     )
 
@@ -224,11 +242,11 @@ def difference_classes(s: MubSet):
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
     """Check det(A_r - A_s) != 0 for all r != s.
 
-    A family that `field_rep` proves to be a field passes in closure mode
-    with no determinant.  Any other family, or any family when pairwise
-    is set, gets one determinant per distinct difference A_t - A_r, at its
-    least pair in row-major order (`difference_classes`), one
-    `eliminate_stack` call per row of pairs.  A failing pair whose class
+    A field (`field_rep`: built from its witness, or proven from the
+    stack) passes in closure mode with no determinant.  Any other family,
+    or any family when pairwise is set, gets one determinant per distinct
+    difference A_t - A_r, at its least pair in row-major order
+    (`difference_classes`), one `eliminate_stack` call per row of pairs.  A failing pair whose class
     came earlier failed there already, so the report names the first
     failing pair of a scan over all pairs: (0, least failing t) for an
     affine stack (a field, shifted or reordered).

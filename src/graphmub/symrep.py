@@ -13,7 +13,10 @@ Two routes produce the seed matrix Q:
    normal outcome and the caller falls back to route 1.
 
 The congruence reductions follow a fixed deterministic scan so that a
-given input always yields the same witness.
+given input always yields the same witness.  Both routes end in a
+`SymmetricRep`, which proves the seed.  Each hands it the polynomial it
+tested, except the untargeted tridiagonal search, which returns only a
+diagonal.
 """
 
 from __future__ import annotations
@@ -43,10 +46,11 @@ class PrimitivePolynomialRequired(ConstructionError):
 
 @dataclass(frozen=True)
 class SymmetricRep:
-    """Witness for a symmetric representation seed.
-
-    Invariants: q is symmetric, char_poly(q) = f, and for the companion
-    route q = transform @ companion @ transform^{-1}.
+    """Witness for a symmetric representation seed, and the one place a
+    seed is proven: construction raises ConstructionError unless q is
+    symmetric, char_poly(q) = f, and f is irreducible, so every witness
+    generates the field Z_p[Q].  For the companion route also q =
+    transform @ companion @ transform^{-1}, by construction.
     """
 
     f: PolyZp
@@ -56,6 +60,18 @@ class SymmetricRep:
     transform: MatZp | None = None
     multiplier: object = None  # int, MatZp, or None
     d: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        f, q = self.f, self.q
+        if not q.is_symmetric:
+            raise ConstructionError(f"the {self.method} seed is not symmetric")
+        if q.char_poly() != f:
+            raise ConstructionError(
+                f"the {self.method} seed's characteristic polynomial is not {f}"
+            )
+        if not f.is_irreducible():
+            of = f" of d={self.d}" if self.d is not None else ""
+            raise ConstructionError(f"characteristic polynomial {f}{of} is reducible")
 
     @property
     def p(self) -> int:
@@ -98,7 +114,7 @@ def symmetrizing_form_char2(f: PolyZp) -> MatZp:
     """
     if f.p != 2:
         raise ValueError("this form is specific to p = 2")
-    _require_monic_irreducible(f)
+    _require_monic(f)
     n = f.degree
     b = [0] * n  # b[1..n-1] used
     if n > 1:
@@ -123,7 +139,7 @@ def symmetrizing_form_odd(f: PolyZp) -> MatZp:
     """
     if f.p == 2:
         raise ValueError("use symmetrizing_form_char2 for p = 2")
-    _require_monic_irreducible(f)
+    _require_monic(f)
     p, n = f.p, f.degree
     b = [0] * n
     b[0] = 1
@@ -337,11 +353,9 @@ def _check_reducible_char2(b: MatZp) -> None:
                          "to the identity over Z_2")
 
 
-def _require_monic_irreducible(f: PolyZp) -> None:
+def _require_monic(f: PolyZp) -> None:
     if f.degree is None or f.degree < 1 or not f.is_monic:
         raise ValueError("need a monic polynomial of degree >= 1")
-    if not f.is_irreducible():
-        raise ValueError(f"{f} is reducible")
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +364,10 @@ def _require_monic_irreducible(f: PolyZp) -> None:
 
 
 def symmetrize_companion(f: PolyZp) -> SymmetricRep:
-    """Symmetric Q similar to the companion matrix of f, with a witness."""
-    _require_monic_irreducible(f)
+    """Symmetric Q similar to the companion matrix of a monic f, with a
+    witness, which proves f irreducible.  A reducible f is refused there
+    (ConstructionError) or earlier, by the multiplier rule or a reduction
+    (ValueError)."""
     p = f.p
     c = MatZp.companion(f)
     if p == 2:
@@ -366,8 +382,6 @@ def symmetrize_companion(f: PolyZp) -> SymmetricRep:
     if c @ bform != bform @ c.transpose():
         raise ConstructionError("form does not symmetrize the companion matrix")
     q = pmat @ c @ bform @ pmat.transpose()  # P^-1 = B P^T, as P B P^T = 1
-    if not q.is_symmetric or q.char_poly() != f:
-        raise ConstructionError(f"symmetrized seed is not symmetric with char poly {f}")
     return SymmetricRep(
         f=f, q=q, method="companion", companion=c, transform=pmat,
         multiplier=multiplier,
@@ -477,17 +491,14 @@ def tridiag_search(p: int, n: int, target: PolyZp | None = None,
     return None
 
 
-def tridiagonal_rep(p: int, d) -> SymmetricRep:
-    """Witness for an explicit tridiagonal diagonal."""
-    q = tridiagonal_matrix(p, d)
-    f = tridiag_char_poly(p, d)
-    if not f.is_irreducible():
-        raise ConstructionError(
-            f"characteristic polynomial {f} of d={tuple(d)} is reducible"
-        )
-    if q.char_poly() != f:
-        raise ConstructionError(f"char poly of the tridiagonal seed differs from {f}")
-    return SymmetricRep(f=f, q=q, method="tridiagonal", d=tuple(v % p for v in d))
+def tridiagonal_rep(p: int, d, f: PolyZp | None = None) -> SymmetricRep:
+    """Witness for an explicit tridiagonal diagonal.  f defaults to its
+    characteristic polynomial; a caller that holds that polynomial already
+    (a target hit) passes it, and the witness checks that d realizes it."""
+    if f is None:
+        f = tridiag_char_poly(p, d)
+    return SymmetricRep(f=f, q=tridiagonal_matrix(p, d), method="tridiagonal",
+                        d=tuple(v % p for v in d))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +558,7 @@ def symmetric_representation(p: int, n: int, method: str = "auto",
         if method in ("tridiag", "auto"):
             found = tridiag_search(p, n, target=poly)
             if found is not None:
-                return tridiagonal_rep(p, found)
+                return tridiagonal_rep(p, found, poly)
             if method == "tridiag":
                 raise ConstructionError(
                     f"no tridiagonal matrix over Z_{p} realizes {poly}"
