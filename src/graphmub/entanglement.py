@@ -94,7 +94,7 @@ def _crossing(m: np.ndarray, b: Bipartition) -> np.ndarray:
 def _cut_ranks(stack: np.ndarray, p: int, b: Bipartition) -> list[int]:
     """connectivity_rank of every matrix of an (N, n, n) stack at b, by
     one stacked elimination of the (N, |X|, |Y|) crossing blocks."""
-    return eliminate_stack(_crossing(stack, b), p)[0].tolist()
+    return eliminate_stack(_crossing(stack, b), p).tolist()
 
 
 def reduced_purity(a: MatZp, b: Bipartition) -> Fraction:

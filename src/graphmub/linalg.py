@@ -1,14 +1,13 @@
-"""Exact dense linear algebra over Z_p.
+"""Exact dense linear algebra over Z_p, from two kernels with one job each.
 
-`eliminate_stack` is the one Gaussian elimination: it ranks and takes the
-determinants of a whole int64 stack of matrices at once, and the rank
-and determinant of a single matrix are a stack of one.  For p = 2 it
-has a bit-packed path: rows become uint64 words and each row operation
-is one XOR.  The characteristic polynomial uses the division-free
-Berkowitz recursion,
-which stays correct for every prime p including p <= n
-(Faddeev-LeVerrier would divide by k!); the inverse follows from it by
-Cayley-Hamilton.
+The division-free Berkowitz recursion gives one matrix's characteristic
+polynomial, and from it the determinant (its constant term) and the
+inverse (by Cayley-Hamilton), for every prime p including p <= n
+(Faddeev-LeVerrier would divide by k!).  `eliminate_stack`, the one
+Gaussian elimination, ranks a whole int64 stack at once (one matrix is a
+stack of one); over Z_p a square matrix is invertible exactly when it
+has full rank.  For p = 2 rows are packed into uint64 words, and each
+row operation is one XOR.
 """
 
 from __future__ import annotations
@@ -160,10 +159,11 @@ class MatZp:
         """Rectangular block (plain lists; not necessarily square)."""
         return [[self.rows[i][j] for j in col_idx] for i in row_idx]
 
-    # -- elimination-based quantities -----------------------------------
+    # -- quantities of one matrix: Berkowitz, and the rank by elimination --
 
     def det(self) -> int:
-        return int(eliminate_stack(np.array([self.rows], dtype=np.int64), self.p)[1][0])
+        """(-1)^n c_0 for the constant term c_0 = det(-M) of `char_poly`."""
+        return (-1) ** self.n * self.char_poly().coeff(0) % self.p
 
     def rank(self) -> int:
         return rank_mod_p(self.to_lists(), self.p)
@@ -213,18 +213,18 @@ class MatZp:
         return PolyZp(p, list(reversed(vec)))
 
 
-def eliminate_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ranks and, for square members, determinants over Z_p of a stack of
-    shape (N, r, c), by one forward elimination run on all members at once.
+def eliminate_stack(stack, p: int) -> np.ndarray:
+    """Ranks over Z_p of a stack of shape (N, r, c), by one forward
+    elimination run on all members at once; an int64 array of length N.
 
+    For each column, the first row holding it is subtracted, scaled, from
+    every row holding it, itself included: the pivot row empties itself,
+    no row is swapped, and the rank is the number of pivots found.
     Entries may be any int64 values (they are reduced first).  p < 2^31
     (`check_prime`) keeps every product of two residues below 2^62, and
     each product is reduced before it is added.  For p = 2 each row is
     packed into ceil(c/64) uint64 words and a column step is one XOR of
-    the pivot row into the rows that have the column's bit, the pivot
-    row included; a square member's determinant is then rank == r.
-    Returns int64 arrays of length N: the ranks, and the determinants
-    (None when r != c).
+    the pivot row into the rows that have the column's bit.
     """
     check_prime(p)
     m = np.asarray(stack, dtype=np.int64) % p
@@ -240,37 +240,25 @@ def eliminate_stack(stack, p: int) -> tuple[np.ndarray, np.ndarray | None]:
             has = (bits[:, :, c // 64] >> np.uint64(c % 64)) & np.uint64(1) != 0
             bits ^= has[:, :, None] * bits[members, has.argmax(axis=1)][:, None, :]
             rank += has.any(axis=1)
-        return rank, (rank == nrows).astype(np.int64) if nrows == ncols else None
-    row = np.arange(nrows)
-    det = np.ones(count, dtype=np.int64)
+        return rank
     for c in range(ncols):
-        # the pivot of each member is its first nonzero at or under row rank
-        nonzero = (m[:, :, c] != 0) & (row >= rank[:, None])
-        found = nonzero.any(axis=1)
-        top = np.minimum(rank, nrows - 1)  # rank = r leaves no pivot to find
-        piv = np.where(found, nonzero.argmax(axis=1), top)
-        upper = m[members, top]
-        m[members, top] = m[members, piv]
-        m[members, piv] = upper
-        det = np.where(piv != top, -det % p, det)
-        pivot = np.where(found, m[members, top, c], 0)
-        det = det * pivot % p
+        has = m[:, :, c] != 0
+        pivot_row = m[members, has.argmax(axis=1)]  # row 0, 0 at c, where none holds c
         # inverses of the distinct pivot values only; 0 marks "no pivot"
-        values, where = np.unique(pivot, return_inverse=True)
+        values, where = np.unique(pivot_row[:, c], return_inverse=True)
         inv = np.array([pow(int(v), p - 2, p) if v else 0 for v in values],
                        dtype=np.int64)[where.reshape(-1)]
         factor = m[:, :, c] * inv[:, None] % p
-        factor[row <= top[:, None]] = 0
-        m = (m - factor[:, :, None] * m[members, top][:, None, :] % p) % p
-        rank += found
-    return rank, det if nrows == ncols else None
+        m = (m - factor[:, :, None] * pivot_row[:, None, :] % p) % p
+        rank += has.any(axis=1)
+    return rank
 
 
 def rank_mod_p(block: list[list[int]], p: int) -> int:
     """Rank over Z_p of a rectangular block of integer row lists (reduced
     here, so entries of any size are accepted)."""
     reduced = np.array([[[v % p for v in r] for r in block]], dtype=np.int64)
-    return int(eliminate_stack(reduced, p)[0][0])
+    return int(eliminate_stack(reduced, p)[0])
 
 
 def congruence(pmat: MatZp, b: MatZp) -> MatZp:

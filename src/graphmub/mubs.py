@@ -14,8 +14,9 @@ seed is proven where its witness is built (`SymmetricRep`), so a family
 that `MubSet` builds from a witness is the field Z_p[Q] by construction
 (`mub_set`, `adjacency_set`); a stack passed in (a document, a shift, a
 hand-built family) is proven from the stack by `MubSet.field_rep`.
-Other families get one determinant per distinct difference A_t - A_r:
-the N - 1 differences from member 0 when `MubSet.affine` proves the stack
+Other families get one rank per distinct difference A_t - A_r (over
+Z_p a square matrix is invertible exactly when it has full rank): the
+N - 1 differences from member 0 when `MubSet.affine` proves the stack
 a coset of a subspace (a shifted or reordered field), since member 0 then
 meets every difference; for any other stack, the pairs where a walk in
 row-major order (`difference_rows`) first meets each difference, its
@@ -126,7 +127,7 @@ class MubSet:
         keys = np.sort(_keys(coefs, _key_weights(p, coefs.shape[1])))
         if (keys[1:] == keys[:-1]).any():  # cheaper than the rank
             return False
-        return p ** int(eliminate_stack(coefs[None], p)[0][0]) == len(coefs)
+        return p ** int(eliminate_stack(coefs[None], p)[0]) == len(coefs)
 
     @property
     def dim(self) -> int:
@@ -240,13 +241,13 @@ def difference_classes(s: MubSet):
 
 
 def verify_mu_condition(s: MubSet, pairwise: bool = False):
-    """Check det(A_r - A_s) != 0 for all r != s.
+    """Check that A_r - A_s is invertible, rank n over Z_p, for all r != s.
 
     A field (`field_rep`: built from its witness, or proven from the
-    stack) passes in closure mode with no determinant.  Any other family,
-    or any family when pairwise is set, gets one determinant per distinct
-    difference A_t - A_r, at its least pair in row-major order
-    (`difference_classes`), one `eliminate_stack` call per row of pairs.  A failing pair whose class
+    stack) passes in closure mode with no rank.  Any other family, or any
+    family when pairwise is set, gets one rank per distinct difference
+    A_t - A_r, at its least pair in row-major order (`difference_classes`),
+    one `eliminate_stack` call per row of pairs.  A failing pair whose class
     came earlier failed there already, so the report names the first
     failing pair of a scan over all pairs: (0, least failing t) for an
     affine stack (a field, shifted or reordered).
@@ -255,7 +256,7 @@ def verify_mu_condition(s: MubSet, pairwise: bool = False):
         return MuConditionReport(ok=True, mode="closure", failing_pair=None)
     stack = s.stack
     for r, ts in difference_classes(s):
-        singular = np.flatnonzero(eliminate_stack(stack[ts] - stack[r], s.p)[1] == 0)
+        singular = np.flatnonzero(eliminate_stack(stack[ts] - stack[r], s.p) < s.n)
         if singular.size:
             return MuConditionReport(ok=False, mode="pairwise",
                                      failing_pair=(r, int(ts[singular[0]])))

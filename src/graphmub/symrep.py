@@ -346,7 +346,7 @@ def reduce_to_identity_odd(b: MatZp) -> MatZp:
 def _check_reducible_char2(b: MatZp) -> None:
     if not b.is_symmetric:
         raise ValueError("input must be symmetric")
-    if b.det() == 0:
+    if b.rank() < b.n:
         raise ValueError("singular matrix is not congruent to the identity")
     if all(b[i, i] == 0 for i in range(b.n)):
         raise ValueError("no unit diagonal entry: matrix is not congruent "

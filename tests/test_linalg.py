@@ -125,7 +125,9 @@ def random_stack(rng, p, count, nrows, ncols):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 def test_eliminate_stack_matches_scalar_and_oracles(p):
     # each member against the scalar oracles rank_brute and det_cofactor,
-    # which share no code with the elimination
+    # which share no code with the elimination: a square member is
+    # singular exactly when its rank is short, and MatZp.det (Berkowitz)
+    # gives the determinant's value
     rng = random.Random(53 + p)
     shapes = [(k, k) for k in range(1, 5)] + [(1, k) for k in range(2, 5)] \
         + [(k, 1) for k in range(2, 5)] + [(2, 3), (4, 2)]
@@ -133,13 +135,15 @@ def test_eliminate_stack_matches_scalar_and_oracles(p):
     for nrows, ncols in shapes:
         for count in (1, 17):
             stack = random_stack(rng, p, count, nrows, ncols)
-            ranks, dets = eliminate_stack(np.array(stack), p)
+            ranks = eliminate_stack(np.array(stack), p)
+            assert ranks.dtype == np.int64 and ranks.shape == (count,)
             assert ranks.tolist() == [rank_brute(m, p) for m in stack]
             if nrows != ncols:
-                assert dets is None
                 continue
-            assert dets.tolist() == [det_cofactor(m, p) for m in stack]
-            singular += dets.tolist().count(0)
+            dets = [det_cofactor(m, p) for m in stack]
+            assert [MatZp(p, m).det() for m in stack] == dets
+            assert [r == nrows for r in ranks.tolist()] == [d != 0 for d in dets]
+            singular += dets.count(0)
     assert singular >= 10
 
 
@@ -155,8 +159,8 @@ def test_gf2_kernel_on_multiword_and_tall_blocks(nrows, ncols):
     stack.append([[a * s + b * t + 2 * rng.randrange(-2, 3) for s, t in zip(u, v)]
                   for a, b in coef])
     stack.append([[2 * rng.randrange(-2, 3) for _ in range(ncols)] for _ in range(nrows)])
-    ranks, dets = eliminate_stack(np.array(stack), 2)
-    assert dets is None
+    ranks = eliminate_stack(np.array(stack), 2)
+    assert ranks.dtype == np.int64 and ranks.shape == (len(stack),)
     expected = [rank_brute(m, 2) for m in stack]
     assert ranks.tolist() == expected
     assert expected[-2] <= 2 and expected[-1] == 0
@@ -166,11 +170,72 @@ def test_gf2_kernel_on_multiword_and_tall_blocks(nrows, ncols):
     # be found: rank 1 each
     unit = [[[int(j == k) + 2 * rng.randrange(-2, 3) for k in range(ncols)]
              for _ in range(nrows)] for j in range(ncols)]
-    assert eliminate_stack(np.array(unit), 2)[0].tolist() == [1] * ncols
+    assert eliminate_stack(np.array(unit), 2).tolist() == [1] * ncols
+
+
+def known_rank(rng, p, nrows, ncols, k):
+    """U V for U (nrows x k) and V (k x ncols) over Z_p, U holding the
+    identity on k random rows and V on k random columns, so the rank is
+    exactly k.  Entries are shifted by -p, 0 or p, so they arrive
+    unreduced."""
+    u = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+    for j, i in enumerate(rng.sample(range(nrows), k)):
+        u[i] = [int(j == l) for l in range(k)]
+    v = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+    for j, c in enumerate(rng.sample(range(ncols), k)):
+        for l in range(k):
+            v[l][c] = int(j == l)
+    return [[sum(ur[l] * v[l][c] for l in range(k)) % p + p * rng.randrange(-1, 2)
+             for c in range(ncols)] for ur in u]
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 2**31 - 1])
+@pytest.mark.parametrize("nrows, ncols", [(243, 15), (15, 243), (70, 3), (3, 70)])
+def test_odd_kernel_on_tall_and_wide_blocks_of_known_rank(p, nrows, ncols):
+    # 243 x 15 is the affine proof's block at (3,5); the ranks run from
+    # 0 (an all-zero member) through full, each member built to its rank
+    rng = random.Random(73 + nrows + p % 97)
+    full = min(nrows, ncols)
+    ks = [0, 1, 2, full // 2, full - 1, full]
+    stack = [known_rank(rng, p, nrows, ncols, k) for k in ks]
+    assert eliminate_stack(np.array(stack), p).tolist() == ks
+    for m, k in zip(stack[:2], ks):  # N = 1
+        assert eliminate_stack(np.array([m]), p).tolist() == [k]
+    assert rank_mod_p(stack[-1], p) == full
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 2**31 - 1])
+def test_eliminate_stack_pivot_edge_cases(p):
+    rng = random.Random(79 + p % 97)
+
+    def unit():
+        return rng.randrange(1, p)
+
+    # column 0 held by the last row alone; row 3 an unreduced multiple of row 1
+    last_only = [[0] * 6 for _ in range(5)]
+    last_only[1][2], last_only[1][4] = unit(), rng.randrange(p)
+    last_only[3] = [2 * v - p for v in last_only[1]]
+    last_only[4] = [unit()] + [rng.randrange(p) for _ in range(5)]
+    # pivots at columns 1 and 3, columns 0 and 2 zero, a zero first row
+    r1 = [0, unit(), 0, 0, rng.randrange(p), rng.randrange(p)]
+    r3 = [0, 0, 0, unit(), rng.randrange(p), rng.randrange(p)]
+    gap = [[0] * 6, r1, [2 * v - p for v in r1], r3,
+           [a + b + p for a, b in zip(r1, r3)]]
+    zero = [[p * rng.randrange(-2, 3) for _ in range(6)] for _ in range(5)]
+    stack = [last_only, gap, zero]
+    assert [rank_brute(m, p) for m in stack] == [2, 2, 0]
+    assert eliminate_stack(np.array(stack), p).tolist() == [2, 2, 0]
+    for m, k in zip(stack, (2, 2, 0)):  # N = 1
+        assert eliminate_stack(np.array([m]), p).tolist() == [k]
+        assert rank_mod_p(m, p) == k
+    for shape in ((0, 5, 6), (0, 243, 15)):  # N = 0
+        ranks = eliminate_stack(np.zeros(shape, dtype=np.int64), p)
+        assert ranks.dtype == np.int64 and ranks.shape == (0,)
 
 
 def test_det_and_rank_at_p2_meet_oracles():
-    # MatZp.det and rank_mod_p are the bit-packed path on a stack of one
+    # rank_mod_p is the bit-packed path on a stack of one; MatZp.det is
+    # Berkowitz, nonzero exactly at full rank
     rng = random.Random(71)
     singular = 0
     for _ in range(200):
@@ -194,11 +259,12 @@ def test_eliminate_stack_near_the_modulus_bound():
     stack = [[[p - 1 - rng.randrange(4) for _ in range(4)] for _ in range(4)]
              for _ in range(40)]
     stack.append([[p - 1] * 4] * 4)  # rank 1
-    ranks, dets = eliminate_stack(np.array(stack), p)
-    assert dets.tolist() == [det_cofactor(m, p) for m in stack]
-    assert ranks.tolist() == [rank_brute(m, p) for m in stack]
+    ranks = eliminate_stack(np.array(stack), p).tolist()
+    dets = [det_cofactor(m, p) for m in stack]
+    assert [MatZp(p, m).det() for m in stack] == dets
+    assert ranks == [rank_brute(m, p) for m in stack]
+    assert [r == 4 for r in ranks] == [d != 0 for d in dets]
     assert dets[-1] == 0 and ranks[-1] == 1
-    assert MatZp(p, stack[0]).det() == dets[0]
 
 
 def test_det_nonzero_iff_full_rank():
