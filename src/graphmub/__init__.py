@@ -38,6 +38,7 @@ from .mubs import (
     fundamental_graphs,
     mub_set,
     shift_set,
+    stack_document,
     to_document,
     verify_mu_condition,
 )

@@ -23,7 +23,7 @@ from .mubs import (
     canonical_json,
     from_document,
     mub_set,
-    to_document,
+    stack_document,
     verify_mu_condition,
 )
 from .states import circuit_to_text, emit_measurement_circuit, verify_mu_numeric
@@ -164,7 +164,7 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(canonical_json(to_document(fam)), args.out)
+    _write(canonical_json(stack_document(fam)), args.out)
     return EXIT_OK
 
 
@@ -251,7 +251,7 @@ def _cmd_export(args) -> int:
         return MatZp(fam.p, fam.stack[i].tolist())
 
     if args.format == "json":
-        out = canonical_json(to_document(fam))
+        out = canonical_json(stack_document(fam))
     elif args.format == "dot":
         out = "".join(adjacency_to_dot(member(i), f"g{i}") for i in indices)
     else:

@@ -300,12 +300,21 @@ def mub_set(p: int, n: int, method: str = "auto", poly: PolyZp | None = None,
 
 
 def to_document(s: MubSet) -> dict:
+    """The family document as a JSON-able dict of lists: the public form,
+    which callers may edit and `json.dumps`.  The CLI writers pass
+    `stack_document(s)` to `canonical_json` instead, which encodes
+    `matrices` from the int64 stack to the same bytes."""
+    return {**stack_document(s), "matrices": s.stack.tolist()}
+
+
+def stack_document(s: MubSet) -> dict:
+    """The family document with `matrices` the read-only stack itself."""
     doc = {
         "p": s.p,
         "n": s.n,
         "method": s.method,
         "polynomial": list(s.polynomial.coeffs) if s.polynomial else None,
-        "matrices": s.stack.tolist(),
+        "matrices": s.stack,
         "field_rep": s.field_rep,
     }
     if s.d is not None:
@@ -358,5 +367,56 @@ def from_document(doc: dict) -> MubSet:
 
 
 def canonical_json(doc: dict) -> str:
-    """Byte-stable serialization: sorted keys, compact separators."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Byte-stable serialization: json.dumps(doc, sort_keys=True,
+    separators=(",", ":")) plus a newline, for str keys, with an ndarray
+    value written as its nested lists.  Such a value (non-negative
+    integers, shape (N, r, c), e.g. `MubSet.stack`) is encoded by
+    `_stack_json` without building those lists."""
+    parts = []
+    for k in sorted(doc):
+        v = doc[k]
+        parts += [",", json.dumps(k), ":"]
+        parts += _stack_json(v) if isinstance(v, np.ndarray) else \
+            [json.dumps(v, sort_keys=True, separators=(",", ":"))]
+    return "".join(["{", *parts[1:], "}\n"])
+
+
+STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`
+
+
+def _stack_json(stack: np.ndarray) -> list[str]:
+    """The compact JSON of a stack, in pieces.  Each block of about
+    STACK_BLOCK entries, on the smallest dtype that holds its largest
+    entry (w digits), fills one uint8 grid: per row, two cells of w + 1
+    bytes for ",[[" (a member's first row) or ",[", one cell per entry
+    (its digits, then "," or "]"), and one cell for the "]" that closes
+    the member.  A zero byte stands for a leading zero or an unused
+    position, so the text is the grid's nonzero bytes; the first "," is
+    the stack's opening "["."""
+    m, r, c = stack.shape
+    if not stack.size:
+        return [json.dumps(stack.tolist())]
+    comma, opening, closing, zero = b",[]0"
+    step = max(1, STACK_BLOCK // (r * c))
+    pieces = []
+    for a in range(0, m, step):
+        blk = stack[a:a + step]
+        top = int(blk.max())
+        if blk.min() < 0:
+            raise ValueError("stack entries to encode must be non-negative")
+        w = len(str(top))
+        blk = blk.astype(np.min_scalar_type(top))[..., None]
+        tens = 10 ** np.arange(w - 1, -1, -1, dtype=blk.dtype)
+        digits = blk // tens % 10 + zero
+        digits[..., :-1] *= blk >= tens[:-1]
+        grid = np.zeros((len(blk), r, c + 3, w + 1), dtype=np.uint8)
+        grid[:, :, 0, :2] = comma, opening
+        grid[:, 0, 1, 0] = opening
+        grid[:, :, 2:-1, :w] = digits
+        grid[:, :, 2:-1, w] = comma
+        grid[:, :, -2, w] = closing
+        grid[:, -1, -1, 0] = closing
+        if not a:
+            grid[0, 0, 0, 0] = opening
+        pieces.append(grid[grid != 0].tobytes().decode())
+    return pieces + ["]"]

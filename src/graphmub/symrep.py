@@ -465,9 +465,11 @@ def tridiag_search(p: int, n: int, target: PolyZp | None = None,
 
     Without a target: the first d whose characteristic polynomial is
     irreducible (primitive when requested).  With a target polynomial:
-    the first d realizing it exactly.  Returns the diagonal tuple, or
-    None after exhausting all p^n candidates (a normal outcome for
-    p >= 3, where not every polynomial has a tridiagonal realization).
+    the first d realizing it exactly.  Returns (d, f): the diagonal
+    tuple and its characteristic polynomial, the instance tested here
+    (the target itself when given), for `tridiagonal_rep(p, d, f)`.  None
+    after exhausting all p^n candidates (a normal outcome for p >= 3,
+    where not every polynomial has a tridiagonal realization).
     """
     check_prime(p)
     if n < 1:
@@ -482,19 +484,20 @@ def tridiag_search(p: int, n: int, target: PolyZp | None = None,
         if target is not None:
             hits = np.flatnonzero((polys == target.coeffs).all(axis=1))
             if hits.size:
-                return tuple(d[hits[0]].tolist())
+                return tuple(d[hits[0]].tolist()), target
             continue
         for diag, coeffs in zip(d.tolist(), polys.tolist()):
             f = PolyZp(p, coeffs)
             if f.is_irreducible() and (not primitive or f.is_primitive()):
-                return tuple(diag)
+                return tuple(diag), f
     return None
 
 
 def tridiagonal_rep(p: int, d, f: PolyZp | None = None) -> SymmetricRep:
     """Witness for an explicit tridiagonal diagonal.  f defaults to its
     characteristic polynomial; a caller that holds that polynomial already
-    (a target hit) passes it, and the witness checks that d realizes it."""
+    (a `tridiag_search` hit) passes it, and the witness checks that d
+    realizes it."""
     if f is None:
         f = tridiag_char_poly(p, d)
     return SymmetricRep(f=f, q=tridiagonal_matrix(p, d), method="tridiagonal",
@@ -558,7 +561,7 @@ def symmetric_representation(p: int, n: int, method: str = "auto",
         if method in ("tridiag", "auto"):
             found = tridiag_search(p, n, target=poly)
             if found is not None:
-                return tridiagonal_rep(p, found, poly)
+                return tridiagonal_rep(p, *found)
             if method == "tridiag":
                 raise ConstructionError(
                     f"no tridiagonal matrix over Z_{p} realizes {poly}"
@@ -567,7 +570,7 @@ def symmetric_representation(p: int, n: int, method: str = "auto",
     if method in ("tridiag", "auto"):
         found = tridiag_search(p, n, primitive=primitive)
         if found is not None:
-            return tridiagonal_rep(p, found)
+            return tridiagonal_rep(p, *found)
         if method == "tridiag":
             raise ConstructionError(
                 f"no tridiagonal diagonal over Z_{p} of size {n} is "

@@ -16,11 +16,14 @@ with a cofactor determinant per member instead of the characteristic-
 polynomial field proof, a dict of nested-tuple differences instead of
 the set of packed int64 keys of the difference-class walk, a span
 enumerated one difference at a time instead of the rank and sorted keys
-of the affine check, and one
+of the affine check, one
 `Fraction` term and one purity string per member instead of the rank
-histogram and the per-rank lookup of the analysis report.
+histogram and the per-rank lookup of the analysis report, and plain
+`json.dumps` of the list-form document instead of the stack encoder's
+digit grid.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -322,3 +325,9 @@ def analysis_report_brute(s, cuts=None) -> dict:
             entry.update(design_lhs=str(lhs), design_rhs=str(rhs), design_pass=lhs == rhs)
         report["bipartitions"][",".join(map(str, x)) + "|" + ",".join(map(str, y))] = entry
     return report
+
+
+def canonical_json_brute(doc: dict) -> str:
+    """The canonical document bytes by `json.dumps` over nested lists
+    (`to_document`), with no stack encoder and no top-level join."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

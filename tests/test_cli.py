@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from graphmub.cli import adjacency_to_dot, main
 from graphmub.linalg import MatZp
-from graphmub.mubs import MubSet, from_document, mub_set, to_document
+from graphmub.entanglement import analysis_report
+from graphmub.mubs import MubSet, from_document, mub_set, shift_set, to_document
 from graphmub.states import circuit_to_text, emit_measurement_circuit
 from graphmub.symrep import tridiag_char_poly
 from graphmub.tables import REFERENCE_DIAGONALS, reference_poly
-from oracles import mu_condition_scalar
+from oracles import canonical_json_brute, mu_condition_scalar
 
 
 def run_cli(capsys, argv):
@@ -67,6 +68,29 @@ def test_gen_verify_roundtrip(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["export", str(path), "--format", "json"])
     assert code == 0
     assert out == doc
+
+
+@pytest.mark.parametrize("argv,build", [
+    (["-p", "2", "-n", "8"], lambda: mub_set(2, 8)),
+    (["-p", "3", "-n", "3", "--method", "companion"], lambda: mub_set(3, 3, method="companion")),
+    (None, lambda: shift_set(mub_set(5, 3), MatZp.identity(5, 3))),
+], ids=["tridiagonal", "companion", "shifted"])
+def test_gen_and_export_write_the_oracle_bytes(capsys, tmp_path, argv, build):
+    expected = canonical_json_brute(to_document(build()))
+    if argv is not None:
+        assert run_cli(capsys, ["gen", *argv]) == (0, expected, "")
+    path = tmp_path / "doc.json"
+    path.write_text(expected)
+    assert run_cli(capsys, ["export", str(path), "--format", "json"]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+def test_analyze_writes_the_oracle_bytes(capsys, tmp_path, p, n):
+    fam = mub_set(p, n)
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json_brute(to_document(fam)))
+    expected = canonical_json_brute(analysis_report(fam))
+    assert run_cli(capsys, ["analyze", str(path)]) == (0, expected, "")
 
 
 def test_gen_construction_failure(capsys):

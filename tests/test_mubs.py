@@ -19,12 +19,14 @@ from graphmub.mubs import (
     index_to_coeffs,
     mub_set,
     shift_set,
+    stack_document,
     to_document,
     verify_mu_condition,
 )
 from graphmub.symrep import symmetric_representation, symmetrize_companion, tridiagonal_rep
 from graphmub.states import verify_mu_numeric
 from oracles import (
+    canonical_json_brute,
     det_cofactor,
     difference_rows_brute,
     field_brute,
@@ -427,6 +429,46 @@ def test_document_roundtrip_shifted():
     assert back.matrices == shifted.matrices
     assert not back.field_rep
     assert back.shifts == (m,)
+
+
+def _same_bytes(s):
+    """The stack encoder and the list-form oracle write the same bytes."""
+    doc = stack_document(s)
+    assert doc["matrices"] is s.stack
+    assert canonical_json(doc) == canonical_json_brute(to_document(s))
+
+
+@pytest.mark.parametrize("p,n", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 6)]
+                         + [(5, 3), (7, 3), (11, 2), (13, 2), (97, 2), (101, 2), (9973, 1)])
+def test_stack_encoder_writes_the_json_dumps_bytes(p, n):
+    # 100 of (101,2) has an inner zero; 9973 has four digits
+    fam = mub_set(p, n)
+    _same_bytes(fam)
+    _same_bytes(shift_set(fam, random_symmetric(random.Random(p * n), p, n)))
+
+
+def test_stack_encoder_edge_stacks(monkeypatch):
+    rng = random.Random(5)
+    one = MubSet(p=9973, n=3, stack=[random_symmetric(rng, 9973, 3).to_lists()])
+    _same_bytes(one)
+    _same_bytes(MubSet(p=2, n=4, stack=np.zeros((16, 4, 4), dtype=np.int64)))
+    _same_bytes(MubSet(p=7, n=1, stack=np.zeros((0, 1, 1), dtype=np.int64)))
+    # blocks of 1 to 3 members whose digit widths differ from block to block
+    mixed = np.array([[[v, 1], [1, 0]] for v in (0, 7, 10, 99, 100, 1000, 9972, 5)])
+    for block in (4, 9, 12):
+        monkeypatch.setattr(mubs, "STACK_BLOCK", block)
+        _same_bytes(MubSet(p=9973, n=2, stack=mixed))
+        _same_bytes(shift_set(mub_set(3, 3), MatZp.identity(3, 3)))
+    with pytest.raises(ValueError, match="non-negative"):
+        canonical_json({"matrices": -np.ones((1, 2, 2), dtype=np.int64)})
+
+
+def test_canonical_json_joins_sorted_keys():
+    doc = {"z": [1, {"b": 2, "a": None}], "a": "\u00e9", "m": np.eye(2, dtype=np.int64)[None],
+           "f": 1.5, "t": True}
+    lists = dict(doc, m=doc["m"].tolist())
+    assert canonical_json(doc) == canonical_json_brute(lists) == canonical_json(lists)
+    assert canonical_json({}) == "{}\n"
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3), (5, 2), (13, 1)])

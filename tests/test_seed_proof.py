@@ -65,7 +65,7 @@ def _seeds(p, n):
 
 
 def test_tridiagonal_target_hit_proves_the_seed_once(work, tmp_path):
-    f = tridiag_char_poly(2, tridiag_search(2, 8))
+    f = tridiag_search(2, 8)[1]
     out = tmp_path / "fam.json"
     fields, tested = work
     fields.clear(), tested.clear()  # the search above is not part of gen
@@ -101,11 +101,11 @@ def test_searched_seed_is_proven_once(work, build, method):
     assert fam.method == method
     assert verify_mu_condition(fam).mode == "closure" and to_document(fam)["field_rep"]
     assert len(fields) == 1
-    if method == "companion":  # find_irreducible hands its hit to the witness
-        assert tested.count(fam.polynomial.coeffs) == 1
-        assert len(tested) == len(set(tested))
-    else:  # the search tests its hit, and the witness proves a new equal copy
-        assert tested.count(fam.polynomial.coeffs) == 2
+    # find_irreducible and tridiag_search hand the instance they tested to
+    # the witness: the seed is tested once, and on these routes no
+    # polynomial twice
+    assert tested.count(fam.polynomial.coeffs) == 1
+    assert len(tested) == len(set(tested))
 
 
 def _sound_witness():

@@ -284,12 +284,25 @@ def test_tridiag_reversal_symmetry():
         assert tridiag_char_poly(p, d) == tridiag_char_poly(p, d[::-1])
 
 
+def searched(p, n, **kw):
+    """The diagonal of a `tridiag_search` hit (None on a miss), after
+    checking the polynomial it hands on: the diagonal's own, and the
+    target instance itself when one is given."""
+    found = tridiag_search(p, n, **kw)
+    if found is None:
+        return None
+    d, f = found
+    assert f == tridiag_char_poly_brute(p, d)
+    assert kw.get("target", f) is f
+    return d
+
+
 def test_tridiag_search_target():
-    assert tridiag_search(2, 3, target=PolyZp(2, [1, 1, 0, 1])) == (0, 1, 1)
+    assert searched(2, 3, target=PolyZp(2, [1, 1, 0, 1])) == (0, 1, 1)
 
 
 def test_tridiag_search_no_target():
-    d = tridiag_search(2, 2)
+    d = searched(2, 2)
     assert tridiag_char_poly(2, d) == PolyZp(2, [1, 1, 1])
 
 
@@ -308,11 +321,11 @@ def test_tridiag_search_unrealizable_target_is_none():
                     missing = f
                     break
     assert missing is not None
-    assert tridiag_search(3, 3, target=missing) is None
+    assert searched(3, 3, target=missing) is None
 
 
 def test_tridiag_search_primitive_flag():
-    d = tridiag_search(3, 3, primitive=True)
+    d = searched(3, 3, primitive=True)
     f = tridiag_char_poly(3, d)
     assert f.is_irreducible() and f.is_primitive()
 
@@ -341,20 +354,20 @@ def realizing(p, f):
 def test_newton_diagonals_three_qubits():
     f = PolyZp(2, [1, 1, 0, 1])
     assert realizing(2, f) == [(0, 1, 1), (1, 1, 0)]
-    assert tridiag_search(2, 3, target=f) == (0, 1, 1)
+    assert searched(2, 3, target=f) == (0, 1, 1)
 
 
 def test_newton_diagonals_degree_one():
     f = PolyZp(5, [2, 1])  # x + 2 -> d = (-2)
     assert realizing(5, f) == [(3,)]
-    assert tridiag_search(5, 1, target=f) == (3,)
+    assert searched(5, 1, target=f) == (3,)
 
 
 def test_newton_diagonals_two_qutrits():
     f = PolyZp(3, [2, 2, 1])
     out = realizing(3, f)
     assert (1, 0) in out and (0, 1) in out
-    assert tridiag_search(3, 2, target=f) == out[0] == (0, 1)
+    assert searched(3, 2, target=f) == out[0] == (0, 1)
     for d in out:
         assert tridiag_char_poly(3, d) == f
 
@@ -366,8 +379,8 @@ def test_tridiag_search_has_no_degree_cap():
         polys = {d: tridiag_char_poly_brute(2, d) for d in product(range(2), repeat=n)}
         for f in all_monic(2, n):
             expected = [d for d, g in polys.items() if g == f]
-            assert tridiag_search(2, n, target=f) == (expected[0] if expected else None)
-    assert tridiag_search(2, 5, target=PolyZp(2, [1, 1, 0, 0, 0, 1])) is None
+            assert searched(2, n, target=f) == (expected[0] if expected else None)
+    assert searched(2, 5, target=PolyZp(2, [1, 1, 0, 0, 0, 1])) is None
 
 
 @pytest.mark.parametrize("chunk", [5, symrep.SEARCH_CHUNK])
@@ -383,14 +396,14 @@ def test_stacked_search_matches_scalar_filter(monkeypatch, chunk):
         for d, f in zip(diagonals, polys):
             first.setdefault(f, d)
         for f, d in first.items():
-            assert tridiag_search(p, n, target=f) == d
+            assert searched(p, n, target=f) == d
         irreducible = [d for d, f in zip(diagonals, polys) if f.is_irreducible()]
-        assert tridiag_search(p, n) == (irreducible[0] if irreducible else None)
+        assert searched(p, n) == (irreducible[0] if irreducible else None)
         primitive = [d for d in irreducible if tridiag_char_poly_brute(p, d).is_primitive()]
-        assert tridiag_search(p, n, primitive=True) == (primitive[0] if primitive else None)
+        assert searched(p, n, primitive=True) == (primitive[0] if primitive else None)
         missing = next((g for g in all_monic(p, n) if g not in first), None)
         if missing is not None:
-            assert tridiag_search(p, n, target=missing) is None
+            assert searched(p, n, target=missing) is None
 
 
 def test_newton_agrees_with_exhaustive_search():
@@ -399,7 +412,7 @@ def test_newton_agrees_with_exhaustive_search():
     for p, n in ((2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
         f = next(g for g in all_monic(p, n) if g.is_irreducible())
         expected = realizing(p, f)
-        assert tridiag_search(p, n, target=f) == (expected[0] if expected else None)
+        assert searched(p, n, target=f) == (expected[0] if expected else None)
 
 
 # -- curated table ------------------------------------------------------------
@@ -447,10 +460,10 @@ def test_representation_primitive_flag_on_explicit_diagonal():
 
 def test_tridiag_search_primitive_target():
     f = PolyZp(2, [1, 0, 1, 1])
-    assert tridiag_search(2, 3, target=f, primitive=True) == (0, 0, 1)
+    assert searched(2, 3, target=f, primitive=True) == (0, 0, 1)
     nonprim = PolyZp(3, [1, 0, 1])  # irreducible, order 4 != 8
-    assert tridiag_search(3, 2, target=nonprim, primitive=True) is None
-    assert tridiag_search(3, 2, target=nonprim) == (1, 2)
+    assert searched(3, 2, target=nonprim, primitive=True) is None
+    assert searched(3, 2, target=nonprim) == (1, 2)
 
 
 def test_representation_auto_falls_back_to_companion():
@@ -466,7 +479,7 @@ def test_representation_auto_with_unrealizable_target():
     # matrix has it as characteristic polynomial: auto must fall through
     # to companion symmetrization
     f = PolyZp(3, [1, 2, 0, 1])
-    assert tridiag_search(3, 3, target=f) is None
+    assert searched(3, 3, target=f) is None
     rep = symmetric_representation(3, 3, method="auto", poly=f)
     assert rep.method == "companion"
     assert rep.q.is_symmetric and rep.q.char_poly() == f
