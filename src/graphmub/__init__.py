@@ -37,6 +37,7 @@ from .mubs import (
     from_document,
     fundamental_graphs,
     mub_set,
+    read_document,
     shift_set,
     stack_document,
     to_document,

@@ -21,8 +21,8 @@ from .linalg import MatZp
 from .mubs import (
     MubSet,
     canonical_json,
-    from_document,
     mub_set,
+    read_document,
     stack_document,
     verify_mu_condition,
 )
@@ -137,8 +137,8 @@ def _load(path: str) -> MubSet | None:
     """The family at path (- for stdin), or None after a `malformed input`
     line on stderr (nesting too deep to parse included)."""
     try:
-        raw = sys.stdin.read() if path == "-" else Path(path).read_text()
-        return from_document(json.loads(raw))
+        raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        return read_document(raw)
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return None

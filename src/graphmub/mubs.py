@@ -25,7 +25,9 @@ packed key not yet in the set of those met.
 
 from __future__ import annotations
 
+import io
 import json
+import re
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -78,9 +80,10 @@ class MubSet:
             stack = _field(w.q)
         else:
             try:
-                stack = np.array(self.stack, dtype=np.int64) % p
+                stack = np.array(self.stack, dtype=np.int64)
             except OverflowError:  # entries beyond int64: reduce them first
                 stack = (np.array(self.stack, dtype=object) % p).astype(np.int64)
+            stack %= p
             if stack.ndim != 3 or stack.shape[1:] != (n, n) \
                     or (stack != stack.transpose(0, 2, 1)).any():
                 raise ValueError("adjacency matrices must be symmetric and n x n")
@@ -339,8 +342,9 @@ def _ints(v, what: str, depth: int = 0):
 def from_document(doc: dict) -> MubSet:
     """Parse a family document (ValueError for non-int scalars, a non-str
     method, non-list containers, and members or shifts that are not
-    symmetric n x n).  The document's `field_rep` key is ignored:
-    `MubSet.field_rep` proves it from the matrices."""
+    symmetric n x n).  `matrices` may also be an integer array, as
+    `read_document` decodes it.  The document's `field_rep` key is
+    ignored: `MubSet.field_rep` proves it from the matrices."""
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     p = _ints(doc["p"], "p")
@@ -348,8 +352,10 @@ def from_document(doc: dict) -> MubSet:
     check_prime(p)
     if n < 1:
         raise ValueError("n must be >= 1")
-    mats = _ints(doc["matrices"], "matrices", 3)
-    if not mats:
+    mats = doc["matrices"]
+    if not (isinstance(mats, np.ndarray) and mats.dtype.kind in "iu"):
+        mats = _ints(mats, "matrices", 3)
+    if not len(mats):
         raise ValueError("document contains no matrices")
     poly = doc.get("polynomial")
     if poly is not None:
@@ -366,6 +372,104 @@ def from_document(doc: dict) -> MubSet:
     )
 
 
+def read_document(raw: bytes) -> MubSet:
+    """The family of a document's bytes.  Canonical bytes (as `gen` and
+    `export` write them) have their `matrices` decoded straight into an
+    array (`_canonical_doc`); any other document is decoded as text the
+    way `open(path).read()` decodes a file and parsed by `json.loads`.
+    Either way `from_document` checks the rest, so the verdicts and
+    messages are those of `json.loads` and `from_document`."""
+    doc = _canonical_doc(raw)
+    if doc is None:
+        doc = json.loads(_text(raw))
+    return from_document(doc)
+
+
+def _text(raw: bytes) -> str:
+    with io.TextIOWrapper(io.BytesIO(raw)) as fh:
+        return fh.read()
+
+
+# The canonical (sorted-key) prefix up to "matrices": no string in it can
+# hold the key, so the match is the top-level key.
+_MATRICES_KEY = re.compile(rb'\{(?:"d":\[[0-9,]*\],)?(?:"field_rep":(?:true|false),)?'
+                           rb'"matrices":')
+
+
+def _canonical_doc(raw: bytes) -> dict | None:
+    """The document with `matrices` an (N, n, n) array of its entries, or
+    None unless the bytes are canonical: the sorted-key prefix, then a
+    span up to the first "]]]" that `_read_block` accepts in blocks of
+    about STACK_BLOCK bytes cut between members, and the rest of the
+    document, the span replaced by 0, valid JSON holding `matrices` once
+    at the top level (under any spelling) and a positive int `n`."""
+    key = _MATRICES_KEY.match(raw)
+    if key is None:
+        return None
+    start, end = key.end(), raw.find(b"]]]", key.end()) + 3
+    if end < 3:
+        return None
+    tops = []
+    try:
+        doc = json.loads(_text(raw[:start] + b"0" + raw[end:]),
+                         object_pairs_hook=lambda kv: tops.append(kv) or dict(kv))
+    except (ValueError, RecursionError):
+        return None
+    n = doc.get("n")
+    if [k for k, _ in tops[-1]].count("matrices") != 1 \
+            or type(n) is not int or not 0 < n * n <= end - start:
+        return None
+    member = "".join(_stack_json(np.zeros((1, n, n), np.uint8)))[1:-1].encode()
+    blocks, pos = [], start
+    while pos < end:
+        cut = raw.find(b"]],[[", pos + STACK_BLOCK, end)
+        cut = end if cut < 0 else cut + 2
+        blocks.append(_read_block(raw[pos:cut], member, n,
+                                  pos == start, cut == end))
+        if blocks[-1] is None:
+            return None
+        pos = cut
+    doc["matrices"] = np.concatenate(blocks)
+    return doc
+
+
+def _read_block(chunk: bytes, member: bytes, n: int, first: bool,
+                last: bool) -> np.ndarray | None:
+    """The entries of the k whole members in a chunk of a canonical span,
+    (k, n, n) on the smallest unsigned dtype, or None unless the chunk
+    holds only digits, "[", "]" and ",", and with each number written as
+    0 is the text `_stack_json` writes for k zero members (`member`),
+    opened by "[" when first, else by the "," before its first member,
+    and closed by "]" when last; and each number has at most 18 digits
+    and no leading zero."""
+    if chunk.translate(None, b"0123456789[],"):
+        return None
+    c = np.frombuffer(chunk, np.uint8)
+    a = c - 48  # a digit's value; "[", "]" and "," wrap to 10 or more
+    isd = a < 10
+    more = np.zeros_like(isd)  # a digit after a digit, deleted as "x"
+    np.logical_and(isd[1:], isd[:-1], out=more[1:])
+    k, spare = divmod(int(np.count_nonzero(isd)) - int(np.count_nonzero(more)), n * n)
+    zeros = (b"[" if first else b",") + b",".join([member] * k) + b"]" * last
+    if spare or np.where(more, 120, c).tobytes().translate(_AS_ZERO, b"x") != zeros:
+        return None
+    digits = np.frombuffer(chunk.translate(None, b"[],"), np.uint8) - 48
+    if len(digits) == k * n * n:  # one digit per number
+        return digits.reshape(k, n, n)
+    starts, ends = (np.flatnonzero(np.diff(isd)) + 1).reshape(-1, 2).T
+    width = ends - starts
+    w = int(width.max())
+    if w > 18 or ((a[starts] == 0) & (width > 1)).any():
+        return None
+    values = np.zeros(len(starts), np.min_scalar_type(10**w - 1))
+    for j in range(w, 0, -1):  # the digit of place 10^(j - 1), 0 before a start
+        values = values * 10 + np.where(ends - j >= starts, a[ends - j], 0)
+    return values.reshape(k, n, n)
+
+
+_AS_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
+
+
 def canonical_json(doc: dict) -> str:
     """Byte-stable serialization: json.dumps(doc, sort_keys=True,
     separators=(",", ":")) plus a newline, for str keys, with an ndarray
@@ -373,15 +477,32 @@ def canonical_json(doc: dict) -> str:
     integers, shape (N, r, c), e.g. `MubSet.stack`) is encoded by
     `_stack_json` without building those lists."""
     parts = []
-    for k in sorted(doc):
-        v = doc[k]
-        parts += [",", json.dumps(k), ":"]
-        parts += _stack_json(v) if isinstance(v, np.ndarray) else \
-            [json.dumps(v, sort_keys=True, separators=(",", ":"))]
-    return "".join(["{", *parts[1:], "}\n"])
+    _encode(doc, parts)
+    return "".join(parts + ["\n"])
 
 
-STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`
+def _encode(v, parts: list[str]) -> None:
+    """Append the pieces of v's canonical JSON.  A nonempty dict is joined
+    key by key, so `json.dumps` only ever holds the small pieces of one
+    leaf value at a time (an all-cuts report is a few hundred kB of
+    text, but would be about 65,000 pieces in a single call)."""
+    if isinstance(v, np.ndarray):
+        parts += _stack_json(v)
+    elif isinstance(v, dict) and v:
+        sep = "{"
+        for k in sorted(v):
+            parts += [sep, json.dumps(k), ":"]
+            _encode(v[k], parts)
+            sep = ","
+        parts.append("}")
+    else:
+        parts.append(_LEAF.encode(v))
+
+
+_LEAF = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`, bytes of `_canonical_doc`
 
 
 def _stack_json(stack: np.ndarray) -> list[str]:

@@ -5,16 +5,26 @@ import json
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphmub import mubs
 from graphmub.cli import adjacency_to_dot, main
 from graphmub.linalg import MatZp
 from graphmub.entanglement import analysis_report
-from graphmub.mubs import MubSet, from_document, mub_set, shift_set, to_document
+from graphmub.mubs import (
+    MubSet,
+    canonical_json,
+    from_document,
+    mub_set,
+    shift_set,
+    stack_document,
+    to_document,
+)
 from graphmub.states import circuit_to_text, emit_measurement_circuit
 from graphmub.symrep import tridiag_char_poly
 from graphmub.tables import REFERENCE_DIAGONALS, reference_poly
@@ -567,6 +577,32 @@ def test_console_entry_point():
     assert proc.stdout.splitlines()[0].startswith('{"d":[1,0]')
 
 
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+def test_bom_and_utf16_documents_are_usage_errors(capsys, tmp_path, encoding):
+    # json.loads(bytes) would accept both; the file's text is read as today
+    text = canonical_json(stack_document(mub_set(2, 2)))
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding=encoding)
+    with pytest.raises(ValueError) as judge:
+        json.loads(path.read_text())
+    for command in ("verify", "analyze", "export"):
+        assert run_cli(capsys, [command, str(path)]) == (2, "", f"malformed input: {judge.value}\n")
+
+
+def test_stdin_takes_the_path_of_a_file(capsys, tmp_path, monkeypatch):
+    raw = canonical_json(stack_document(shift_set(mub_set(3, 2), MatZp.identity(3, 2)))).encode()
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    read = []
+    decode = mubs._canonical_doc
+    monkeypatch.setattr(mubs, "_canonical_doc", lambda b: read.append(decode(b)) or read[-1])
+    from_file = run_cli(capsys, ["verify", str(path), "--numeric"])
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+    from_stdin = run_cli(capsys, ["verify", "-", "--numeric"])
+    assert from_file == from_stdin and from_file[0] == 0
+    assert len(read) == 2 and all(doc is not None for doc in read)
+
+
 def test_verify_reads_stdin():
     gen = subprocess.run(
         [sys.executable, "-m", "graphmub.cli", "gen", "-p", "3", "-n", "2"],
@@ -659,11 +695,19 @@ def test_mutated_documents_keep_the_exit_code_contract(fuzz_dir, size, ops, nume
     doc = to_document(mub_set(*size))
     for op in ops:
         _mutate(doc, op)
-    text = json.dumps(doc)
+    # canonical bytes, so that every mutation the fast path accepts reaches it
+    text = canonical_json(doc)
     path = fuzz_dir / "doc.json"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", str(path)] + ["--numeric"] * numeric)
-    assert code == _expected_exit(text), (ops, err.getvalue())
-    assert (code == 0) == ("pass" in out.getvalue() and err.getvalue() == "")
+    runs = []
+    for fallback in (False, True):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.object(mubs, "_canonical_doc", lambda raw: None) \
+                if fallback else contextlib.nullcontext():
+            runs.append((main(["verify", str(path)] + ["--numeric"] * numeric),
+                         out.getvalue(), err.getvalue()))
+    code, out, err = runs[0]
+    assert runs[0] == runs[1], ops
+    assert code == _expected_exit(text), (ops, err)
+    assert (code == 0) == ("pass" in out and err == "")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphmub import mubs
+from graphmub.cli import main
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
 from graphmub.mubs import (
@@ -18,6 +19,7 @@ from graphmub.mubs import (
     fundamental_graphs,
     index_to_coeffs,
     mub_set,
+    read_document,
     shift_set,
     stack_document,
     to_document,
@@ -469,6 +471,9 @@ def test_canonical_json_joins_sorted_keys():
     lists = dict(doc, m=doc["m"].tolist())
     assert canonical_json(doc) == canonical_json_brute(lists) == canonical_json(lists)
     assert canonical_json({}) == "{}\n"
+    # nested dicts are joined key by key, empty ones included
+    nested = {"r": {"b": {"y": [1, "\u00e9"], "x": {}}, "a": [], "\"q": None}, "e": {}}
+    assert canonical_json(nested) == canonical_json_brute(nested)
 
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3), (5, 2), (13, 1)])
@@ -510,6 +515,144 @@ def test_document_validation():
         from_document({"p": 2, "n": 2, "matrices": []})
     with pytest.raises(ValueError):
         from_document({"p": 2, "n": 3, "matrices": [[[0, 0], [0, 0]]]})
+    # an integer array is taken as decoded; any other array is no list
+    assert from_document({"p": 2, "n": 1, "matrices": np.array([[[3]]], np.uint8)}).stack.tolist() \
+        == [[[1]]]
+    with pytest.raises(ValueError, match="matrices: expected a list"):
+        from_document({"p": 2, "n": 1, "matrices": np.array([[[1.5]]])})
+
+
+# -- reading canonical documents ---------------------------------------------
+
+
+def _judged(raw: bytes):
+    """What loading the bytes gives, as a comparable value: the family's
+    fields and stack, or the exception's type and message."""
+    def outcome(load):
+        try:
+            s = load(raw)
+        except (ValueError, KeyError, RecursionError) as exc:
+            return type(exc).__name__, str(exc)
+        assert s.stack.dtype == np.int64
+        return (s.p, s.n, s.method, s.polynomial, s.d, s.shifts, s.stack.shape,
+                s.stack.tobytes())
+    return outcome(read_document), outcome(lambda b: from_document(json.loads(b.decode())))
+
+
+def _reads_like_json(s):
+    """The canonical bytes of s take the fast path, read back as
+    json.loads + from_document reads them, and write back the same bytes."""
+    raw = canonical_json(stack_document(s)).encode()
+    assert mubs._canonical_doc(raw) is not None
+    new, judge = _judged(raw)
+    assert new == judge
+    assert canonical_json(stack_document(read_document(raw))).encode() == raw
+
+
+@pytest.mark.parametrize("p,n", [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 6)]
+                         + [(5, 3), (7, 3), (11, 2), (13, 2), (97, 2), (101, 2), (9973, 1)])
+def test_read_document_equals_json_loads(p, n):
+    fam = mub_set(p, n)
+    _reads_like_json(fam)
+    shifted = shift_set(fam, random_symmetric(random.Random(p * n), p, n))
+    assert shifted.shifts and (shifted.d is not None or p > 2)
+    _reads_like_json(shifted)
+
+
+def test_read_document_edge_stacks(monkeypatch):
+    rng = random.Random(7)
+    _reads_like_json(MubSet(p=9973, n=3, stack=[random_symmetric(rng, 9973, 3).to_lists()]))
+    _reads_like_json(MubSet(p=5, n=1, stack=[[[4]]]))
+    mixed = np.array([[[v, 1], [1, 0]] for v in (0, 7, 10, 99, 100, 1000, 9972, 5)])
+    # blocks cut after 1 to 3 members, with digit widths that differ by block
+    for block in (1, 9, 24, 40):
+        monkeypatch.setattr(mubs, "STACK_BLOCK", block)
+        _reads_like_json(MubSet(p=9973, n=2, stack=mixed))
+        _reads_like_json(shift_set(mub_set(3, 3), MatZp.identity(3, 3)))
+        _reads_like_json(mub_set(2, 1))
+
+
+def _canonical_bytes(p, n, shift=None):
+    fam = mub_set(p, n)
+    if shift is not None:
+        fam = shift_set(fam, shift)
+    return canonical_json(stack_document(fam)).encode()
+
+
+SMALL_DOCS = {"2-2": lambda: _canonical_bytes(2, 2), "2-3": lambda: _canonical_bytes(2, 3),
+              "3-2": lambda: _canonical_bytes(3, 2),
+              "shifted-2-2": lambda: _canonical_bytes(2, 2, MatZp(2, [[1, 1], [1, 0]]))}
+BYTE_CLASSES = [b"7", b"0", b"[", b"]", b",", b"-", b".", b"e", b" ", b"a", b'"', b"\xe9"]
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_DOCS))
+def test_one_byte_mutations_read_as_json_loads(name, tmp_path):
+    raw = SMALL_DOCS[name]()
+    assert b'"d":' in raw and (b'"shifts":' in raw) == name.startswith("shifted")
+    path, fast, verdicts = tmp_path / "doc.json", 0, {}
+    for i in range(len(raw)):
+        # every byte class in place of byte i, and a 0 inserted before it
+        # (a leading zero wherever byte i starts a number)
+        for new in [raw[:i] + b + raw[i + 1:] for b in BYTE_CLASSES] + [raw[:i] + b"0" + raw[i:]]:
+            fast += mubs._canonical_doc(new) is not None
+            got, judge = _judged(new)
+            assert got == judge, (i, new)
+            family = judge[:2] + judge[6:]  # p, n, shape, stack: what verify reads
+            if isinstance(judge[0], int) and family not in verdicts:
+                # a new family: verify exits as the brute-force oracle says
+                fam = from_document(json.loads(new.decode()))
+                verdicts[family] = len(fam.stack) == fam.dim \
+                    and mu_condition_scalar(fam, pairwise=True).ok
+                path.write_bytes(new)
+                assert main(["verify", str(path)]) == (0 if verdicts[family] else 1), (i, new)
+    # the edited digits, at least, are read on the fast path
+    assert fast > len(raw) // 4 and len(verdicts) > 5
+
+
+def _edited(raw: bytes, old: bytes, new: bytes) -> bytes:
+    assert raw.count(old) >= 1
+    return raw.replace(old, new, 1)
+
+
+def _falls_back(raw: bytes):
+    assert mubs._canonical_doc(raw) is None
+    got, judge = _judged(raw)
+    assert got == judge
+    return got
+
+
+def test_documents_the_fast_path_hands_to_json_loads():
+    raw = _canonical_bytes(2, 2)
+    tail = b',"method"'
+    # a second matrices key, under either spelling: json.loads keeps the last
+    for key in (b'"matrices"', b'"matr\\u0069ces"'):
+        got = _falls_back(_edited(raw, tail, b"," + key + b":[[[1,0],[0,1]]]" + tail))
+        assert got[6] == (1, 2, 2)
+    # "matrices": inside a string before the key; after it, the key was found
+    _falls_back(b'{"a":"\\"matrices\\":[[[0]]]",' + raw[1:])
+    text = _edited(raw, b'"method":"tridiagonal"', b'"method":"\\"matrices\\":[[[1]]]"')
+    assert mubs._canonical_doc(text) is not None
+    got, judge = _judged(text)
+    assert got == judge and got[2] == '"matrices":[[[1]]]'
+    # a leading zero and an empty number
+    assert _falls_back(_edited(raw, b"[[[0,", b"[[[01,"))[0] == "JSONDecodeError"
+    assert _falls_back(_edited(raw, b"[[[0,", b"[[[,"))[0] == "JSONDecodeError"
+    # the matrices key out of canonical order, and a space
+    _falls_back(_edited(raw, b'{"d":[0,1],', b'{"p":2,"d":[0,1],'))
+    _falls_back(_edited(raw, b"[[[0,", b"[[[0, "))
+
+
+@pytest.mark.parametrize("entry,fast", [(b"100000000000000002", True),  # 18 digits
+                                        (b"1000000000000000002", False),  # 19 digits
+                                        (b"18446744073709551618", False)])  # beyond int64
+def test_long_entries_load_reduced(entry, fast):
+    # each entry is even, so member 0 stays the zero matrix mod 2
+    raw = _canonical_bytes(2, 2)
+    text = _edited(raw, b"[[[0,0],[0,0]]", b"[[[" + entry + b",0],[0,0]]")
+    assert (mubs._canonical_doc(text) is not None) == fast
+    got, judge = _judged(text)
+    assert got == judge
+    assert np.array_equal(read_document(text).stack, read_document(raw).stack)
 
 
 @pytest.mark.parametrize("method", ["auto", "tridiag", "companion"])
