@@ -35,12 +35,7 @@ import numpy as np
 
 from .fields import PolyZp, check_prime
 from .linalg import MatZp, eliminate_stack
-from .symrep import (
-    ConstructionError,
-    SymmetricRep,
-    check_family_size,
-    symmetric_representation,
-)
+from .symrep import SymmetricRep, check_family_size, symmetric_representation
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,30 +148,30 @@ def index_to_coeffs(index: int, p: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _powers(q: MatZp) -> list[MatZp]:
-    """I, Q, ..., Q^(n-1)."""
-    out = [MatZp.identity(q.p, q.n)]
-    for _ in range(q.n - 1):
-        out.append(out[-1] @ q)
-    return out
-
-
 def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
     """The n powers Q^0, ..., Q^{n-1}; every family member is a
     Z_p-linear combination of these."""
-    return _powers(witness.q)
+    return [witness.q ** k for k in range(witness.n)]
 
 
 def _field(q: MatZp) -> np.ndarray:
     """All p^n Z_p-combinations sum_k a_k Q^k as an int64 stack, in index
-    order (a_0 varying fastest): Q^k extends the table of the first k
-    powers to p^(k+1) rows, row j p^k + i being j Q^k + row i."""
+    order (a_0 varying fastest), filled in place: Q^k extends the first
+    p^k rows to p^(k+1), row j p^k + i being j Q^k + row i."""
     p, n = q.p, q.n
-    acc = np.zeros((1, n, n), dtype=np.int64)
-    for b in _powers(q):
-        b = np.array(b.rows, dtype=np.int64)
-        acc = ((acc + np.arange(p)[:, None, None, None] * b % p) % p).reshape(-1, n, n)
-    return acc
+    stack = np.zeros((p**n, n, n), dtype=np.int64)
+    seed = np.array(q.rows, dtype=np.int64)
+    power = np.eye(n, dtype=np.int64)
+    # power @ seed sums n products of residues, exact in int64 since
+    # n (p - 1)^2 < 2^63 wherever this runs: p^n <= SEARCH_LIMIT from a
+    # witness, and p^n = len(stack) for a stack held in `MubSet.field_rep`
+    for k in range(n):
+        blocks = stack[:p ** (k + 1)].reshape(p, p**k, n, n)
+        np.add(blocks[:1], np.arange(1, p)[:, None, None, None] * power % p,
+               out=blocks[1:])
+        np.remainder(blocks[1:], p, out=blocks[1:])
+        power = power @ seed % p
+    return stack
 
 
 def adjacency_set(witness: SymmetricRep) -> MubSet:
@@ -283,18 +278,14 @@ def shift_set(s: MubSet, m: MatZp) -> MubSet:
 
 def mub_set(p: int, n: int, method: str = "auto", poly: PolyZp | None = None,
             d=None, primitive: bool = False) -> MubSet:
-    """End-to-end construction: witness, family, unbiasedness check.
-    Families of more than SEARCH_LIMIT members are a ValueError before
-    any route runs (`check_family_size`)."""
+    """End-to-end construction: the proven witness, then its family, the
+    field Z_p[Q] by construction (`adjacency_set`).  Families of more
+    than SEARCH_LIMIT members are a ValueError before any route runs
+    (`check_family_size`)."""
     check_prime(p)
     check_family_size(p, n)
-    witness = symmetric_representation(p, n, method=method, poly=poly, d=d,
-                                       primitive=primitive)
-    family = adjacency_set(witness)
-    report = verify_mu_condition(family)
-    if not report.ok:
-        raise ConstructionError(f"family failed the difference check: {report}")
-    return family
+    return adjacency_set(symmetric_representation(
+        p, n, method=method, poly=poly, d=d, primitive=primitive))
 
 
 # ---------------------------------------------------------------------------

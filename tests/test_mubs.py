@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -124,12 +125,13 @@ def test_fundamental_graphs_fixtures():
 
 
 def test_every_member_is_combination_of_fundamental_graphs():
-    # adjacency_set contracts a coefficient table against the power
-    # stack; the reference adds scaled MatZp powers one member at a time
+    # adjacency_set fills its stack from int64 powers of Q; the reference
+    # adds scaled MatZp powers one member at a time
     families = [qubit_triple_family()] + [
         mub_set(p, n, method=method) for p, n, method in (
             (2, 5, "auto"), (3, 3, "companion"), (5, 2, "auto"),
-            (7, 2, "companion"), (2, 1, "auto"))]
+            (7, 2, "companion"), (2, 1, "auto"), (2, 8, "auto"),
+            (101, 2, "auto"), (9973, 1, "auto"))]
     for fam in families:
         fg = fundamental_graphs(fam.witness)
         for idx, m in enumerate(fam.matrices):
@@ -138,6 +140,20 @@ def test_every_member_is_combination_of_fundamental_graphs():
                 if a:
                     acc = acc + g.scale(a)
             assert acc == m
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 7)])
+def test_field_fills_one_stack(p, n):
+    # the family table is written in place: no second table of its size
+    q = symmetric_representation(p, n).q
+    tracemalloc.start()
+    try:
+        stack = mubs._field(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.shape == (p**n, n, n)
+    assert peak <= 1.5 * stack.nbytes
 
 
 @pytest.mark.parametrize("p,n,kwargs", [
