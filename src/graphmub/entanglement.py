@@ -1,19 +1,27 @@
 """Entanglement structure of graph bases and the 2-design purity identity.
 
 The reduced state of a graph state across a bipartition (X|Y) has purity
-p^{-rank} where rank is the Z_p-rank of the off-diagonal connectivity
-block of the adjacency matrix.  That rank is 0 exactly when no edge
-crosses the cut, so a basis is biseparable exactly when its edge graph
-is disconnected.  Purities are kept as exact rationals so the
-averaged-purity identity over a complete family,
+p^{-rank}, where rank is the Z_p-rank of the |X| x |Y| crossing block of
+the adjacency matrix.  That rank is 0 exactly when no edge crosses the
+cut, so a basis is biseparable exactly when its edge graph is
+disconnected.
+
+Every rank comes from one table, `_rank_table`: the rank of each member
+of the (N, n, n) int64 stack at each cut asked for.  Cuts with the same
+|X| share a crossing shape, so their crossing blocks are gathered
+straight from the stack, a few thousand at a time, and each gather is
+one `eliminate_stack` call.  The report, the design check and a single
+`connectivity_rank` (a stack of one) all read this table, and a purity
+is one lookup per rank.
+
+Purities are exact rationals, so the averaged-purity identity over a
+complete family,
 
     (1 + sum_i p^{-rank_i}) / (p^n + 1) = (d_X + d_Y) / (d_X d_Y + 1),
 
-is checked with exact equality.  The sum runs over the rank histogram:
-one exact term count_r * p^{-r} per distinct rank r, not one per member.
-Ranks and labels are computed stack-wide, on the (N, n, n) int64 stack:
-the ranks at a cut by one stacked elimination, the labels by one pass
-over its boolean edge arrays.  A single `MatZp` is a stack of one.
+is checked with exact equality: the left side is one Fraction built from
+the rank histogram of the cut's row, and the right side depends only on
+|X|.  Labels come from one pass over the stack's boolean edge arrays.
 Self-loops (diagonal entries) are local operations and never affect any
 classification here.
 """
@@ -27,7 +35,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import MatZp, eliminate_stack, rank_mod_p
+# rank_mod_p is unused here but stays importable: perfbench's layer trace
+# wraps it in every module that imports it, and its self-test checks this one
+from .linalg import MatZp, eliminate_stack, rank_mod_p  # noqa: F401
 from .mubs import MubSet
 from .states import graph_state
 
@@ -36,11 +46,19 @@ GHZ_TYPE = "GHZ-type"
 GENUINELY_MULTIPARTITE = "genuinely-multipartite"
 BISEPARABLE = "biseparable-structure"
 
-# Most (cut, member) pairs an all-cuts report takes, about 10 s.  A cut
-# costs a fixed ~100-230 us plus ~0.9-1.5 us per member (n = 12..16, one
-# BLAS thread, 2-vCPU Xeon VM), so it counts as at least 2^7 members:
-# (2,12) and one-member n = 17 fit, (2,13) and one-member n = 18 do not.
+# Most (cut, member) pairs an all-cuts report takes.  The rank table
+# costs about 0.3-0.6 us per pair ((2,10) to (2,12)) plus 8-15 us per
+# cut (one member, n = 16 and 17), on one BLAS thread of a 2-vCPU Xeon
+# VM, and a cut counts as at least 2^7 members: (2,12) (3.5-5 s of
+# ranks) and one-member n = 17 (0.5-1 s) fit, (2,13) and one-member
+# n = 18 do not.
 ALL_CUTS_LIMIT = 2**23
+
+# Crossing entries per `eliminate_stack` call of `_rank_table`.  The
+# temporaries grow with it (traced peak above the table at (2,11): 0.5
+# MiB at 2^14, 1.0 at 2^15, 2.0 at 2^16), and larger blocks were no
+# faster at (2,8).
+GATHER_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -78,9 +96,9 @@ def all_bipartitions(n: int) -> list[Bipartition]:
 
 
 def connectivity_rank(a: MatZp, b: Bipartition) -> int:
-    """Z_p-rank of the |X| x |Y| off-diagonal block selected by b, by
-    `rank_mod_p`: the stacked elimination on a stack of one."""
-    return rank_mod_p(_crossing(np.array(a.rows, dtype=np.int64), b), a.p)
+    """Z_p-rank of the |X| x |Y| off-diagonal block selected by b: the
+    rank table of a stack of one at one cut."""
+    return int(_rank_table(np.array([a.rows], dtype=np.int64), a.p, [b])[0, 0])
 
 
 def _crossing(m: np.ndarray, b: Bipartition) -> np.ndarray:
@@ -91,10 +109,31 @@ def _crossing(m: np.ndarray, b: Bipartition) -> np.ndarray:
     return m[..., [v - 1 for v in b.x], :][..., [v - 1 for v in b.y]]
 
 
-def _cut_ranks(stack: np.ndarray, p: int, b: Bipartition) -> list[int]:
-    """connectivity_rank of every matrix of an (N, n, n) stack at b, by
-    one stacked elimination of the (N, |X|, |Y|) crossing blocks."""
-    return eliminate_stack(_crossing(stack, b), p).tolist()
+def _rank_table(stack: np.ndarray, p: int, bips: list[Bipartition]) -> np.ndarray:
+    """connectivity_rank of every member of an (N, n, n) stack at every
+    cut of bips: an int64 (len(bips), N) table.  The cuts of one |X|
+    share a crossing shape, taken tall (the transpose when |X| < |Y|: the
+    same rank, and fewer columns for the elimination to step through).
+    Their (cut, member) pairs, cut after cut, are gathered by flat
+    offsets into the stack, GATHER_BLOCK entries at a time, and each
+    gather is one stacked elimination."""
+    count, n = len(stack), stack.shape[-1]
+    flat = stack.reshape(-1)
+    cells = np.arange(n * n).reshape(n, n)
+    table = np.zeros((len(bips), count), dtype=np.int64)
+    for x in sorted({len(b.x) for b in bips}):
+        cuts = np.array([i for i, b in enumerate(bips) if len(b.x) == x])
+        offsets = np.array([_crossing(cells, bips[i]) for i in cuts])
+        if 2 * x < n:
+            offsets = offsets.transpose(0, 2, 1)
+        shape = offsets.shape[1:]
+        offsets = offsets.reshape(len(cuts), -1)
+        pairs, step = len(cuts) * count, max(1, GATHER_BLOCK // offsets.shape[1])
+        for start in range(0, pairs, step):
+            cut, member = np.divmod(np.arange(start, min(start + step, pairs)), count)
+            block = np.take(flat, (member * n * n)[:, None] + offsets[cut])
+            table[cuts[cut], member] = eliminate_stack(block.reshape(-1, *shape), p)
+    return table
 
 
 def reduced_purity(a: MatZp, b: Bipartition) -> Fraction:
@@ -119,16 +158,25 @@ class DesignCheck:
     passed: bool
 
 
-def _design_check(p: int, b: Bipartition, ranks) -> DesignCheck:
-    """Averaged purity of a complete family with these ranks at b (the
-    computational basis adds purity 1) against the Haar value."""
-    counts = np.bincount(ranks)
-    total = sum(Fraction(int(k), p**r) for r, k in enumerate(counts) if k)
-    lhs = (1 + total) / (len(ranks) + 1)
-    dx = p ** len(b.x)
-    dy = p ** len(b.y)
-    rhs = Fraction(dx + dy, dx * dy + 1)
-    return DesignCheck(lhs=lhs, rhs=rhs, passed=lhs == rhs)
+def _design_checks(p: int, n: int, bips: list[Bipartition],
+                   table: np.ndarray) -> list[DesignCheck]:
+    """The design identity at each cut of bips, from its row of the rank
+    table: the averaged purity of a complete family whose N graph bases
+    have k_r members of rank r, and the computational basis purity 1,
+
+        (p^n + sum_r k_r p^(n-r)) / (p^n (N + 1)),
+
+    against the Haar value (p^|X| + p^|Y|) / (p^n + 1), once per |X|."""
+    d = p**n
+    haar = {x: Fraction(p**x + p ** (n - x), d + 1) for x in {len(b.x) for b in bips}}
+    checks = []
+    for b, ranks in zip(bips, table):
+        counts = np.bincount(ranks)
+        lhs = Fraction(d + sum(int(k) * p ** (n - r) for r, k in enumerate(counts) if k),
+                       d * (len(ranks) + 1))
+        rhs = haar[len(b.x)]
+        checks.append(DesignCheck(lhs=lhs, rhs=rhs, passed=lhs == rhs))
+    return checks
 
 
 def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
@@ -142,7 +190,7 @@ def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
             f"complete family required: expected {s.dim} matrices, "
             f"got {len(s.stack)}"
         )
-    return _design_check(s.p, b, _cut_ranks(s.stack, s.p, b))
+    return _design_checks(s.p, s.n, [b], _rank_table(s.stack, s.p, [b]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +260,13 @@ def analysis_report(s: MubSet, bipartitions=None) -> dict:
         "computational_basis": FULLY_SEPARABLE,
         "bipartitions": {},
     }
+    table = _rank_table(s.stack, s.p, bips)
+    purity = np.array([str(Fraction(1, s.p**r)) for r in range(s.n + 1)], dtype=object)
     complete = len(s.stack) == s.dim
-    purity = [str(Fraction(1, s.p**r)) for r in range(s.n + 1)]
-    for b in bips:
-        ranks = _cut_ranks(s.stack, s.p, b)
-        entry = {
-            "ranks": ranks,
-            "purities": [purity[r] for r in ranks],
-        }
+    checks = _design_checks(s.p, s.n, bips, table) if complete else [None] * len(bips)
+    for b, ranks, check in zip(bips, table, checks):
+        entry = {"ranks": ranks.tolist(), "purities": purity[ranks].tolist()}
         if complete:
-            check = _design_check(s.p, b, ranks)
             entry["design_lhs"] = str(check.lhs)
             entry["design_rhs"] = str(check.rhs)
             entry["design_pass"] = check.passed

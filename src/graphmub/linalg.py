@@ -6,8 +6,9 @@ inverse (by Cayley-Hamilton), for every prime p including p <= n
 (Faddeev-LeVerrier would divide by k!).  `eliminate_stack`, the one
 Gaussian elimination, ranks a whole int64 stack at once (one matrix is a
 stack of one); over Z_p a square matrix is invertible exactly when it
-has full rank.  For p = 2 rows are packed into uint64 words, and each
-row operation is one XOR.
+has full rank.  For p = 2 rows of c bits (c the smaller side) are
+packed 64 // c to a uint64 word, or over ceil(c/64) words when c > 64,
+and each row operation is one XOR.
 """
 
 from __future__ import annotations
@@ -222,25 +223,52 @@ def eliminate_stack(stack, p: int) -> np.ndarray:
     no row is swapped, and the rank is the number of pivots found.
     Entries may be any int64 values (they are reduced first).  p < 2^31
     (`check_prime`) keeps every product of two residues below 2^62, and
-    each product is reduced before it is added.  For p = 2 each row is
-    packed into ceil(c/64) uint64 words and a column step is one XOR of
-    the pivot row into the rows that have the column's bit.
+    each product is reduced before it is added.
+
+    For p = 2 members are transposed so that c = min(r, c), and
+    k = max(1, 64 // c) rows share a uint64 word: row i is the c bits at
+    (i mod k) c of word i // k, and a row of c > 64 bits keeps
+    ceil(c/64) words (k = 1).  A column step masks the column in each of
+    the k fields at once, takes the pivot as the lowest set bit of the
+    first word holding it (its offset by `np.frexp`, exact on powers of
+    two), and XORs the pivot row, multiplied into every field holding the
+    column, into each word.
     """
     check_prime(p)
-    m = np.asarray(stack, dtype=np.int64) % p
+    m = np.asarray(stack, dtype=np.int64)
     count, nrows, ncols = m.shape
     members = np.arange(count)
     rank = np.zeros(count, dtype=np.int64)
+    if m.size == 0:
+        return rank
     if p == 2:
-        words = -(-ncols // 64)
-        packed = np.zeros((count, nrows, 8 * words), dtype=np.uint8)
-        packed[:, :, : -(-ncols // 8)] = np.packbits(m, axis=2, bitorder="little")
-        bits = packed.view("<u8")
+        if nrows < ncols:
+            m = m.transpose(0, 2, 1)
+            nrows, ncols = ncols, nrows
+        k = max(1, 64 // ncols)
+        groups, words = -(-nrows // k), -(-k * ncols // 64)
+        rows = np.zeros((count, groups * k, ncols), dtype=np.uint8)
+        rows[:, :nrows] = m.astype(np.uint8) & 1  # the low byte keeps the parity
+        grid = np.zeros((count, groups, 64 * words), dtype=np.uint8)
+        grid[:, :, : k * ncols] = rows.reshape(count, groups, k * ncols)
+        bits = np.packbits(grid, bitorder="little").view("<u8").reshape(count, groups, words)
+        rows_of = bits.reshape(count * groups, words)
+        starts = members * groups
+        spread = sum(1 << (f * ncols) for f in range(k))  # bit 0 of each field
+        field = np.uint64((1 << min(ncols, 64)) - 1)
         for c in range(ncols):
-            has = (bits[:, :, c // 64] >> np.uint64(c % 64)) & np.uint64(1) != 0
-            bits ^= has[:, :, None] * bits[members, has.argmax(axis=1)][:, None, :]
+            shift = c % 64
+            col = bits[:, :, c // 64] & np.uint64(spread << shift)
+            has = col != 0
+            first = starts + has.argmax(axis=1)
+            low = col.reshape(-1)[first] | np.uint64(1 << 63)  # bit 63: no pivot
+            low &= -low
+            offset = (np.frexp(low)[1] - (1 + shift)).astype(np.uint64)
+            pivot = rows_of[first] >> offset[:, None] & field
+            bits ^= (col >> np.uint64(shift))[:, :, None] * pivot[:, None, :]
             rank += has.any(axis=1)
         return rank
+    m = m % p
     for c in range(ncols):
         has = m[:, :, c] != 0
         pivot_row = m[members, has.argmax(axis=1)]  # row 0, 0 at c, where none holds c
@@ -256,9 +284,10 @@ def eliminate_stack(stack, p: int) -> np.ndarray:
 
 def rank_mod_p(block: list[list[int]], p: int) -> int:
     """Rank over Z_p of a rectangular block of integer row lists (reduced
-    here, so entries of any size are accepted)."""
-    reduced = np.array([[[v % p for v in r] for r in block]], dtype=np.int64)
-    return int(eliminate_stack(reduced, p)[0])
+    here, so entries of any size are accepted); no rows reads as one
+    empty row, of rank 0."""
+    reduced = np.array([[v % p for v in r] for r in block], dtype=np.int64)
+    return int(eliminate_stack(np.atleast_2d(reduced)[None], p)[0])
 
 
 def congruence(pmat: MatZp, b: MatZp) -> MatZp:

@@ -16,7 +16,9 @@ with a cofactor determinant per member instead of the characteristic-
 polynomial field proof, a dict of nested-tuple differences instead of
 the set of packed int64 keys of the difference-class walk, a span
 enumerated one difference at a time instead of the rank and sorted keys
-of the affine check, one
+of the affine check, an XOR basis of
+Python-int rows instead of the packed uint64 fields of the p = 2
+elimination, one
 `Fraction` term and one purity string per member instead of the rank
 histogram and the per-rank lookup of the analysis report, and plain
 `json.dumps` of the list-form document instead of the stack encoder's
@@ -130,6 +132,21 @@ def rank_brute(block: list[list[int]], p: int) -> int:
                 continue
             break
     return best
+
+
+def rank_gf2_basis(block) -> int:
+    """Rank over Z_2 of integer rows, each row one Python int of its
+    parities, reduced against an XOR basis kept by leading bit."""
+    basis = {}
+    for row in block:
+        v = sum(int(e) % 2 << j for j, e in enumerate(row))
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = v
+                break
+            v ^= basis[top]
+    return len(basis)
 
 
 def tridiag_char_poly_brute(p: int, d) -> PolyZp:

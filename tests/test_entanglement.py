@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -23,9 +24,9 @@ from graphmub.entanglement import (
     reduced_purity,
 )
 from graphmub.fields import PolyZp
-from graphmub.linalg import MatZp
+from graphmub.linalg import MatZp, eliminate_stack
 from graphmub.mubs import MubSet, canonical_json, mub_set, shift_set
-from oracles import analysis_report_brute, classify_by_bipartitions
+from oracles import analysis_report_brute, classify_by_bipartitions, rank_gf2_basis
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -303,3 +304,96 @@ def test_all_cuts_limit_admits_2_12_and_one_member_n_17(monkeypatch, members, n,
     else:
         with pytest.raises(ValueError, match="ALL_CUTS_LIMIT"):
             analysis_report(s)
+
+
+def per_cut_ranks(stack, p, bips):
+    """The rank table cut by cut: one stacked elimination of each cut's
+    crossing blocks."""
+    return np.array([eliminate_stack(entanglement._crossing(stack, b), p).tolist()
+                     for b in bips], dtype=np.int64).reshape(len(bips), len(stack))
+
+
+@pytest.mark.parametrize("p, n", [(2, 8), (2, 9), (3, 5), (5, 4)])
+def test_rank_table_equals_a_per_cut_elimination(p, n):
+    fam = mub_set(p, n)
+    shifted = shift_set(fam, random_shift(p, n, 7 * p + n))
+    bips = all_bipartitions(n)
+    for s in (fam, shifted):
+        table = entanglement._rank_table(s.stack, p, bips)
+        assert table.dtype == np.int64 and table.shape == (len(bips), p**n)
+        assert np.array_equal(table, per_cut_ranks(s.stack, p, bips))
+    # cuts of mixed |X| in any order land in their own rows
+    picked = random.Random(p + n).sample(bips, min(9, len(bips)))
+    assert np.array_equal(entanglement._rank_table(shifted.stack, p, picked),
+                          per_cut_ranks(shifted.stack, p, picked))
+
+
+def test_rank_table_one_member_n17_at_two_word_cuts():
+    # at |X| = 8 or 9 the crossing is 9 x 8, so 8 rows share a word and
+    # the ninth takes a second one; |X| = 1 is one 16-bit column.  Each
+    # rank against the XOR-basis oracle, on a sparse unreduced member
+    rng = random.Random(1717)
+    a = random_symmetric(rng, 2, 17, 0.15)
+    stack = np.array([a.rows], dtype=np.int64)
+    stack += 2 * np.random.default_rng(1717).integers(-3, 4, stack.shape)
+    bips = [Bipartition.of(rng.sample(range(1, 18), size), 17)
+            for size in (1, 8, 9) for _ in range(40)]
+    table = entanglement._rank_table(stack, 2, bips)
+    assert table.shape == (120, 1)
+    expected = [rank_gf2_basis(entanglement._crossing(stack[0], b)) for b in bips]
+    assert table[:, 0].tolist() == expected
+    assert np.array_equal(table, per_cut_ranks(stack, 2, bips))
+    assert len(set(expected[40:])) >= 3  # the two-word cuts reach several ranks
+
+
+def test_rank_table_makes_one_elimination_per_gather_block(monkeypatch):
+    # (3,5): 243 members; a block of 100 entries holds 100 // (|X| |Y|)
+    # (cut, member) pairs, so blocks end inside cuts and inside members
+    fam = shift_set(mub_set(3, 5), random_shift(3, 5, 35))
+    bips = all_bipartitions(5)
+    expected = per_cut_ranks(fam.stack, 3, bips)
+    calls = []
+
+    def counting(block, p):
+        calls.append(block.shape)
+        return eliminate_stack(block, p)
+
+    monkeypatch.setattr(entanglement, "eliminate_stack", counting)
+    for gather in (100, entanglement.GATHER_BLOCK):
+        monkeypatch.setattr(entanglement, "GATHER_BLOCK", gather)
+        calls.clear()
+        report = analysis_report(fam)
+        table = np.array([entry["ranks"] for entry in report["bipartitions"].values()])
+        assert np.array_equal(table, expected)
+        sizes = Counter(len(b.x) for b in bips)
+        blocks = sum(-(-cuts * 243 // max(1, gather // (x * (5 - x))))
+                     for x, cuts in sizes.items())
+        assert len(calls) == blocks
+        assert all(r * c * (count - 1) < gather for count, r, c in calls)
+    assert blocks == len(sizes)  # every |X| of (3,5) fits one default block
+
+
+def test_rank_table_memory_at_2_11():
+    # the table (1023 cuts x 2048 members, 16 MiB) plus a few gather blocks
+    s = mub_set(2, 11)
+    bips = all_bipartitions(11)
+    tracemalloc.start()
+    try:
+        table = entanglement._rank_table(s.stack, 2, bips)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 1023 * 2048 * 8
+    assert peak <= table.nbytes + 2 * 2**20, peak - table.nbytes
+
+
+def test_a_bipartition_of_the_wrong_n_is_refused():
+    fam = qubit_triple_family()
+    wrong = Bipartition.of((1,), 4)
+    with pytest.raises(ValueError, match="bipartition size does not match"):
+        entanglement._rank_table(fam.stack, 2, [Bipartition.of((1,), 3), wrong])
+    for call in (lambda: connectivity_rank(fam.matrices[0], wrong),
+                 lambda: design_purity_check(fam, wrong),
+                 lambda: analysis_report(fam, [wrong])):
+        with pytest.raises(ValueError, match="bipartition size does not match"):
+            call()

@@ -5,7 +5,7 @@ import pytest
 
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp, congruence, eliminate_stack, rank_mod_p
-from oracles import char_poly_cofactor, det_cofactor, rank_brute
+from oracles import char_poly_cofactor, det_cofactor, rank_brute, rank_gf2_basis
 
 # Worked three-qutrit fixtures (p = 3, n = 3, f = x^3 + x^2 + 2x + 1)
 C3 = MatZp(3, [[0, 1, 0], [0, 0, 1], [2, 1, 2]])
@@ -149,9 +149,10 @@ def test_eliminate_stack_matches_scalar_and_oracles(p):
 
 @pytest.mark.parametrize("nrows, ncols", [(3, 70), (1, 130), (70, 3)])
 def test_gf2_kernel_on_multiword_and_tall_blocks(nrows, ncols):
-    # p = 2 packs rows into ceil(c/64) uint64 words: 70 and 130 columns
-    # take two and three words, 70 rows one word each; unreduced entries,
-    # a member of rank <= 2 and a member that is zero mod 2 in each stack
+    # p = 2 transposes each member to its narrow side: 3 x 70 and 70 x 3
+    # both pack 21 three-bit rows per word (four words), 1 x 130 packs 64
+    # one-bit rows per word (three words); unreduced entries, a member of
+    # rank <= 2 and a member that is zero mod 2 in each stack
     rng = random.Random(67 + ncols)
     stack = random_stack(rng, 2, 4, nrows, ncols)
     u, v = ([rng.randrange(2) for _ in range(ncols)] for _ in range(2))
@@ -204,6 +205,26 @@ def test_odd_kernel_on_tall_and_wide_blocks_of_known_rank(p, nrows, ncols):
     assert rank_mod_p(stack[-1], p) == full
 
 
+@pytest.mark.parametrize("ncols", [1, 2, 7, 8, 9, 21, 22, 31, 32, 33, 63, 64, 65, 130])
+def test_gf2_packed_fields_at_every_width(ncols):
+    # p = 2 packs k = max(1, 64 // c) rows of c = min(r, c) bits into each
+    # uint64 word, and a row of c > 64 bits into ceil(c/64) words (k = 1).
+    # r = k - 1 and k + 1 leave a last word part full, r = c + 1 keeps c
+    # the packed side; every stack is ranked transposed too, and built to
+    # ranks 0, 1, half and full from unreduced entries
+    rng = random.Random(83 + ncols)
+    k = max(1, 64 // ncols)
+    for nrows in sorted({max(1, k - 1), k + 1, ncols + 1}):
+        full = min(nrows, ncols)
+        ks = sorted({0, 1, full // 2, full})
+        stack = np.array([known_rank(rng, 2, nrows, ncols, rank) for rank in ks])
+        assert eliminate_stack(stack, 2).tolist() == ks
+        assert eliminate_stack(stack.transpose(0, 2, 1), 2).tolist() == ks
+        for m, rank in zip(stack, ks):  # N = 1
+            assert eliminate_stack(m[None], 2).tolist() == [rank]
+            assert rank_gf2_basis(m) == rank
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 2**31 - 1])
 def test_eliminate_stack_pivot_edge_cases(p):
     rng = random.Random(79 + p % 97)
@@ -231,6 +252,10 @@ def test_eliminate_stack_pivot_edge_cases(p):
     for shape in ((0, 5, 6), (0, 243, 15)):  # N = 0
         ranks = eliminate_stack(np.zeros(shape, dtype=np.int64), p)
         assert ranks.dtype == np.int64 and ranks.shape == (0,)
+    for shape in ((3, 0, 4), (3, 4, 0)):  # no rows, or no columns
+        ranks = eliminate_stack(np.zeros(shape, dtype=np.int64), p)
+        assert ranks.dtype == np.int64 and ranks.tolist() == [0, 0, 0]
+    assert rank_mod_p([], p) == rank_mod_p([[]], p) == 0
 
 
 def test_det_and_rank_at_p2_meet_oracles():
