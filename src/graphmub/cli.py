@@ -20,7 +20,7 @@ from .fields import PolyZp, check_prime
 from .linalg import MatZp
 from .mubs import (
     MubSet,
-    canonical_json,
+    canonical_parts,
     mub_set,
     read_document,
     stack_document,
@@ -125,12 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(parts: list[str], out: str | None) -> None:
+    """Write the pieces of a text one at a time, so the whole text (an
+    all-cuts report is tens of MB) is never joined or encoded at once."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
 
 
 def _load(path: str) -> MubSet | None:
@@ -164,7 +166,7 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(canonical_json(stack_document(fam)), args.out)
+    _write(canonical_parts(stack_document(fam)), args.out)
     return EXIT_OK
 
 
@@ -214,7 +216,7 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(canonical_json(report), args.out)
+    _write(canonical_parts(report), args.out)
     return EXIT_OK
 
 
@@ -251,21 +253,19 @@ def _cmd_export(args) -> int:
         return MatZp(fam.p, fam.stack[i].tolist())
 
     if args.format == "json":
-        out = canonical_json(stack_document(fam))
+        out = canonical_parts(stack_document(fam))
     elif args.format == "dot":
-        out = "".join(adjacency_to_dot(member(i), f"g{i}") for i in indices)
+        out = [adjacency_to_dot(member(i), f"g{i}") for i in indices]
     else:
-        out = "\n".join(circuit_to_text(emit_measurement_circuit(member(i)))
-                        for i in indices)
+        out = ["\n".join(circuit_to_text(emit_measurement_circuit(member(i)))
+                          for i in indices)]
     _write(out, args.out)
     return EXIT_OK
 
 
 def _cmd_tables(args) -> int:
-    rows = derive_rows(args.p)
-    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in rows)
-    _write(text, args.out)
+    _write([json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+            for r in derive_rows(args.p)], args.out)
     return EXIT_OK
 
 

@@ -157,7 +157,10 @@ def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
 def _field(q: MatZp) -> np.ndarray:
     """All p^n Z_p-combinations sum_k a_k Q^k as an int64 stack, in index
     order (a_0 varying fastest), filled in place: Q^k extends the first
-    p^k rows to p^(k+1), row j p^k + i being j Q^k + row i."""
+    p^k rows to p^(k+1), row j p^k + i being j Q^k + row i.  The blocks of
+    j = c .. 2c - 1 are those of j = 0 .. c - 1 plus c Q^k, so c doubles
+    and no table of the p - 1 multiples (a stack's size at n = 1) is
+    built."""
     p, n = q.p, q.n
     stack = np.zeros((p**n, n, n), dtype=np.int64)
     seed = np.array(q.rows, dtype=np.int64)
@@ -167,9 +170,12 @@ def _field(q: MatZp) -> np.ndarray:
     # witness, and p^n = len(stack) for a stack held in `MubSet.field_rep`
     for k in range(n):
         blocks = stack[:p ** (k + 1)].reshape(p, p**k, n, n)
-        np.add(blocks[:1], np.arange(1, p)[:, None, None, None] * power % p,
-               out=blocks[1:])
-        np.remainder(blocks[1:], p, out=blocks[1:])
+        c = 1
+        while c < p:
+            dst = blocks[c:2 * c]
+            np.add(blocks[:len(dst)], c * power % p, out=dst)
+            np.remainder(dst, p, out=dst)
+            c *= 2
         power = power @ seed % p
     return stack
 
@@ -467,9 +473,16 @@ def canonical_json(doc: dict) -> str:
     value written as its nested lists.  Such a value (non-negative
     integers, shape (N, r, c), e.g. `MubSet.stack`) is encoded by
     `_stack_json` without building those lists."""
+    return "".join(canonical_parts(doc))
+
+
+def canonical_parts(doc: dict) -> list[str]:
+    """The pieces of canonical_json(doc) in order, not joined, for a
+    writer that takes them one at a time."""
     parts = []
     _encode(doc, parts)
-    return "".join(parts + ["\n"])
+    parts.append("\n")
+    return parts
 
 
 def _encode(v, parts: list[str]) -> None:
@@ -482,7 +495,7 @@ def _encode(v, parts: list[str]) -> None:
     elif isinstance(v, dict) and v:
         sep = "{"
         for k in sorted(v):
-            parts += [sep, json.dumps(k), ":"]
+            parts.append(f"{sep}{json.dumps(k)}:")
             _encode(v[k], parts)
             sep = ","
         parts.append("}")

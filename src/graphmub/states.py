@@ -191,14 +191,17 @@ def _exponents(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
     coefficient rows (..., k) against the first k rows of _phase_table:
     one float64 matmul, exact (see _check_exact)."""
     m = _phase_modulus(p)
-    coefs = np.asarray(coefs, dtype=np.int64) % m
+    coefs = _mod(np.array(coefs, dtype=np.int64), m)
     table = _phase_table(p, n)[: coefs.shape[-1]]
     return _mod((coefs.astype(np.float64) @ table).astype(np.int64), m)
 
 
 def _mod(x: np.ndarray, m: int) -> np.ndarray:
-    """x mod m, in place, for an int64 array x: numpy divides by a scalar
+    """x mod m, in place, for an int64 array x: a mask for a power of two
+    m (M = 4 for p = 2), else a division, since numpy divides by a scalar
     several times faster than it takes the remainder."""
+    if not m & (m - 1):
+        return np.bitwise_and(x, m - 1, out=x)
     q = x // m
     q *= m
     x -= q
@@ -542,15 +545,38 @@ def _pair_violation(s: MubSet, r: int, t: int) -> tuple:
     return (r, t, 0, int(np.rint(p**n * devs).argmax()), float(devs.max()))
 
 
-def _frequencies(cross: np.ndarray, p: int, h: int, l: int) -> np.ndarray:
+def _frequencies(cross: np.ndarray, p: int) -> np.ndarray:
     """Flat indices into an (N, p^l) array of the frequencies C^T u mod p
-    at every head input u, shape (N, p^h), for the rows (N, h l) of C, an
-    h x l block in row-major order: one float64 matmul against the head's
-    digits (sums below h p^2, exact), then a remainder per digit."""
-    k = cross.reshape(-1, h, l).transpose(0, 2, 1).reshape(-1, h) % p
-    k = _mod((k @ _digits(p, h).T.astype(np.float64)).astype(np.int64), p)
-    rows = np.arange(len(cross))[:, None]
-    return p ** np.arange(l - 1, -1, -1) @ k.reshape(len(cross), l, p**h) + p**l * rows
+    at every head input u, shape (N, p^h), for a chunk's blocks C
+    (N, h, l) with entries in (-p, p), a view of its difference rows.
+    For p = 2 they double over the head digits, least significant first:
+    the indices with head digit i = 1 are those with i = 0 XOR row i of C
+    packed in l bits, one in-place bitwise_xor per digit.  For odd p, a
+    Horner combine over the l tail digits in two float64 buffers of the
+    output's size: C_j^T u from one matmul against the head's digits, and
+    its remainder as x - p floor(x / p), all exact (sums below h p^2,
+    indices below N p^l)."""
+    rows, h, l = cross.shape
+    if p == 2:
+        packed = (cross & 1) @ (1 << np.arange(l - 1, -1, -1))
+        out = np.empty((rows, 1 << h), dtype=np.int64)
+        out[:, 0] = np.arange(rows) << l
+        for i in range(h):
+            np.bitwise_xor(out[:, :1 << i], packed[:, h - 1 - i, None], out=out[:, 1 << i:2 << i])
+        return out
+    cross = (cross % p).astype(np.float64)
+    head = _digits(p, h).T.astype(np.float64)
+    out, sums = np.empty((rows, p**h)), np.empty((rows, p**h))
+    out[:] = np.arange(rows)[:, None]
+    for j in range(l):  # out p + (sums mod p)
+        np.matmul(cross[:, :, j], head, out=sums)
+        out *= p
+        out += sums
+        sums /= p
+        np.floor(sums, out=sums)
+        sums *= p
+        out -= sums
+    return out.astype(np.int64)
 
 
 def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -574,19 +600,22 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     sum_u w_M^e_H(u) h_L(C^T u) with h_L the Fourier transform (_fourier)
     of w_M^e_L, O(p^h n^2) per draw instead of O(d n^2), in chunks of
     about SAMPLE_CHUNK entries of the largest per-draw array, p^h max(l, 1).
-    A draw against the computational basis takes _computational_dev."""
+    Each chunk gathers its draws' member rows straight from the stack, as
+    (N, n n) rows, and takes the head's and the tail's upper-triangle
+    columns by index and C as a view, so no copy of the family is made;
+    _frequencies finds C^T u for every u by doubling over the head digits
+    (p = 2).  A draw against the computational basis takes
+    _computational_dev."""
     p, n, d = s.p, s.n, s.dim
     h, l = n - n // 2, n // 2
     m = _phase_modulus(p)
     roots = _roots(m)
     scale = p**l / d**2  # _fourier divides h_L by sqrt(p^l)
     row, col = np.triu_indices(n)
-    k_head, k_tail = h * (h + 1) // 2, l * (l + 1) // 2
-    # coefficient columns: the head's, the tail's, then C (h x l, row-major)
-    order = np.concatenate([np.flatnonzero(col < h), np.flatnonzero(row >= h),
-                            np.flatnonzero((row < h) & (col >= h))])
-    coefs = _upper(s.stack)[:, order]
-    comp = len(coefs)  # index of the computational basis
+    flat = row * n + col  # upper-triangle columns of the (N, n n) member rows
+    head_cols, tail_cols = flat[col < h], flat[row >= h]
+    members = s.stack.reshape(len(s.stack), n * n)
+    comp = len(members)  # index of the computational basis
     r, t, mr, ms = draws
     dev = np.empty(len(r))
     graph = (r != comp) & (t != comp)
@@ -596,15 +625,16 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     for lo in range(0, len(r), rows):
         j = lo + np.flatnonzero(graph[lo:lo + rows])
         if j.size:
-            diff = coefs[t[j]] - coefs[r[j]]
+            diff = members[t[j]]
+            diff -= members[r[j]]
             hr, lr = np.divmod(mr[j], p**l)
             hs, ls = np.divmod(ms[j], p**l)
             hat = 1.0  # h_L(C^T u) / sqrt(p^l), and 1 without a tail (n = 1)
             if l:
-                hat = _fourier(roots[_exponents(np.hstack([diff[:, k_head:k_head + k_tail],
+                hat = _fourier(roots[_exponents(np.hstack([diff[:, tail_cols],
                                                            tail[ls] - tail[lr]]), p, l)], p, l)
-                hat = hat.ravel()[_frequencies(diff[:, k_head + k_tail:], p, h, l)]
-            amp = roots[_exponents(np.hstack([diff[:, :k_head], head[hs] - head[hr]]), p, h)]
+                hat = hat.ravel()[_frequencies(diff.reshape(-1, n, n)[:, :h, h:], p)]
+            amp = roots[_exponents(np.hstack([diff[:, head_cols], head[hs] - head[hr]]), p, h)]
             amp *= hat
             dev[j] = np.abs(np.abs(np.einsum("ij->i", amp)) ** 2 * scale - 1.0 / d)
     bad = np.flatnonzero(dev > tol)

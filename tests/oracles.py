@@ -16,7 +16,9 @@ with a cofactor determinant per member instead of the characteristic-
 polynomial field proof, a dict of nested-tuple differences instead of
 the set of packed int64 keys of the difference-class walk, a span
 enumerated one difference at a time instead of the rank and sorted keys
-of the affine check, an XOR basis of
+of the affine check, one dot product per head input and tail digit
+instead of the doubled or matmul-built tail frequencies of the sampled
+check, an XOR basis of
 Python-int rows instead of the packed uint64 fields of the p = 2
 elimination, one
 `Fraction` term and one purity string per member instead of the rank
@@ -293,6 +295,23 @@ def numeric_sampled_brute(s, draws, tol: float = 1e-10) -> NumericReport:
     return NumericReport(ok=first is None, mode=f"sampled({len(draws[0])})",
                          pairs_checked=len(draws[0]), worst_deviation=worst,
                          first_violation=first)
+
+
+def frequencies_brute(cross, p: int) -> np.ndarray:
+    """The sampled check's tail-frequency indices for blocks C (N, h, l):
+    for row r and each head input u (base-p digits, most significant
+    first, in computational order), the digits of C^T u mod p, one dot
+    product each, packed in base p, plus p^l r."""
+    rows, h, l = cross.shape
+    out = np.empty((rows, p**h), dtype=np.int64)
+    for r in range(rows):
+        c = cross[r].tolist()
+        for k, u in enumerate(product(range(p), repeat=h)):
+            index = r
+            for j in range(l):
+                index = index * p + sum(u[i] * c[i][j] for i in range(h)) % p
+            out[r, k] = index
+    return out
 
 
 def classify_by_bipartitions(a: MatZp) -> str:

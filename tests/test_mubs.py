@@ -142,9 +142,10 @@ def test_every_member_is_combination_of_fundamental_graphs():
             assert acc == m
 
 
-@pytest.mark.parametrize("p,n", [(2, 12), (3, 7)])
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (9973, 1)])
 def test_field_fills_one_stack(p, n):
-    # the family table is written in place: no second table of its size
+    # the family table is written in place: no second table of its size,
+    # not even the multiples j Q^k, j < p, which at n = 1 are the stack
     q = symmetric_representation(p, n).q
     tracemalloc.start()
     try:

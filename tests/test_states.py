@@ -32,12 +32,14 @@ from graphmub.states import (
     state_index,
     verify_mu_numeric,
     _computational_dev,
+    _frequencies,
     _sample_draws,
     _verify_sampled,
 )
 
 from oracles import (
     difference_spectrum,
+    frequencies_brute,
     numeric_sampled_brute,
     numeric_sweep_brute,
     numeric_worst_exact,
@@ -560,6 +562,17 @@ def test_sampled_check_matches_brute(monkeypatch, p, n, kind):
     assert abs(fast.first_violation[4] - slow.first_violation[4]) < 1e-12
 
 
+@pytest.mark.parametrize("p,h,l", [(p, h, l) for p in (2, 3, 5, 13, 131)
+                                   for h, l in ((1, 1), (2, 1), (3, 2), (5, 5), (6, 5))
+                                   if p**h <= 20000])  # the oracle walks all p^h inputs
+def test_frequencies_match_brute(p, h, l):
+    # a chunk passes C as a view of its raw differences, in (-p, p)
+    rng = np.random.default_rng(p * 100 + h * 10 + l)
+    diff = rng.integers(-p + 1, p, size=(3, h + l, h + l))
+    cross = diff[:, :h, h:]
+    assert np.array_equal(_frequencies(cross, p), frequencies_brute(cross, p))
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_sampled_check_on_one_member(n):
     # every draw pairs the one graph basis with the computational basis, so
@@ -608,6 +621,21 @@ def test_sampled_check_on_many_qubits_stays_small():
     assert peak < 5 << 20
     assert report.ok and report.pairs_checked == 3000
     assert report.worst_deviation < 1e-12
+
+
+def test_sampled_check_reads_draw_rows_from_the_stack():
+    # each chunk gathers its draws' member rows: no copy of the family's
+    # upper triangles (over half a stack at n = 14) is made
+    fam = mub_set(2, 14)
+    verify_mu_numeric(fam, sample=50, seed=1)
+    tracemalloc.start()
+    try:
+        report = verify_mu_numeric(fam, sample=2000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.worst_deviation < 1e-12
+    assert peak < fam.stack.nbytes / 8
 
 
 def test_inexact_sizes_are_refused_before_allocating():
