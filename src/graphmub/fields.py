@@ -7,6 +7,13 @@ coefficient tuple and degree ``None`` (a sentinel, deliberately not -1).
 Covers exactly what the matrix constructions downstream need:
 ring arithmetic, irreducibility, primitivity, and quadratic-residue
 machinery.  No general GF(p^n) element API.
+
+One private kernel on plain residue lists does the Z_p[x] products and
+divisions: product and reduction mod a monic f, power by squaring,
+division with remainder, and the monic gcd.  `PolyZp`'s `*`, `divmod`, `gcd`,
+`mulmod` and `powmod` wrap it, and the distinct-degree irreducibility
+test and the factored-order primitivity test run on it directly, with no
+`PolyZp` built per step.
 """
 
 from __future__ import annotations
@@ -62,6 +69,95 @@ def prime_factors(m: int) -> list[int]:
     return factors
 
 
+# -- the Z_p[x] kernel ------------------------------------------------
+# Ascending coefficient lists (tuples are read too).  Arguments hold
+# residues in [0, p) with no trailing zero, so [] is the zero polynomial;
+# results are such lists again.  Sums of products stay unreduced Python
+# ints inside a call and are reduced once at its end.
+
+
+def _trim(cs: list) -> list:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _mul(a, b) -> list:
+    """The product of a and b, coefficients not yet reduced mod p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] += c * d
+    return out
+
+
+def _reduce(c: list, f, p: int) -> list:
+    """c mod the monic f, with c any list of integers (overwritten)."""
+    n = len(f) - 1
+    for k in range(len(c) - 1, n - 1, -1):
+        t = c[k] % p
+        if t:
+            s = k - n
+            for j in range(n):
+                c[s + j] -= t * f[j]
+    return _trim([v % p for v in c[:n]])
+
+
+def _mulmod(a, b, f, p: int) -> list:
+    return _reduce(_mul(a, b), f, p)
+
+
+def _powmod(a, e: int, f, p: int) -> list:
+    """a^e mod the monic f, for a reduced mod f, by left-to-right square
+    and multiply; [1] for e = 0."""
+    if not e:
+        return [1]
+    r = a
+    for bit in bin(e)[3:]:
+        r = _mulmod(r, r, f, p)
+        if bit == "1":
+            r = _mulmod(r, a, f, p)
+    return r
+
+
+def _divmod(a, b, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b."""
+    n = len(b) - 1
+    dq = len(a) - n - 1
+    if dq < 0:
+        return [], list(a)
+    rem = list(a)
+    quo = [0] * (dq + 1)
+    inv = pow(b[-1], p - 2, p)
+    for k in range(dq, -1, -1):
+        c = rem[k + n] * inv % p
+        if c:
+            quo[k] = c
+            for j in range(n):
+                rem[k + j] -= c * b[j]
+    return quo, _trim([v % p for v in rem[:n]])
+
+
+def _gcd(a, b, p: int) -> list:
+    """The monic gcd of a and b, not both zero, by Euclid."""
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _monic(poly: "PolyZp") -> tuple:
+    """The monic associate of a nonzero modulus: the same remainders."""
+    if poly.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    p, cs = poly.p, poly.coeffs
+    inv = pow(cs[-1], p - 2, p)
+    return cs if inv == 1 else tuple(c * inv % p for c in cs)
+
+
 class PolyZp:
     """Immutable polynomial over Z_p, stored as ascending coefficients.
     `is_irreducible` keeps its verdict on the instance."""
@@ -70,15 +166,23 @@ class PolyZp:
 
     def __init__(self, p: int, coeffs) -> None:
         check_prime(p)
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = _trim([c % p for c in coeffs])
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "coeffs", tuple(cs))
         object.__setattr__(self, "_irreducible", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyZp is immutable")
+
+    @classmethod
+    def _of(cls, p: int, residues) -> "PolyZp":
+        """A polynomial from a kernel result: residues of the checked
+        modulus p, trimmed already."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "p", p)
+        object.__setattr__(poly, "coeffs", tuple(residues))
+        object.__setattr__(poly, "_irreducible", None)
+        return poly
 
     # -- constructors ------------------------------------------------
 
@@ -163,15 +267,9 @@ class PolyZp:
 
     def __mul__(self, other: "PolyZp") -> "PolyZp":
         self._check_same(other)
-        if self.is_zero or other.is_zero:
-            return PolyZp.zero(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % self.p
-        return PolyZp(self.p, out)
+        p = self.p
+        # the leading product of two residues is nonzero mod a prime
+        return PolyZp._of(p, [v % p for v in _mul(self.coeffs, other.coeffs)])
 
     def scale(self, s: int) -> "PolyZp":
         return PolyZp(self.p, [s * c for c in self.coeffs])
@@ -180,20 +278,8 @@ class PolyZp:
         self._check_same(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        p = self.p
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return PolyZp.zero(p), self
-        quo = [0] * (dq + 1)
-        lead_inv = pow(other.coeffs[-1], p - 2, p)
-        for k in range(dq, -1, -1):
-            c = (rem[k + len(other.coeffs) - 1] * lead_inv) % p
-            quo[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * b) % p
-        return PolyZp(p, quo), PolyZp(p, rem[: len(other.coeffs) - 1])
+        quo, rem = _divmod(self.coeffs, other.coeffs, self.p)
+        return PolyZp._of(self.p, quo), PolyZp._of(self.p, rem)
 
     def __floordiv__(self, other: "PolyZp") -> "PolyZp":
         return divmod(self, other)[0]
@@ -204,12 +290,9 @@ class PolyZp:
     def gcd(self, other: "PolyZp") -> "PolyZp":
         """Monic greatest common divisor via the Euclidean algorithm."""
         self._check_same(other)
-        a, b = self, other
-        if a.is_zero and b.is_zero:
+        if self.is_zero and other.is_zero:
             raise ZeroDivisionError("gcd of two zero polynomials")
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.scale(pow(a.coeffs[-1], self.p - 2, self.p))
+        return PolyZp._of(self.p, _gcd(self.coeffs, other.coeffs, self.p))
 
     def evaluate(self, v: int) -> int:
         acc = 0
@@ -220,18 +303,18 @@ class PolyZp:
     # -- residue-class helpers ----------------------------------------
 
     def mulmod(self, other: "PolyZp", modulus: "PolyZp") -> "PolyZp":
-        return (self * other) % modulus
+        self._check_same(other)
+        self._check_same(modulus)
+        return PolyZp._of(self.p, _mulmod(self.coeffs, other.coeffs, _monic(modulus), self.p))
 
     def powmod(self, e: int, modulus: "PolyZp") -> "PolyZp":
-        """self^e reduced mod `modulus`, by square and multiply."""
-        result = PolyZp.one(self.p)
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = result.mulmod(base, modulus)
-            base = base.mulmod(base, modulus)
-            e >>= 1
-        return result
+        """self^e reduced mod `modulus` (the unit 1 for e = 0), by square
+        and multiply."""
+        self._check_same(modulus)
+        if e < 0:
+            raise ValueError("powmod needs an exponent e >= 0")
+        p, f = self.p, _monic(modulus)
+        return PolyZp._of(p, _powmod(_reduce(list(self.coeffs), f, p), e, f, p))
 
     # -- irreducibility and primitivity --------------------------------
 
@@ -246,21 +329,23 @@ class PolyZp:
 
     def _distinct_degree(self) -> bool:
         """f of degree n is irreducible over Z_p iff x^(p^n) = x mod f and
-        gcd(x^(p^k) - x, f) = 1 for every k <= n/2."""
-        p, n = self.p, self.degree
+        gcd(x^(p^k) - x, f) = 1 for every k <= n/2; a common factor ends
+        the test at the first such k."""
+        p, f = self.p, self.coeffs
+        n = len(f) - 1
         if n == 1:
             return True
-        x = PolyZp.x(p)
-        # x^(p^k) mod f by repeated p-th powering
-        xp = x % self
-        for k in range(1, n // 2 + 1):
-            xp = xp.powmod(p, self)
-            if not (xp - x).gcd(self).coeffs == (1,):
+        x = [0, 1]  # reduced mod f, as n >= 2
+        xp = x  # x^(p^k) mod f, by repeated p-th powering
+        for _ in range(n // 2):
+            xp = _powmod(xp, p, f, p)
+            diff = xp + [0] * (2 - len(xp))
+            diff[1] = (diff[1] - 1) % p
+            if len(_gcd(f, _trim(diff), p)) > 1:
                 return False
-        rest = xp
         for _ in range(n // 2, n):
-            rest = rest.powmod(p, self)
-        return rest == x % self
+            xp = _powmod(xp, p, f, p)
+        return xp == x
 
     def is_primitive(self) -> bool:
         """True iff the multiplicative order of x in Z_p[x]/(f) is p^n - 1.
@@ -269,17 +354,13 @@ class PolyZp:
         """
         if not self.is_irreducible():
             raise ValueError(f"{self} is reducible; primitivity undefined")
-        p, n = self.p, self.degree
-        if self.coeff(0) == 0:
+        p, f = self.p, self.coeffs
+        if f[0] == 0:
             # f = x: the residue of x is 0, never a group generator
             return False
-        order = p**n - 1
-        x = PolyZp.x(p)
-        one = PolyZp.one(p)
-        for q in prime_factors(order):
-            if x.powmod(order // q, self) == one:
-                return False
-        return True
+        order = p ** (len(f) - 1) - 1
+        x = _reduce([0, 1], f, p)
+        return all(_powmod(x, order // q, f, p) != [1] for q in prime_factors(order))
 
 
 def is_quadratic_residue(a: int, p: int) -> bool:

@@ -105,7 +105,21 @@ class MubSet:
         if len(self.stack) != p**n:
             return False
         q = MatZp(p, self.stack[p].tolist()) if n > 1 else MatZp.identity(p, 1)
-        return q.char_poly().is_irreducible() and np.array_equal(_field(q), self.stack)
+        if not q.char_poly().is_irreducible():
+            return False
+        # the stack is _field(q) iff it keeps each step of `_levels`,
+        # checked in blocks of about STACK_BLOCK bytes, with no second stack
+        stack = self.stack
+        rows = max(1, STACK_BLOCK // (8 * n * n))
+        buf = np.empty((min(rows, len(stack) // 2), n, n), dtype=np.int64)  # count <= p^n / 2
+        for start, count, add in _levels(q):
+            for lo in range(0, count, rows):
+                hi = min(lo + rows, count)
+                got = np.add(stack[lo:hi], add, out=buf[:hi - lo])
+                np.remainder(got, p, out=got)
+                if not np.array_equal(got, stack[start + lo:start + hi]):
+                    return False
+        return not stack[0].any()
 
     @cached_property
     def affine(self) -> bool:
@@ -154,29 +168,37 @@ def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
     return [witness.q ** k for k in range(witness.n)]
 
 
-def _field(q: MatZp) -> np.ndarray:
-    """All p^n Z_p-combinations sum_k a_k Q^k as an int64 stack, in index
-    order (a_0 varying fastest), filled in place: Q^k extends the first
-    p^k rows to p^(k+1), row j p^k + i being j Q^k + row i.  The blocks of
-    j = c .. 2c - 1 are those of j = 0 .. c - 1 plus c Q^k, so c doubles
-    and no table of the p - 1 multiples (a stack's size at n = 1) is
-    built."""
+def _levels(q: MatZp):
+    """The recurrence of Z_p[Q] in index order (a_0 varying fastest), as
+    (start, count, add): rows start .. start + count - 1 are rows 0 ..
+    count - 1 plus `add` mod p, and row 0 is zero.  At level k, Q^k
+    extends the first p^k rows to p^(k+1), row j p^k + i being j Q^k +
+    row i; the blocks of j = c .. 2c - 1 are those of j = 0 .. c - 1
+    plus c Q^k, so c doubles and no table of the p - 1 multiples (a
+    stack's size at n = 1) is built."""
     p, n = q.p, q.n
-    stack = np.zeros((p**n, n, n), dtype=np.int64)
     seed = np.array(q.rows, dtype=np.int64)
     power = np.eye(n, dtype=np.int64)
     # power @ seed sums n products of residues, exact in int64 since
     # n (p - 1)^2 < 2^63 wherever this runs: p^n <= SEARCH_LIMIT from a
     # witness, and p^n = len(stack) for a stack held in `MubSet.field_rep`
     for k in range(n):
-        blocks = stack[:p ** (k + 1)].reshape(p, p**k, n, n)
         c = 1
         while c < p:
-            dst = blocks[c:2 * c]
-            np.add(blocks[:len(dst)], c * power % p, out=dst)
-            np.remainder(dst, p, out=dst)
+            yield c * p**k, min(c, p - c) * p**k, c * power % p
             c *= 2
         power = power @ seed % p
+
+
+def _field(q: MatZp) -> np.ndarray:
+    """All p^n Z_p-combinations sum_k a_k Q^k as an int64 stack, in index
+    order, filled in place by `_levels`."""
+    p, n = q.p, q.n
+    stack = np.zeros((p**n, n, n), dtype=np.int64)
+    for start, count, add in _levels(q):
+        dst = stack[start:start + count]
+        np.add(stack[:count], add, out=dst)
+        np.remainder(dst, p, out=dst)
     return stack
 
 

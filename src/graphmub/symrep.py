@@ -22,7 +22,6 @@ diagonal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -512,9 +511,10 @@ def tridiagonal_rep(p: int, d, f: PolyZp | None = None) -> SymmetricRep:
 def find_irreducible(p: int, n: int, primitive: bool = False) -> PolyZp:
     """Lexicographically first monic irreducible (or primitive) polynomial."""
     check_prime(p)
-    for tail in product(range(p), repeat=n):
-        # tail enumerates (c_{n-1}, ..., c_0); flip so c_0 varies fastest
-        f = PolyZp(p, list(reversed(tail)) + [1])
+    # candidate `index` has the base-p digits c_0 (fastest), ..., c_{n-1},
+    # built one at a time: no list of all p^n tails
+    for index in range(p**n):
+        f = PolyZp(p, [index // p**k % p for k in range(n)] + [1])
         if f.is_irreducible() and (not primitive or f.is_primitive()):
             return f
     raise AssertionError("irreducible polynomials exist for every p, n")

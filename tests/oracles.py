@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to cross-check the fast paths.
 
 These deliberately use different algorithms than the library: trial
-factorization instead of the distinct-degree test, explicit group-order
-stepping instead of the factored order test, Laplace cofactor
+factorization by schoolbook long division on plain int lists instead of
+the distinct-degree test, explicit group-order stepping by x instead of
+the factored order test, schoolbook Z_p[x] product, division and gcd
+instead of the residue-list kernel under `PolyZp`, Laplace cofactor
 expansion instead of Berkowitz and Gaussian elimination (one cofactor
 determinant per member or pair instead of the stacked elimination),
 polynomial arithmetic instead of the int64 tridiagonal recursion,
@@ -51,25 +53,71 @@ def all_monic(p: int, n: int):
         yield PolyZp(p, list(tail) + [1])
 
 
+def _strip(cs: list[int]) -> list[int]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def poly_mul_brute(a: list[int], b: list[int], p: int) -> list[int]:
+    """Schoolbook product of ascending int lists over Z_p."""
+    out = [0] * (len(a) + len(b))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] = (out[i + j] + a[i] * b[j]) % p
+    return _strip(out)
+
+
+def poly_divmod_brute(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Schoolbook long division over Z_p by a b with nonzero leading
+    coefficient: the quotient and remainder, as ascending int lists."""
+    rem = [c % p for c in a]
+    quo = [0] * len(rem)
+    inv = pow(b[-1], p - 2, p)
+    while len(_strip(rem)) >= len(b):
+        shift = len(rem) - len(b)
+        t = rem[-1] * inv % p
+        quo[shift] = t
+        for j in range(len(b)):
+            rem[shift + j] = (rem[shift + j] - t * b[j]) % p
+    return _strip(quo), rem
+
+
+def poly_gcd_brute(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd by Euclid on the schoolbook remainder."""
+    a, b = _strip([c % p for c in a]), _strip([c % p for c in b])
+    while b:
+        a, b = b, poly_divmod_brute(a, b, p)[1]
+    return poly_mul_brute(a, [pow(a[-1], p - 2, p)], p)
+
+
 def irreducible_brute(f: PolyZp) -> bool:
-    """Trial division by every monic polynomial of degree 1..n/2."""
-    n = f.degree
+    """Trial division by every monic polynomial of degree 1..n/2, by the
+    schoolbook remainder on plain int lists."""
+    p, n, cs = f.p, f.degree, list(f.coeffs)
     for d in range(1, n // 2 + 1):
-        for g in all_monic(f.p, d):
-            if (f % g).is_zero:
+        for tail in product(range(p), repeat=d):
+            if not poly_divmod_brute(cs, list(tail) + [1], p)[1]:
                 return False
     return True
 
 
 def order_of_x_brute(f: PolyZp) -> int:
-    """Multiplicative order of x mod f by explicit stepping."""
-    x = PolyZp.x(f.p)
-    one = PolyZp.one(f.p)
-    acc = x % f
+    """Multiplicative order of x mod the monic f by explicit stepping: the
+    residue, n ascending ints, is shifted up by one and its top term
+    replaced through x^n = -(c_0 + ... + c_{n-1} x^{n-1})."""
+    p, n, cs = f.p, f.degree, list(f.coeffs)
+
+    def times_x(r):
+        top = r[-1]
+        return [(lo - top * c) % p for lo, c in zip([0] + r[:-1], cs)]
+
+    one = [1] + [0] * (n - 1)
+    acc = times_x(one)
     order = 1
-    limit = f.p ** f.degree
+    limit = p**n
     while acc != one:
-        acc = (acc * x) % f
+        acc = times_x(acc)
         order += 1
         if order > limit:
             raise AssertionError("x is not invertible mod f")

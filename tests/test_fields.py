@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,14 @@ from graphmub.fields import (
     smallest_nonresidue,
     sqrt_mod,
 )
-from oracles import all_monic, irreducible_brute, order_of_x_brute
+from oracles import (
+    all_monic,
+    irreducible_brute,
+    order_of_x_brute,
+    poly_divmod_brute,
+    poly_gcd_brute,
+    poly_mul_brute,
+)
 
 
 def P(p, *coeffs):
@@ -145,10 +153,84 @@ def test_irreducible_rejects_nonmonic_and_constant():
         P(3, 1).is_irreducible()
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (2, 4), (2, 6), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                 (3, 2), (3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2),
+                                 (7, 3), (11, 2), (13, 2)])
 def test_irreducible_matches_brute_force(p, n):
     for f in all_monic(p, n):
         assert f.is_irreducible() == irreducible_brute(f), str(f)
+
+
+def _mobius(m):
+    sign, f = 1, 2
+    while f * f <= m:
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return 0
+            sign = -sign
+        f += 1
+    return -sign if m > 1 else sign
+
+
+def _totient(m):
+    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+
+
+GAUSS_GRID = [(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 7)] \
+    + [(5, n) for n in range(1, 5)] + [(7, n) for n in range(1, 4)] + [(13, 2)]
+
+
+@pytest.mark.parametrize("p,n", GAUSS_GRID)
+def test_irreducible_and_primitive_counts(p, n):
+    # Gauss: (1/n) sum_{d | n} mu(d) p^(n/d) monic irreducibles of degree n,
+    # of which phi(p^n - 1)/n are primitive (one per n conjugate generators)
+    irreducible = [f for f in all_monic(p, n) if f.is_irreducible()]
+    gauss = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+    assert len(irreducible) * n == gauss
+    primitive = [f for f in irreducible if f.is_primitive()]
+    assert len(primitive) * n == _totient(p**n - 1)
+
+
+@pytest.mark.parametrize("p", [65521, 2**31 - 1])
+def test_quadratics_follow_the_discriminant(p):
+    # x^2 + bx + c is irreducible over Z_p, p odd, exactly when b^2 - 4c is
+    # a non-residue; a zero discriminant is a double root
+    rng = random.Random(p)
+    cases = [(rng.randrange(p), rng.randrange(p)) for _ in range(60)]
+    for _ in range(10):
+        r, s = rng.randrange(p), rng.randrange(p)
+        cases += [(-(r + s) % p, r * s % p), (-2 * r % p, r * r % p)]
+    for b, c in cases:
+        disc = (b * b - 4 * c) % p
+        expected = disc != 0 and pow(disc, (p - 1) // 2, p) == p - 1
+        assert PolyZp(p, [c, b, 1]).is_irreducible() == expected, (b, c)
+    assert {PolyZp(p, [c, b, 1]).is_irreducible() for b, c in cases} == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 65521, 2**31 - 1])
+def test_ring_arithmetic_matches_schoolbook(p):
+    rng = random.Random(p + 1)
+    for _ in range(150):
+        a = random_poly(rng, p, rng.randrange(-1, 9))
+        b = random_poly(rng, p, rng.randrange(-1, 6))
+        m = random_poly(rng, p, rng.randrange(0, 6))
+        la, lb, lm = list(a.coeffs), list(b.coeffs), list(m.coeffs)
+        assert list((a * b).coeffs) == poly_mul_brute(la, lb, p)
+        if not a.is_zero or not b.is_zero:
+            assert list(a.gcd(b).coeffs) == poly_gcd_brute(la, lb, p)
+        if b.is_zero:
+            continue
+        q, r = divmod(a, b)
+        assert (list(q.coeffs), list(r.coeffs)) == poly_divmod_brute(la, lb, p)
+        if m.is_zero:
+            continue
+        assert list(a.mulmod(b, m).coeffs) == poly_divmod_brute(poly_mul_brute(la, lb, p), lm, p)[1]
+        e = rng.randrange(25)
+        acc = [1]
+        for _ in range(e):
+            acc = poly_divmod_brute(poly_mul_brute(acc, la, p), lm, p)[1]
+        assert list(a.powmod(e, m).coeffs) == acc, (a, e, m)
 
 
 def test_primitive_examples():

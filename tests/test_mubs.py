@@ -157,6 +157,24 @@ def test_field_fills_one_stack(p, n):
     assert peak <= 1.5 * stack.nbytes
 
 
+@pytest.mark.parametrize("p,n", [(2, 14), (3, 9)])
+def test_field_rep_proves_a_stack_without_a_second_stack(p, n):
+    # a stack passed in is checked against the recurrence of Z_p[Q] in
+    # blocks, not against a rebuilt copy of itself
+    stack = mub_set(p, n).stack
+    edited = stack.copy()
+    edited[-1] = edited[-2]
+    for s, verdict in ((stack, True), (edited, False)):
+        fam = MubSet(p=p, n=n, stack=s)
+        tracemalloc.start()
+        try:
+            assert fam.field_rep is verdict
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * stack.nbytes
+
+
 @pytest.mark.parametrize("p,n,kwargs", [
     (2, 3, {"d": (1, 0, 0)}),
     (3, 2, {}),

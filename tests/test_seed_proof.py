@@ -41,21 +41,23 @@ from oracles import all_monic, field_brute
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counters for the two costs a seed may pay: `_field` expansions, and
-    distinct-degree computations (by coefficient tuple), counted inside
-    the kernels rather than at the memoizing `is_irreducible`."""
+    """Counters for the two costs a seed may pay: walks of the Z_p[Q]
+    recurrence (`_field` expanding Q, or `field_rep` proving a stack
+    passed in), and distinct-degree computations (by coefficient tuple),
+    counted inside the kernels rather than at the memoizing
+    `is_irreducible`."""
     fields, tested = [], []
-    expand, distinct = mubs._field, PolyZp._distinct_degree
+    walk, distinct = mubs._levels, PolyZp._distinct_degree
 
-    def counting_field(q):
+    def counting_walk(q):
         fields.append(q)
-        return expand(q)
+        return walk(q)
 
     def counting_distinct(f):
         tested.append(f.coeffs)
         return distinct(f)
 
-    monkeypatch.setattr(mubs, "_field", counting_field)
+    monkeypatch.setattr(mubs, "_levels", counting_walk)
     monkeypatch.setattr(PolyZp, "_distinct_degree", counting_distinct)
     return fields, tested
 

@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -25,7 +26,7 @@ from graphmub.symrep import (
     tridiagonal_rep,
 )
 from graphmub.tables import REFERENCE_DIAGONALS, reference_poly
-from oracles import all_monic, tridiag_char_poly_brute
+from oracles import all_monic, irreducible_brute, order_of_x_brute, tridiag_char_poly_brute
 
 F27 = PolyZp(3, [1, 2, 1, 1])  # x^3 + x^2 + 2x + 1
 
@@ -534,3 +535,30 @@ def test_find_irreducible_is_lex_first():
         if g == f:
             break
         assert not g.is_irreducible()
+
+
+def test_find_irreducible_walks_the_candidates_lazily():
+    # x is irreducible, so the search ends at the first of p^n candidates
+    # without a list of all of them (~400 MB at p near 10^7)
+    tracemalloc.start()
+    try:
+        f = find_irreducible(999983, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f == PolyZp.x(999983)
+    assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2),
+                                 (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_find_irreducible_first_in_index_order(p, n):
+    # candidates run with c_0 fastest, so the first has the smallest
+    # (c_{n-1}, ..., c_0); irreducibility and order by the oracles
+    irreducible = [f for f in all_monic(p, n) if irreducible_brute(f)]
+    primitive = [f for f in irreducible
+                 if f.coeffs[0] and order_of_x_brute(f) == p**n - 1]
+    first = min(irreducible, key=lambda f: f.coeffs[::-1])
+    assert find_irreducible(p, n) == first
+    assert find_irreducible(p, n, primitive=True) == min(primitive, key=lambda f: f.coeffs[::-1])
+
