@@ -1,19 +1,17 @@
-"""Exact arithmetic in Z_p and the polynomial ring Z_p[x].
+"""Exact arithmetic in Z_p and the seed proofs over Z_p[x].
 
 Polynomials are coefficient vectors in ascending order: [c_0, c_1, ...]
 with all residues reduced into [0, p).  The zero polynomial has an empty
 coefficient tuple and degree ``None`` (a sentinel, deliberately not -1).
 
-Covers exactly what the matrix constructions downstream need:
-ring arithmetic, irreducibility, primitivity, and quadratic-residue
-machinery.  No general GF(p^n) element API.
+Covers exactly what the matrix constructions downstream need: the
+irreducibility and primitivity of a seed polynomial, and quadratic-residue
+machinery.  No ring API on `PolyZp` and no general GF(p^n) element API.
 
-One private kernel on plain residue lists does the Z_p[x] products and
-divisions: product and reduction mod a monic f, power by squaring,
-division with remainder, and the monic gcd.  `PolyZp`'s `*`, `divmod`, `gcd`,
-`mulmod` and `powmod` wrap it, and the distinct-degree irreducibility
-test and the factored-order primitivity test run on it directly, with no
-`PolyZp` built per step.
+One private kernel on plain residue lists does the Z_p[x] work: product
+and reduction mod a monic f, power by squaring, and the monic gcd.  The
+distinct-degree irreducibility test and the factored-order primitivity
+test of `PolyZp` run on it, with no `PolyZp` built per step.
 """
 
 from __future__ import annotations
@@ -123,39 +121,21 @@ def _powmod(a, e: int, f, p: int) -> list:
     return r
 
 
-def _divmod(a, b, p: int) -> tuple[list, list]:
-    """Quotient and remainder of a by a nonzero b."""
-    n = len(b) - 1
-    dq = len(a) - n - 1
-    if dq < 0:
-        return [], list(a)
-    rem = list(a)
-    quo = [0] * (dq + 1)
-    inv = pow(b[-1], p - 2, p)
-    for k in range(dq, -1, -1):
-        c = rem[k + n] * inv % p
-        if c:
-            quo[k] = c
-            for j in range(n):
-                rem[k + j] -= c * b[j]
-    return quo, _trim([v % p for v in rem[:n]])
-
-
 def _gcd(a, b, p: int) -> list:
-    """The monic gcd of a and b, not both zero, by Euclid."""
+    """The monic gcd of a and b, not both zero, by Euclid on the
+    remainder alone."""
     while b:
-        a, b = b, _divmod(a, b, p)[1]
+        n = len(b) - 1
+        rem = list(a)
+        inv = pow(b[-1], p - 2, p)
+        for k in range(len(a) - n - 1, -1, -1):
+            c = rem[k + n] * inv % p
+            if c:
+                for j in range(n):
+                    rem[k + j] -= c * b[j]
+        a, b = b, _trim([v % p for v in rem[:n]])
     inv = pow(a[-1], p - 2, p)
     return [c * inv % p for c in a]
-
-
-def _monic(poly: "PolyZp") -> tuple:
-    """The monic associate of a nonzero modulus: the same remainders."""
-    if poly.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    p, cs = poly.p, poly.coeffs
-    inv = pow(cs[-1], p - 2, p)
-    return cs if inv == 1 else tuple(c * inv % p for c in cs)
 
 
 class PolyZp:
@@ -173,30 +153,6 @@ class PolyZp:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyZp is immutable")
-
-    @classmethod
-    def _of(cls, p: int, residues) -> "PolyZp":
-        """A polynomial from a kernel result: residues of the checked
-        modulus p, trimmed already."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "p", p)
-        object.__setattr__(poly, "coeffs", tuple(residues))
-        object.__setattr__(poly, "_irreducible", None)
-        return poly
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, p: int) -> "PolyZp":
-        return cls(p, ())
-
-    @classmethod
-    def one(cls, p: int) -> "PolyZp":
-        return cls(p, (1,))
-
-    @classmethod
-    def x(cls, p: int) -> "PolyZp":
-        return cls(p, (0, 1))
 
     # -- basic structure ---------------------------------------------
 
@@ -243,78 +199,6 @@ class PolyZp:
                 xs = "x" if k == 1 else f"x^{k}"
                 terms.append(xs if c == 1 else f"{c}{xs}")
         return " + ".join(terms)
-
-    def _check_same(self, other: "PolyZp") -> None:
-        if not isinstance(other, PolyZp):
-            raise TypeError(f"expected PolyZp, got {type(other).__name__}")
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-
-    # -- ring arithmetic ---------------------------------------------
-
-    def __add__(self, other: "PolyZp") -> "PolyZp":
-        self._check_same(other)
-        m = max(len(self.coeffs), len(other.coeffs))
-        return PolyZp(self.p, [self.coeff(k) + other.coeff(k) for k in range(m)])
-
-    def __sub__(self, other: "PolyZp") -> "PolyZp":
-        self._check_same(other)
-        m = max(len(self.coeffs), len(other.coeffs))
-        return PolyZp(self.p, [self.coeff(k) - other.coeff(k) for k in range(m)])
-
-    def __neg__(self) -> "PolyZp":
-        return PolyZp(self.p, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "PolyZp") -> "PolyZp":
-        self._check_same(other)
-        p = self.p
-        # the leading product of two residues is nonzero mod a prime
-        return PolyZp._of(p, [v % p for v in _mul(self.coeffs, other.coeffs)])
-
-    def scale(self, s: int) -> "PolyZp":
-        return PolyZp(self.p, [s * c for c in self.coeffs])
-
-    def __divmod__(self, other: "PolyZp") -> tuple["PolyZp", "PolyZp"]:
-        self._check_same(other)
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        quo, rem = _divmod(self.coeffs, other.coeffs, self.p)
-        return PolyZp._of(self.p, quo), PolyZp._of(self.p, rem)
-
-    def __floordiv__(self, other: "PolyZp") -> "PolyZp":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "PolyZp") -> "PolyZp":
-        return divmod(self, other)[1]
-
-    def gcd(self, other: "PolyZp") -> "PolyZp":
-        """Monic greatest common divisor via the Euclidean algorithm."""
-        self._check_same(other)
-        if self.is_zero and other.is_zero:
-            raise ZeroDivisionError("gcd of two zero polynomials")
-        return PolyZp._of(self.p, _gcd(self.coeffs, other.coeffs, self.p))
-
-    def evaluate(self, v: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * v + c) % self.p
-        return acc
-
-    # -- residue-class helpers ----------------------------------------
-
-    def mulmod(self, other: "PolyZp", modulus: "PolyZp") -> "PolyZp":
-        self._check_same(other)
-        self._check_same(modulus)
-        return PolyZp._of(self.p, _mulmod(self.coeffs, other.coeffs, _monic(modulus), self.p))
-
-    def powmod(self, e: int, modulus: "PolyZp") -> "PolyZp":
-        """self^e reduced mod `modulus` (the unit 1 for e = 0), by square
-        and multiply."""
-        self._check_same(modulus)
-        if e < 0:
-            raise ValueError("powmod needs an exponent e >= 0")
-        p, f = self.p, _monic(modulus)
-        return PolyZp._of(p, _powmod(_reduce(list(self.coeffs), f, p), e, f, p))
 
     # -- irreducibility and primitivity --------------------------------
 

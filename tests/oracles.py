@@ -4,10 +4,11 @@ These deliberately use different algorithms than the library: trial
 factorization by schoolbook long division on plain int lists instead of
 the distinct-degree test, explicit group-order stepping by x instead of
 the factored order test, schoolbook Z_p[x] product, division and gcd
-instead of the residue-list kernel under `PolyZp`, Laplace cofactor
-expansion instead of Berkowitz and Gaussian elimination (one cofactor
-determinant per member or pair instead of the stacked elimination),
-polynomial arithmetic instead of the int64 tridiagonal recursion,
+instead of the residue-list kernel of `graphmub.fields`, Laplace cofactor
+expansion over int-list polynomials instead of Berkowitz and Gaussian
+elimination (one cofactor determinant per member or pair instead of the
+stacked elimination),
+int-list polynomial arithmetic instead of the int64 tridiagonal recursion,
 explicit matrix powers instead of the coefficient table, dense
 basis-matrix grams instead of the difference-class Fourier sweep, the
 rank rule for the overlap spectrum of a difference B instead of its
@@ -31,7 +32,7 @@ digit grid.
 
 import json
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
 
 import numpy as np
 
@@ -66,6 +67,11 @@ def poly_mul_brute(a: list[int], b: list[int], p: int) -> list[int]:
         for j in range(len(b)):
             out[i + j] = (out[i + j] + a[i] * b[j]) % p
     return _strip(out)
+
+
+def poly_add_brute(a: list[int], b: list[int], p: int, sign: int = 1) -> list[int]:
+    """a + sign * b over Z_p, on ascending int lists."""
+    return _strip([(u + sign * v) % p for u, v in zip_longest(a, b, fillvalue=0)])
 
 
 def poly_divmod_brute(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -139,14 +145,11 @@ def det_cofactor(rows: list[list[int]], p: int) -> int:
 
 
 def char_poly_cofactor(m: MatZp) -> PolyZp:
-    """det(x*1 - M) by cofactor expansion over Z_p[x]."""
+    """det(x*1 - M) by cofactor expansion over Z_p[x], on ascending int
+    lists; only the result is a PolyZp."""
     p, n = m.p, m.n
-    x = PolyZp.x(p)
     entries = [
-        [
-            (x if i == j else PolyZp.zero(p)) - PolyZp(p, [m[i, j]])
-            for j in range(n)
-        ]
+        [poly_add_brute([0, 1] if i == j else [], [m[i, j]], p, -1) for j in range(n)]
         for i in range(n)
     ]
 
@@ -154,17 +157,16 @@ def char_poly_cofactor(m: MatZp) -> PolyZp:
         k = len(block)
         if k == 1:
             return block[0][0]
-        total = PolyZp.zero(p)
+        total = []
         for j in range(k):
             a = block[0][j]
-            if a.is_zero:
+            if not a:
                 continue
             minor = [r[:j] + r[j + 1 :] for r in block[1:]]
-            term = a * expand(minor)
-            total = total + term if j % 2 == 0 else total - term
+            total = poly_add_brute(total, poly_mul_brute(a, expand(minor), p), p, (-1) ** j)
         return total
 
-    return expand(entries)
+    return PolyZp(p, expand(entries))
 
 
 def rank_brute(block: list[list[int]], p: int) -> int:
@@ -200,12 +202,12 @@ def rank_gf2_basis(block) -> int:
 
 
 def tridiag_char_poly_brute(p: int, d) -> PolyZp:
-    """The three-term recursion D_k = (x - d_{n+1-k}) D_{k-1} - D_{k-2} in
-    PolyZp arithmetic, from D_0 = 1 and D_{-1} = 0."""
-    prev, cur = PolyZp.zero(p), PolyZp.one(p)
+    """The three-term recursion D_k = (x - d_{n+1-k}) D_{k-1} - D_{k-2} on
+    ascending int lists, from D_0 = 1 and D_{-1} = 0."""
+    prev, cur = [], [1]
     for v in reversed(list(d)):
-        prev, cur = cur, (PolyZp.x(p) - PolyZp(p, [v % p])) * cur - prev
-    return cur
+        prev, cur = cur, poly_add_brute(poly_mul_brute([-v % p, 1], cur, p), prev, p, -1)
+    return PolyZp(p, cur)
 
 
 def power_enumeration(q: MatZp) -> set:

@@ -546,7 +546,7 @@ def test_find_irreducible_walks_the_candidates_lazily():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f == PolyZp.x(999983)
+    assert f == PolyZp(999983, [0, 1])
     assert peak < 64 * 1024
 
 
