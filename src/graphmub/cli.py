@@ -13,9 +13,10 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
-from .entanglement import Bipartition, analysis_report
+from .entanglement import Bipartition, analysis_parts
 from .fields import PolyZp, check_prime
 from .linalg import MatZp
 from .mubs import (
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(parts: list[str], out: str | None) -> None:
+def _write(parts: Iterable[str], out: str | None) -> None:
     """Write the pieces of a text one at a time, so the whole text (an
     all-cuts report is tens of MB) is never joined or encoded at once."""
     if out:
@@ -212,11 +213,11 @@ def _cmd_analyze(args) -> int:
         return EXIT_USAGE
     try:
         bips = None if args.bipartition is None else [Bipartition.of(args.bipartition, fam.n)]
-        report = analysis_report(fam, bips)
+        parts = analysis_parts(fam, bips)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(canonical_parts(report), args.out)
+    _write(parts, args.out)
     return EXIT_OK
 
 

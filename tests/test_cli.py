@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from graphmub import mubs
 from graphmub.cli import adjacency_to_dot, main
 from graphmub.linalg import MatZp
-from graphmub.entanglement import analysis_report
+from graphmub.entanglement import Bipartition, analysis_report
 from graphmub.mubs import (
     MubSet,
     canonical_json,
@@ -94,13 +94,40 @@ def test_gen_and_export_write_the_oracle_bytes(capsys, tmp_path, argv, build):
     assert run_cli(capsys, ["export", str(path), "--format", "json"]) == (0, expected, "")
 
 
-@pytest.mark.parametrize("p,n", [(2, 8), (3, 5)])
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (7, 3)])
 def test_analyze_writes_the_oracle_bytes(capsys, tmp_path, p, n):
     fam = mub_set(p, n)
     path = tmp_path / "doc.json"
     path.write_text(canonical_json_brute(to_document(fam)))
     expected = canonical_json_brute(analysis_report(fam))
     assert run_cli(capsys, ["analyze", str(path)]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("build, x", [
+    (lambda: mub_set(5, 1), None),
+    (lambda: MubSet(p=2, n=3, stack=mub_set(2, 3).stack[:5]), None),
+    (lambda: shift_set(mub_set(2, 5), MatZp(2, [[1, 1, 0, 0, 1], [1, 0, 1, 0, 0], [0, 1, 1, 1, 0],
+                                                [0, 0, 1, 0, 1], [1, 0, 0, 1, 1]])), None),
+    (lambda: mub_set(2, 8), (2, 5, 7)),
+    (lambda: mub_set(3, 4), (4, 1)),
+], ids=["n1", "incomplete", "shifted", "bipartition", "odd-bipartition"])
+def test_analyze_writes_the_oracle_bytes_of_every_report_shape(capsys, tmp_path, build, x):
+    # no cuts (n = 1), no design fields (5 of 8 members), a shifted field,
+    # and one named cut, against json.dumps of the report dict
+    fam = build()
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json_brute(to_document(fam)))
+    argv = ["analyze", str(path)]
+    bips = None
+    if x is not None:
+        argv += ["--bipartition", ",".join(map(str, x))]
+        bips = [Bipartition.of(x, fam.n)]
+    report = analysis_report(fam, bips)
+    assert run_cli(capsys, argv) == (0, canonical_json_brute(report), "")
+    if fam.n == 1:
+        assert report["bipartitions"] == {}
+    if len(fam.stack) == 5:
+        assert all(set(e) == {"ranks", "purities"} for e in report["bipartitions"].values())
 
 
 def test_gen_construction_failure(capsys):

@@ -26,7 +26,12 @@ from graphmub.entanglement import (
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp, eliminate_stack
 from graphmub.mubs import MubSet, canonical_json, mub_set, shift_set
-from oracles import analysis_report_brute, classify_by_bipartitions, rank_gf2_basis
+from oracles import (
+    analysis_report_brute,
+    classify_by_bipartitions,
+    rank_brute,
+    rank_gf2_basis,
+)
 
 F27 = PolyZp(3, [1, 2, 1, 1])
 
@@ -63,6 +68,19 @@ def test_connectivity_rank_fixtures():
     assert connectivity_rank(MatZp.zeros(5, 3), b) == 0
     q = MatZp(2, [[1, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert connectivity_rank(q, b) == 1
+
+
+def test_connectivity_rank_of_non_symmetric_matrices():
+    # the rank of A[X, Y] itself, not of A[Y, X]: a route that packs
+    # columns where it should pack rows (or the reverse) is caught here
+    rng = random.Random(3003)
+    for _ in range(300):
+        p, n = rng.choice((2, 3, 5)), rng.randrange(2, 9)
+        a = MatZp(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        b = Bipartition.of(rng.sample(range(1, n + 1), rng.randrange(1, n)), n)
+        rank = rank_brute(a.submatrix([v - 1 for v in b.x], [v - 1 for v in b.y]), p)
+        assert connectivity_rank(a, b) == rank, (a, b)
+        assert reduced_purity(a, b) == Fraction(1, p**rank)
 
 
 def test_six_of_eight_connected_at_first_vertex():
@@ -279,6 +297,30 @@ def test_analysis_report_matches_member_by_member_oracle(p, n):
     assert len(single["bipartitions"]) == 1
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (2, 6), (3, 3), (5, 2), (7, 3)])
+def test_analysis_parts_are_the_report_bytes(monkeypatch, p, n):
+    # blocks of one row, of a few rows ending inside the cuts, and the default
+    fam = mub_set(p, n)
+    shifted = shift_set(fam, random_shift(p, n, 3 * p + n))
+    partial = MubSet(p=p, n=n, stack=shifted.stack[::2])
+    empty = MubSet(p=p, n=n, stack=fam.stack[:0])
+    picked = random_cuts(random.Random(n), n, 6) if n > 1 else []
+    for block in (1, 3 * p**n + 1, entanglement.REPORT_BLOCK):
+        monkeypatch.setattr(entanglement, "REPORT_BLOCK", block)
+        for s in (fam, shifted, partial, empty):
+            for bips in (None, picked, []):
+                expected = canonical_json(analysis_report(s, bips))
+                assert "".join(entanglement.analysis_parts(s, bips)) == expected, (s, bips)
+
+
+def test_analysis_parts_refuse_before_the_first_piece():
+    one = MubSet(p=2, n=30, stack=np.zeros((1, 30, 30), dtype=np.int64))
+    with pytest.raises(ValueError, match="ALL_CUTS_LIMIT"):
+        entanglement.analysis_parts(one)
+    with pytest.raises(ValueError, match="bipartition size does not match"):
+        entanglement.analysis_parts(one, [Bipartition.of((1,), 4)])
+
+
 def test_all_cuts_over_the_limit_are_refused_before_any_is_built(monkeypatch):
     def no_cuts(n):
         raise AssertionError("all_bipartitions ran")
@@ -313,7 +355,7 @@ def per_cut_ranks(stack, p, bips):
                      for b in bips], dtype=np.int64).reshape(len(bips), len(stack))
 
 
-@pytest.mark.parametrize("p, n", [(2, 8), (2, 9), (3, 5), (5, 4)])
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (2, 8), (2, 9), (2, 10), (3, 5), (5, 4)])
 def test_rank_table_equals_a_per_cut_elimination(p, n):
     fam = mub_set(p, n)
     shifted = shift_set(fam, random_shift(p, n, 7 * p + n))
@@ -326,6 +368,54 @@ def test_rank_table_equals_a_per_cut_elimination(p, n):
     picked = random.Random(p + n).sample(bips, min(9, len(bips)))
     assert np.array_equal(entanglement._rank_table(shifted.stack, p, picked),
                           per_cut_ranks(shifted.stack, p, picked))
+
+
+def random_cuts(rng, n, count):
+    """count cuts of every size, X drawn anywhere in [1, n] (vertex 1 on
+    either side), shuffled, with one cut repeated."""
+    cuts = [Bipartition.of(rng.sample(range(1, n + 1), rng.randrange(1, n)), n)
+            for _ in range(count)]
+    cuts.append(cuts[0])
+    rng.shuffle(cuts)
+    return cuts
+
+
+def test_rank_table_p2_unreduced_random_stack():
+    # symmetric members with entries of any sign and size: only their
+    # parities count, at every cut and at picked cuts of mixed sizes
+    rng = random.Random(2211)
+    rows = [random_symmetric(rng, 2, 7, rng.choice((0.2, 0.5, 0.8))).rows for _ in range(150)]
+    stack = np.array(rows, dtype=np.int64)
+    stack += 2 * np.random.default_rng(2211).integers(-5, 6, stack.shape)
+    stack[:, np.arange(7), np.arange(7)] -= 4  # negative diagonals too
+    assert stack.min() < 0 and stack.max() > 1
+    for bips in (all_bipartitions(7), random_cuts(rng, 7, 30)):
+        table = entanglement._rank_table(stack, 2, bips)
+        assert np.array_equal(table, per_cut_ranks(stack, 2, bips))
+        assert table[:, 3].tolist() == [rank_gf2_basis(entanglement._crossing(stack[3], b))
+                                        for b in bips]
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (2, 9), (3, 4)])
+def test_rank_table_at_picked_cuts_of_mixed_sizes(p, n):
+    fam = shift_set(mub_set(p, n), random_shift(p, n, 5 * p + n))
+    bips = random_cuts(random.Random(p * n), n, 25)
+    assert np.array_equal(entanglement._rank_table(fam.stack, p, bips),
+                          per_cut_ranks(fam.stack, p, bips))
+
+
+def test_rank_table_p2_crossings_wider_than_kernel_bits():
+    # 10 or 11 columns, or n > 64, are eliminated; 9 columns are counted
+    rng = random.Random(4242)
+    for n, sizes in ((21, (9, 10, 11, 12)), (70, (1, 2))):
+        a = random_symmetric(rng, 2, n, 0.3)
+        stack = np.array([a.rows], dtype=np.int64)
+        bips = [Bipartition.of(rng.sample(range(1, n + 1), size), n)
+                for size in sizes for _ in range(3)]
+        table = entanglement._rank_table(stack, 2, bips)
+        expected = [rank_gf2_basis(entanglement._crossing(stack[0], b)) for b in bips]
+        assert table[:, 0].tolist() == expected
+    assert entanglement.KERNEL_BITS == 9
 
 
 def test_rank_table_one_member_n17_at_two_word_cuts():
