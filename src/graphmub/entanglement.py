@@ -7,7 +7,7 @@ cut, so a basis is biseparable exactly when its edge graph is
 disconnected.
 
 Every rank comes from one table, `_rank_table`: the rank of each member
-of the (N, n, n) int64 stack at each cut asked for.  Cuts with the same
+of the (N, n, n) family stack at each cut asked for.  Cuts with the same
 |X| share a crossing shape, with c columns from the smaller side.  For
 p = 2 a rank is counted, not eliminated: a block's kernel holds
 2^(c - rank) of the 2^c subsets of its columns, and with each column one

@@ -4,11 +4,13 @@ The division-free Berkowitz recursion gives one matrix's characteristic
 polynomial, and from it the determinant (its constant term) and the
 inverse (by Cayley-Hamilton), for every prime p including p <= n
 (Faddeev-LeVerrier would divide by k!).  `eliminate_stack`, the one
-Gaussian elimination, ranks a whole int64 stack at once (one matrix is a
-stack of one); over Z_p a square matrix is invertible exactly when it
-has full rank.  For p = 2 rows of c bits (c the smaller side) are
-packed 64 // c to a uint64 word, or over ceil(c/64) words when c > 64,
-and each row operation is one XOR.
+Gaussian elimination, ranks a whole stack of integer matrices at once
+(one matrix is a stack of one); over Z_p a square matrix is invertible
+exactly when it has full rank.  For p = 2 rows of c bits (c the smaller
+side) are packed 64 // c to a uint64 word, or over ceil(c/64) words when
+c > 64, and each row operation is one XOR.  Arrays are reduced mod m by
+one kernel, `mod`, on whatever dtype holds them: the family stack's
+narrow signed dtype, or int64 inside the elimination.
 """
 
 from __future__ import annotations
@@ -214,6 +216,27 @@ class MatZp:
         return PolyZp(p, list(reversed(vec)))
 
 
+MOD_SMALL = 512  # entries below which one remainder call beats three
+
+
+def mod(x: np.ndarray, m: int) -> np.ndarray:
+    """x mod m, in place, for an integer array x on a dtype that holds m and
+    the multiples of m nearest its entries (a signed stack dtype holds
+    every difference and every sum of two residues, and int64 every
+    entry below 2^62 in magnitude): a mask for a power of two m, else a
+    division and a subtraction, since numpy divides by a scalar several
+    times faster than it takes the remainder; below MOD_SMALL entries
+    the call overhead dominates, and one remainder is cheaper."""
+    if not m & (m - 1):
+        return np.bitwise_and(x, m - 1, out=x)
+    if x.size < MOD_SMALL:
+        return np.remainder(x, m, out=x)
+    q = x // m
+    q *= m
+    x -= q
+    return x
+
+
 def eliminate_stack(stack, p: int) -> np.ndarray:
     """Ranks over Z_p of a stack of shape (N, r, c), by one forward
     elimination run on all members at once; an int64 array of length N.
@@ -221,9 +244,10 @@ def eliminate_stack(stack, p: int) -> np.ndarray:
     For each column, the first row holding it is subtracted, scaled, from
     every row holding it, itself included: the pivot row empties itself,
     no row is swapped, and the rank is the number of pivots found.
-    Entries may be any int64 values (they are reduced first).  p < 2^31
-    (`check_prime`) keeps every product of two residues below 2^62, and
-    each product is reduced before it is added.
+    Entries may be integers of any dtype below 2^62 in magnitude (odd p
+    reduces them first, on int64).  p < 2^31 (`check_prime`) keeps every
+    product of two residues below 2^62, and each product is reduced by
+    `mod` before it is added.
 
     For p = 2 members are transposed so that c = min(r, c), and
     k = max(1, 64 // c) rows share a uint64 word: row i is the c bits at
@@ -235,7 +259,7 @@ def eliminate_stack(stack, p: int) -> np.ndarray:
     column, into each word.
     """
     check_prime(p)
-    m = np.asarray(stack, dtype=np.int64)
+    m = np.asarray(stack)
     count, nrows, ncols = m.shape
     members = np.arange(count)
     rank = np.zeros(count, dtype=np.int64)
@@ -268,7 +292,7 @@ def eliminate_stack(stack, p: int) -> np.ndarray:
             bits ^= (col >> np.uint64(shift))[:, :, None] * pivot[:, None, :]
             rank += has.any(axis=1)
         return rank
-    m = m % p
+    m = mod(m.astype(np.int64), p)
     for c in range(ncols):
         has = m[:, :, c] != 0
         pivot_row = m[members, has.argmax(axis=1)]  # row 0, 0 at c, where none holds c
@@ -276,8 +300,9 @@ def eliminate_stack(stack, p: int) -> np.ndarray:
         values, where = np.unique(pivot_row[:, c], return_inverse=True)
         inv = np.array([pow(int(v), p - 2, p) if v else 0 for v in values],
                        dtype=np.int64)[where.reshape(-1)]
-        factor = m[:, :, c] * inv[:, None] % p
-        m = (m - factor[:, :, None] * pivot_row[:, None, :] % p) % p
+        factor = mod(m[:, :, c] * inv[:, None], p)
+        m -= mod(factor[:, :, None] * pivot_row[:, None, :], p)
+        mod(m, p)
         rank += has.any(axis=1)
     return rank
 

@@ -8,8 +8,11 @@ sufficient condition for mutual unbiasedness.  The computational basis
 is implicit (always unbiased with respect to graph bases), making the
 full family p^n + 1 bases.
 
-A family is stored once, as its int64 stack `MubSet.stack`, which every
-check reads; `MubSet.matrices` is a view of it built on first use.  The
+A family is stored once, as its stack `MubSet.stack` on the narrowest
+signed dtype that holds -2p (`stack_dtype`: int8 up to p = 61, int16 up
+to 16381), so every sum of two residues and every difference of two
+members fits without wrapping; every check reads it, and `linalg.mod`
+reduces it.  `MubSet.matrices` is a view of it built on first use.  The
 seed is proven where its witness is built (`SymmetricRep`), so a family
 that `MubSet` builds from a witness is the field Z_p[Q] by construction
 (`mub_set`, `adjacency_set`); a stack passed in (a document, a shift, a
@@ -34,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import PolyZp, check_prime
-from .linalg import MatZp, eliminate_stack
+from .linalg import MatZp, eliminate_stack, mod
 from .symrep import SymmetricRep, check_family_size, symmetric_representation
 
 
@@ -42,9 +45,10 @@ from .symrep import SymmetricRep, check_family_size, symmetric_representation
 class MubSet:
     """p^n adjacency matrices indexed by coefficient vectors.
 
-    `stack` is the family: a read-only int64 array (N, n, n) of members
-    reduced mod p, from nested integers of any size or an integer array
-    (ValueError for members or shifts that are not symmetric n x n).
+    `stack` is the family: a read-only array (N, n, n) of members reduced
+    mod p, on `stack_dtype(p)`, from nested integers of any size or an
+    integer array (ValueError for members or shifts that are not
+    symmetric n x n).  Entries already in [0, p) are only cast.
     Without a stack, the family is built here from `witness` (same p and
     n, no shifts): its `_field`, Z_p[Q] by construction.  Index i
     corresponds to the coefficient vector (a_0, ..., a_{n-1}) with a_0
@@ -74,11 +78,16 @@ class MubSet:
                                  "witness over the same p and n, unshifted")
             stack = _field(w.q)
         else:
-            try:
-                stack = np.array(self.stack, dtype=np.int64)
-            except OverflowError:  # entries beyond int64: reduce them first
-                stack = (np.array(self.stack, dtype=object) % p).astype(np.int64)
-            stack %= p
+            stack = np.asarray(self.stack)
+            if stack.dtype.kind not in "iu":  # bools, floats, ints past int64 (float64 or object)
+                try:
+                    stack = np.asarray(self.stack, dtype=np.int64)
+                except OverflowError:  # entries beyond int64
+                    stack = np.array(self.stack, dtype=object)
+            if stack.size and not 0 <= int(stack.min()) <= int(stack.max()) < p:
+                stack = np.remainder(stack, p, dtype=np.promote_types(
+                    stack.dtype, np.min_scalar_type(p)))
+            stack = stack.astype(stack_dtype(p))
             if stack.ndim != 3 or stack.shape[1:] != (n, n) \
                     or (stack != stack.transpose(0, 2, 1)).any():
                 raise ValueError("adjacency matrices must be symmetric and n x n")
@@ -108,15 +117,15 @@ class MubSet:
         if not q.char_poly().is_irreducible():
             return False
         # the stack is _field(q) iff it keeps each step of `_levels`,
-        # checked in blocks of about STACK_BLOCK bytes, with no second stack
+        # checked in blocks of about STACK_BLOCK / 8 entries (each also takes
+        # a quotient in `mod` and a boolean comparison), with no second stack
         stack = self.stack
         rows = max(1, STACK_BLOCK // (8 * n * n))
-        buf = np.empty((min(rows, len(stack) // 2), n, n), dtype=np.int64)  # count <= p^n / 2
+        buf = np.empty((min(rows, len(stack) // 2), n, n), dtype=stack.dtype)  # count <= p^n / 2
         for start, count, add in _levels(q):
             for lo in range(0, count, rows):
                 hi = min(lo + rows, count)
-                got = np.add(stack[lo:hi], add, out=buf[:hi - lo])
-                np.remainder(got, p, out=got)
+                got = mod(np.add(stack[lo:hi], add, out=buf[:hi - lo]), p)
                 if not np.array_equal(got, stack[start + lo:start + hi]):
                     return False
         return not stack[0].any()
@@ -135,7 +144,7 @@ class MubSet:
         p, coefs = self.p, _upper(self.stack)
         if not len(coefs):  # no member 0, and no pair to walk
             return False
-        coefs = (coefs - coefs[0]) % p
+        coefs = mod(coefs - coefs[0], p)
         keys = np.sort(_keys(coefs, _key_weights(p, coefs.shape[1])))
         if (keys[1:] == keys[:-1]).any():  # cheaper than the rank
             return False
@@ -168,6 +177,12 @@ def fundamental_graphs(witness: SymmetricRep) -> list[MatZp]:
     return [witness.q ** k for k in range(witness.n)]
 
 
+def stack_dtype(p: int) -> np.dtype:
+    """The dtype of a stack over Z_p: the narrowest signed one that holds
+    -2p, so a sum of two residues or a difference of two members fits."""
+    return np.min_scalar_type(-2 * p)
+
+
 def _levels(q: MatZp):
     """The recurrence of Z_p[Q] in index order (a_0 varying fastest), as
     (start, count, add): rows start .. start + count - 1 are rows 0 ..
@@ -175,30 +190,30 @@ def _levels(q: MatZp):
     extends the first p^k rows to p^(k+1), row j p^k + i being j Q^k +
     row i; the blocks of j = c .. 2c - 1 are those of j = 0 .. c - 1
     plus c Q^k, so c doubles and no table of the p - 1 multiples (a
-    stack's size at n = 1) is built."""
+    stack's size at n = 1) is built.  Each `add` is a new array on
+    `stack_dtype(p)`, the last one doubled."""
     p, n = q.p, q.n
+    dtype = stack_dtype(p)
     seed = np.array(q.rows, dtype=np.int64)
     power = np.eye(n, dtype=np.int64)
     # power @ seed sums n products of residues, exact in int64 since
     # n (p - 1)^2 < 2^63 wherever this runs: p^n <= SEARCH_LIMIT from a
     # witness, and p^n = len(stack) for a stack held in `MubSet.field_rep`
     for k in range(n):
-        c = 1
+        c, add = 1, power.astype(dtype)
         while c < p:
-            yield c * p**k, min(c, p - c) * p**k, c * power % p
-            c *= 2
+            yield c * p**k, min(c, p - c) * p**k, add
+            c, add = 2 * c, mod(add + add, p)
         power = power @ seed % p
 
 
 def _field(q: MatZp) -> np.ndarray:
-    """All p^n Z_p-combinations sum_k a_k Q^k as an int64 stack, in index
-    order, filled in place by `_levels`."""
+    """All p^n Z_p-combinations sum_k a_k Q^k as a stack on
+    `stack_dtype(p)`, in index order, filled in place by `_levels`."""
     p, n = q.p, q.n
-    stack = np.zeros((p**n, n, n), dtype=np.int64)
+    stack = np.zeros((p**n, n, n), dtype=stack_dtype(p))
     for start, count, add in _levels(q):
-        dst = stack[start:start + count]
-        np.add(stack[:count], add, out=dst)
-        np.remainder(dst, p, out=dst)
+        mod(np.add(stack[:count], add, out=stack[start:start + count]), p)
     return stack
 
 
@@ -240,17 +255,18 @@ def _keys(digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def difference_rows(stack: np.ndarray, p: int):
-    """(r, ts) for each row r of an (N, n, n) stack that meets a new class:
+    """(r, ts) for each row r of an (N, n, n) stack of residues, on a
+    signed dtype that holds their differences (`stack_dtype`), that meets
+    a new class:
     ts holds, ascending, the t > r whose D = A_t - A_r mod p is met first
     at (r, t), so each distinct D comes once, at its least pair in
     row-major order.  A class is its key, the base-p digits of D's upper
     triangle (_key_weights); the keys met so far are one set."""
-    coefs = _upper(stack).astype(np.min_scalar_type(-p))
+    coefs = _upper(stack)
     weights = _key_weights(p, coefs.shape[1])
     seen = set()
     for r in range(len(coefs)):
-        diff = coefs[r + 1:] - coefs[r]
-        np.add(diff, p, out=diff, where=diff < 0)
+        diff = mod(coefs[r + 1:] - coefs[r], p)
         ts = [t for t, key in enumerate(_keys(diff, weights).tolist(), r + 1)
               if key not in seen and not seen.add(key)]
         if ts:
@@ -300,7 +316,7 @@ def shift_set(s: MubSet, m: MatZp) -> MubSet:
     """Add a symmetric matrix to every member (a collective phase-gate
     action; MubSet checks m); differences and hence unbiasedness are
     unchanged, but the family is no field unless m = 0."""
-    return replace(s, stack=s.stack + np.array(m.rows, dtype=np.int64),
+    return replace(s, stack=s.stack + np.array(m.rows, dtype=s.stack.dtype),
                    shifts=s.shifts + (m,))
 
 
@@ -325,7 +341,7 @@ def to_document(s: MubSet) -> dict:
     """The family document as a JSON-able dict of lists: the public form,
     which callers may edit and `json.dumps`.  The CLI writers pass
     `stack_document(s)` to `canonical_json` instead, which encodes
-    `matrices` from the int64 stack to the same bytes."""
+    `matrices` from the stack to the same bytes."""
     return {**stack_document(s), "matrices": s.stack.tolist()}
 
 

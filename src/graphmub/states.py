@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import MatZp
+from .linalg import MatZp, mod
 from .mubs import MubSet, _upper, difference_classes
 
 FULL_SWEEP_LIMIT = 10**4
@@ -191,21 +191,9 @@ def _exponents(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
     coefficient rows (..., k) against the first k rows of _phase_table:
     one float64 matmul, exact (see _check_exact)."""
     m = _phase_modulus(p)
-    coefs = _mod(np.array(coefs, dtype=np.int64), m)
+    coefs = mod(np.array(coefs, dtype=np.int64), m)
     table = _phase_table(p, n)[: coefs.shape[-1]]
-    return _mod((coefs.astype(np.float64) @ table).astype(np.int64), m)
-
-
-def _mod(x: np.ndarray, m: int) -> np.ndarray:
-    """x mod m, in place, for an int64 array x: a mask for a power of two
-    m (M = 4 for p = 2), else a division, since numpy divides by a scalar
-    several times faster than it takes the remainder."""
-    if not m & (m - 1):
-        return np.bitwise_and(x, m - 1, out=x)
-    q = x // m
-    q *= m
-    x -= q
-    return x
+    return mod((coefs.astype(np.float64) @ table).astype(np.int64), m)
 
 
 def graph_state(a: MatZp) -> np.ndarray:
@@ -447,7 +435,7 @@ def _verify_full(s: MubSet, tol: float) -> NumericReport:
     worst = comp_dev
     pair = None
     for r, ts in difference_classes(s):
-        devs = _class_devs((coefs[ts] - coefs[r]) % p, p, n)
+        devs = _class_devs(mod(coefs[ts] - coefs[r], p), p, n)
         worst = max(worst, float(devs.max(initial=0.0)))
         if pair is None:
             bad = np.flatnonzero(devs > tol)
@@ -553,9 +541,9 @@ def _frequencies(cross: np.ndarray, p: int) -> np.ndarray:
     the indices with head digit i = 1 are those with i = 0 XOR row i of C
     packed in l bits, one in-place bitwise_xor per digit.  For odd p, a
     Horner combine over the l tail digits in two float64 buffers of the
-    output's size: C_j^T u from one matmul against the head's digits, and
-    its remainder as x - p floor(x / p), all exact (sums below h p^2,
-    indices below N p^l)."""
+    output's size: C_j^T u from one matmul against the head's digits (C
+    reduced by `mod` first), and its remainder as x - p floor(x / p), all
+    exact (sums below h p^2, indices below N p^l)."""
     rows, h, l = cross.shape
     if p == 2:
         packed = (cross & 1) @ (1 << np.arange(l - 1, -1, -1))
@@ -564,7 +552,7 @@ def _frequencies(cross: np.ndarray, p: int) -> np.ndarray:
         for i in range(h):
             np.bitwise_xor(out[:, :1 << i], packed[:, h - 1 - i, None], out=out[:, 1 << i:2 << i])
         return out
-    cross = (cross % p).astype(np.float64)
+    cross = mod(np.array(cross), p).astype(np.float64)
     head = _digits(p, h).T.astype(np.float64)
     out, sums = np.empty((rows, p**h)), np.empty((rows, p**h))
     out[:] = np.arange(rows)[:, None]
@@ -582,13 +570,17 @@ def _frequencies(cross: np.ndarray, p: int) -> np.ndarray:
 def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:
     """The sampled check's draws (r, t, m_r, m_s) as int64 arrays: ordered
     basis pairs r != t over the graph bases and the computational one
-    (index len(s.stack)), and labels in [0, p^n)."""
+    (index len(s.stack)), and labels in [0, p^n).  A sample whose arrays
+    cannot be allocated is a ValueError."""
     nb = len(s.stack) + 1
     rng = np.random.default_rng(seed)
-    r = rng.integers(nb, size=sample)
-    t = rng.integers(nb - 1, size=sample)
-    t += t >= r
-    return r, t, rng.integers(s.dim, size=sample), rng.integers(s.dim, size=sample)
+    try:
+        r = rng.integers(nb, size=sample)
+        t = rng.integers(nb - 1, size=sample)
+        t += t >= r
+        return r, t, rng.integers(s.dim, size=sample), rng.integers(s.dim, size=sample)
+    except MemoryError:
+        raise ValueError(f"sample of {sample} draws does not fit in memory") from None
 
 
 def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
@@ -601,8 +593,11 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     of w_M^e_L, O(p^h n^2) per draw instead of O(d n^2), in chunks of
     about SAMPLE_CHUNK entries of the largest per-draw array, p^h max(l, 1).
     Each chunk gathers its draws' member rows straight from the stack, as
-    (N, n n) rows, and takes the head's and the tail's upper-triangle
-    columns by index and C as a view, so no copy of the family is made;
+    (N, n n) rows on its dtype, and takes the head's and the tail's
+    upper-triangle columns by index and C as a view, so no copy of the
+    family is made; those rows, the head's phases and the gathered h_L
+    fill buffers allocated once per call, so a chunk's largest arrays
+    are not page-faulted again each time the allocator returns them;
     _frequencies finds C^T u for every u by doubling over the head digits
     (p = 2).  A draw against the computational basis takes
     _computational_dev."""
@@ -622,20 +617,28 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     dev[~graph] = _computational_dev(p, n)
     head, tail = _digits(p, h), _digits(p, l)
     rows = max(1, SAMPLE_CHUNK // (p**h * max(l, 1)))
+    # the buffers hold the graph draws of the busiest chunk
+    most = int(np.add.reduceat(graph, np.arange(0, len(r), rows), dtype=np.intp).max())
+    gather = np.empty((2, most, n * n), dtype=members.dtype)
+    phases = np.empty((2, most, p**h), dtype=np.complex128)
     for lo in range(0, len(r), rows):
         j = lo + np.flatnonzero(graph[lo:lo + rows])
         if j.size:
-            diff = members[t[j]]
-            diff -= members[r[j]]
+            diff, sub = gather[:, :j.size]
+            amp, hat = phases[:, :j.size]
+            # every index is in range: "clip" only spares the buffered
+            # copy that take's default mode makes for out=
+            np.take(members, t[j], axis=0, out=diff, mode="clip")
+            diff -= np.take(members, r[j], axis=0, out=sub, mode="clip")
             hr, lr = np.divmod(mr[j], p**l)
             hs, ls = np.divmod(ms[j], p**l)
-            hat = 1.0  # h_L(C^T u) / sqrt(p^l), and 1 without a tail (n = 1)
-            if l:
-                hat = _fourier(roots[_exponents(np.hstack([diff[:, tail_cols],
+            np.take(roots, _exponents(np.hstack([diff[:, head_cols], head[hs] - head[hr]]),
+                                      p, h), out=amp, mode="clip")
+            if l:  # times h_L(C^T u) / sqrt(p^l); no tail at n = 1
+                h_l = _fourier(roots[_exponents(np.hstack([diff[:, tail_cols],
                                                            tail[ls] - tail[lr]]), p, l)], p, l)
-                hat = hat.ravel()[_frequencies(diff.reshape(-1, n, n)[:, :h, h:], p)]
-            amp = roots[_exponents(np.hstack([diff[:, head_cols], head[hs] - head[hr]]), p, h)]
-            amp *= hat
+                amp *= np.take(h_l.ravel(), _frequencies(diff.reshape(-1, n, n)[:, :h, h:], p),
+                               out=hat, mode="clip")
             dev[j] = np.abs(np.abs(np.einsum("ij->i", amp)) ** 2 * scale - 1.0 / d)
     bad = np.flatnonzero(dev > tol)
     first = None

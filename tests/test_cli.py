@@ -199,6 +199,17 @@ def test_verify_sample_without_numeric_is_usage_error(capsys, tmp_path):
     assert err == "usage error: --sample needs --numeric\n"
 
 
+def test_verify_unallocatable_sample_is_usage_error(capsys, tmp_path):
+    # 10^15 draws (7 PiB per draw array) fail at malloc: a usage error,
+    # not a MemoryError traceback that exits 1 as a failed verification
+    path = tmp_path / "fam.json"
+    path.write_text(gen_doc(capsys))
+    code, out, err = run_cli(capsys, ["verify", str(path), "--numeric",
+                                      "--sample", str(10**15)])
+    assert code == 2
+    assert err == f"usage error: sample of {10**15} draws does not fit in memory\n"
+
+
 def test_verify_numeric_failure(capsys, tmp_path):
     # two identical bases; whichever stage catches it, verify must fail
     doc = json.loads(gen_doc(capsys))
@@ -420,7 +431,7 @@ def test_verify_malformed_input(capsys, tmp_path):
 
 
 def test_cli_paths_build_no_member_matrices(capsys, tmp_path, monkeypatch):
-    # the family is its int64 stack: no MatZp per member on these paths
+    # the family is its stack: no MatZp per member on these paths
     # (256 members at (2, 8), 243 at (3, 5))
     built = []
     init = MatZp.__init__
@@ -448,7 +459,7 @@ def test_unreduced_entries_load_reduced(capsys, tmp_path):
     doc["matrices"][7][2][2] -= 3
     assert doc["matrices"][7][2][2] < 0
     fam, odd = from_document(json.loads(text)), from_document(doc)
-    assert odd.stack.dtype == np.int64 and np.array_equal(odd.stack, fam.stack)
+    assert odd.stack.dtype == np.int8 and np.array_equal(odd.stack, fam.stack)
     assert odd.field_rep and odd.matrices == fam.matrices
     lines = []
     for name, d in (("fam.json", json.loads(text)), ("odd.json", doc)):

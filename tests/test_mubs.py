@@ -422,12 +422,12 @@ def test_shift_rejects_nonsymmetric():
 
 def test_stack_is_the_stored_family():
     fam = qubit_triple_family()
-    assert fam.stack.dtype == np.int64 and fam.stack.shape == (8, 3, 3)
+    assert fam.stack.dtype == np.int8 and fam.stack.shape == (8, 3, 3)
     with pytest.raises(ValueError):
         fam.stack[0, 0, 0] = 1  # read-only
     assert fam.matrices == tuple(MatZp(2, rows) for rows in fam.stack.tolist())
     assert fam.matrices is fam.matrices  # built once, on first use
-    # entries of any size and sign are reduced before they become int64
+    # entries of any size and sign are reduced before they are narrowed
     raw = MubSet(p=3, n=2, stack=[[[4, -1], [2, 3 * 2**70]]])
     assert raw.stack.tolist() == [[[1, 2], [2, 0]]]
     for bad in ([[[0, 1], [0, 0]]], [[[0]]], [[0, 0], [0, 0]], [], [[[0, 0], [0]]]):
@@ -568,7 +568,7 @@ def _judged(raw: bytes):
             s = load(raw)
         except (ValueError, KeyError, RecursionError) as exc:
             return type(exc).__name__, str(exc)
-        assert s.stack.dtype == np.int64
+        assert s.stack.dtype == mubs.stack_dtype(s.p)
         return (s.p, s.n, s.method, s.polynomial, s.d, s.shifts, s.stack.shape,
                 s.stack.tobytes())
     return outcome(read_document), outcome(lambda b: from_document(json.loads(b.decode())))
