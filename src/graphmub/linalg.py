@@ -10,7 +10,9 @@ exactly when it has full rank.  For p = 2 rows of c bits (c the smaller
 side) are packed 64 // c to a uint64 word, or over ceil(c/64) words when
 c > 64, and each row operation is one XOR.  Arrays are reduced mod m by
 one kernel, `mod`, on whatever dtype holds them: the family stack's
-narrow signed dtype, or int64 inside the elimination.
+narrow signed dtype, or int64 inside the elimination.  `matmul_mod`
+multiplies small int64 arrays of residues exactly for every p below
+MODULUS_BOUND, for the seed's congruence reduction.
 """
 
 from __future__ import annotations
@@ -313,6 +315,21 @@ def rank_mod_p(block: list[list[int]], p: int) -> int:
     empty row, of rank 0."""
     reduced = np.array([[v % p for v in r] for r in block], dtype=np.int64)
     return int(eliminate_stack(np.atleast_2d(reduced)[None], p)[0])
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays of residues, exact for every p below
+    MODULUS_BOUND: one matmul while its k sums of products stay below
+    2^63, k (p - 1)^2 < 2^63; else each product of a column of a and a
+    row of b is reduced before it is added, so no sum passes 2p."""
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 < 2**63:
+        return a @ b % p
+    out = np.zeros((a.shape[0], b.shape[-1]), dtype=np.int64)
+    for j in range(k):
+        out += a[:, j, None] * b[j] % p
+        out %= p
+    return out
 
 
 def congruence(pmat: MatZp, b: MatZp) -> MatZp:

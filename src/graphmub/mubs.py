@@ -514,31 +514,30 @@ def canonical_json(doc: dict) -> str:
     return "".join(canonical_parts(doc))
 
 
-def canonical_parts(doc: dict) -> list[str]:
-    """The pieces of canonical_json(doc) in order, not joined, for a
-    writer that takes them one at a time."""
-    parts = []
-    _encode(doc, parts)
-    parts.append("\n")
-    return parts
+def canonical_parts(doc: dict):
+    """The pieces of canonical_json(doc) in order, not joined, made one at
+    a time as a writer takes them, so a stack's text is held one block
+    at a time."""
+    yield from _encode(doc)
+    yield "\n"
 
 
-def _encode(v, parts: list[str]) -> None:
-    """Append the pieces of v's canonical JSON.  A nonempty dict is joined
+def _encode(v):
+    """Yield the pieces of v's canonical JSON.  A nonempty dict is joined
     key by key, so `json.dumps` only ever holds the small pieces of one
     leaf value at a time (an all-cuts report is a few hundred kB of
     text, but would be about 65,000 pieces in a single call)."""
     if isinstance(v, np.ndarray):
-        parts += _stack_json(v)
+        yield from _stack_json(v)
     elif isinstance(v, dict) and v:
         sep = "{"
         for k in sorted(v):
-            parts.append(f"{sep}{json.dumps(k)}:")
-            _encode(v[k], parts)
+            yield f"{sep}{json.dumps(k)}:"
+            yield from _encode(v[k])
             sep = ","
-        parts.append("}")
+        yield "}"
     else:
-        parts.append(_LEAF.encode(v))
+        yield _LEAF.encode(v)
 
 
 _LEAF = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -547,39 +546,63 @@ _LEAF = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`, bytes of `_canonical_doc`
 
 
-def _stack_json(stack: np.ndarray) -> list[str]:
-    """The compact JSON of a stack, in pieces.  Each block of about
-    STACK_BLOCK entries, on the smallest dtype that holds its largest
-    entry (w digits), fills one uint8 grid: per row, two cells of w + 1
-    bytes for ",[[" (a member's first row) or ",[", one cell per entry
-    (its digits, then "," or "]"), and one cell for the "]" that closes
-    the member.  A zero byte stands for a leading zero or an unused
-    position, so the text is the grid's nonzero bytes; the first "," is
-    the stack's opening "["."""
+def _stack_json(stack: np.ndarray):
+    """The compact JSON of a stack, yielded a block of about STACK_BLOCK
+    entries at a time, each member's text led by "," (the first one's by
+    the stack's opening "["), then the closing "]".  A block of single
+    digits (every entry below 10) has one fixed layout per member: a
+    template row, the member's zeros as `json.dumps` writes them, takes
+    each digit at its fixed offset.  Any other block, on the smallest
+    dtype that holds its largest entry (w digits), fills one uint8 grid:
+    per row, two cells of w + 1 bytes for ",[[" (a member's first row) or
+    ",[", one cell per entry (its digits, then "," or "]"), and one cell
+    for the "]" that closes the member.  A zero byte stands for a leading
+    zero or an unused position, so its text is the grid's nonzero bytes."""
     m, r, c = stack.shape
     if not stack.size:
-        return [json.dumps(stack.tolist())]
-    comma, opening, closing, zero = b",[]0"
+        yield json.dumps(stack.tolist())
+        return
     step = max(1, STACK_BLOCK // (r * c))
-    pieces = []
     for a in range(0, m, step):
         blk = stack[a:a + step]
-        top = int(blk.max())
         if blk.min() < 0:
             raise ValueError("stack entries to encode must be non-negative")
-        w = len(str(top))
-        blk = blk.astype(np.min_scalar_type(top))[..., None]
-        tens = 10 ** np.arange(w - 1, -1, -1, dtype=blk.dtype)
-        digits = blk // tens % 10 + zero
-        digits[..., :-1] *= blk >= tens[:-1]
-        grid = np.zeros((len(blk), r, c + 3, w + 1), dtype=np.uint8)
-        grid[:, :, 0, :2] = comma, opening
-        grid[:, 0, 1, 0] = opening
-        grid[:, :, 2:-1, :w] = digits
-        grid[:, :, 2:-1, w] = comma
-        grid[:, :, -2, w] = closing
-        grid[:, -1, -1, 0] = closing
+        top = int(blk.max())
+        text = _digit_text(blk) if top < 10 else _grid_text(blk, top)
         if not a:
-            grid[0, 0, 0, 0] = opening
-        pieces.append(grid[grid != 0].tobytes().decode())
-    return pieces + ["]"]
+            text[0] = ord("[")
+        yield text.tobytes().decode()
+    yield "]"
+
+
+def _digit_text(blk: np.ndarray) -> np.ndarray:
+    """The text bytes of a block of members with entries 0 .. 9, each led
+    by ",": a row of ",[[0,...,0],...,[0,...,0]]" per member, whose rows of
+    2c + 2 bytes after the leading ",[" hold the c digits at odd offsets."""
+    k, r, c = blk.shape
+    template = ("," + json.dumps([[0] * c] * r, separators=(",", ":"))).encode()
+    text = np.empty((k, len(template)), dtype=np.uint8)
+    text[:] = np.frombuffer(template, np.uint8)
+    np.add(blk, ord("0"), out=text[:, 2:].reshape(k, r, 2 * c + 2)[:, :, 1:2 * c:2],
+           casting="unsafe")
+    return text.reshape(-1)
+
+
+def _grid_text(blk: np.ndarray, top: int) -> np.ndarray:
+    """The text bytes of a block of members with largest entry top, each
+    led by ",", through the zero-compacted grid of `_stack_json`."""
+    comma, opening, closing, zero = b",[]0"
+    r, c = blk.shape[1:]
+    w = len(str(top))
+    blk = blk.astype(np.min_scalar_type(top))[..., None]
+    tens = 10 ** np.arange(w - 1, -1, -1, dtype=blk.dtype)
+    digits = blk // tens % 10 + zero
+    digits[..., :-1] *= blk >= tens[:-1]
+    grid = np.zeros((len(blk), r, c + 3, w + 1), dtype=np.uint8)
+    grid[:, :, 0, :2] = comma, opening
+    grid[:, 0, 1, 0] = opening
+    grid[:, :, 2:-1, :w] = digits
+    grid[:, :, 2:-1, w] = comma
+    grid[:, :, -2, w] = closing
+    grid[:, -1, -1, 0] = closing
+    return grid[grid != 0]

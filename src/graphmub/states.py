@@ -533,7 +533,7 @@ def _pair_violation(s: MubSet, r: int, t: int) -> tuple:
     return (r, t, 0, int(np.rint(p**n * devs).argmax()), float(devs.max()))
 
 
-def _frequencies(cross: np.ndarray, p: int) -> np.ndarray:
+def _frequencies(cross: np.ndarray, p: int, buffers) -> np.ndarray:
     """Flat indices into an (N, p^l) array of the frequencies C^T u mod p
     at every head input u, shape (N, p^h), for a chunk's blocks C
     (N, h, l) with entries in (-p, p), a view of its difference rows.
@@ -543,7 +543,9 @@ def _frequencies(cross: np.ndarray, p: int) -> np.ndarray:
     Horner combine over the l tail digits in two float64 buffers of the
     output's size: C_j^T u from one matmul against the head's digits (C
     reduced by `mod` first), and its remainder as x - p floor(x / p), all
-    exact (sums below h p^2, indices below N p^l)."""
+    exact (sums below h p^2, indices below N p^l).  Odd p fills the
+    caller's `buffers`, held across chunks: the floats (2, N, p^h), and
+    the int64 indices (N, p^h) it returns; p = 2 takes None."""
     rows, h, l = cross.shape
     if p == 2:
         packed = (cross & 1) @ (1 << np.arange(l - 1, -1, -1))
@@ -554,7 +556,7 @@ def _frequencies(cross: np.ndarray, p: int) -> np.ndarray:
         return out
     cross = mod(np.array(cross), p).astype(np.float64)
     head = _digits(p, h).T.astype(np.float64)
-    out, sums = np.empty((rows, p**h)), np.empty((rows, p**h))
+    (out, sums), index = buffers
     out[:] = np.arange(rows)[:, None]
     for j in range(l):  # out p + (sums mod p)
         np.matmul(cross[:, :, j], head, out=sums)
@@ -564,7 +566,8 @@ def _frequencies(cross: np.ndarray, p: int) -> np.ndarray:
         np.floor(sums, out=sums)
         sums *= p
         out -= sums
-    return out.astype(np.int64)
+    np.copyto(index, out, casting="unsafe")
+    return index
 
 
 def _sample_draws(s: MubSet, sample: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -596,8 +599,11 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     (N, n n) rows on its dtype, and takes the head's and the tail's
     upper-triangle columns by index and C as a view, so no copy of the
     family is made; those rows, the head's phases and the gathered h_L
-    fill buffers allocated once per call, so a chunk's largest arrays
-    are not page-faulted again each time the allocator returns them;
+    fill buffers allocated once per call, as do _frequencies' indices for
+    odd p; the gathered h_L's buffer first holds the tail's phases, then
+    _frequencies' floats, each dead before the next is written.  So a
+    chunk's largest arrays are not page-faulted again each time the
+    allocator returns them;
     _frequencies finds C^T u for every u by doubling over the head digits
     (p = 2).  A draw against the computational basis takes
     _computational_dev."""
@@ -621,6 +627,8 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     most = int(np.add.reduceat(graph, np.arange(0, len(r), rows), dtype=np.intp).max())
     gather = np.empty((2, most, n * n), dtype=members.dtype)
     phases = np.empty((2, most, p**h), dtype=np.complex128)
+    if p > 2 and l:  # _frequencies' indices; its floats take hat's bytes, as w_l does
+        index = np.empty((most, p**h), dtype=np.int64)
     for lo in range(0, len(r), rows):
         j = lo + np.flatnonzero(graph[lo:lo + rows])
         if j.size:
@@ -635,9 +643,13 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
             np.take(roots, _exponents(np.hstack([diff[:, head_cols], head[hs] - head[hr]]),
                                       p, h), out=amp, mode="clip")
             if l:  # times h_L(C^T u) / sqrt(p^l); no tail at n = 1
-                h_l = _fourier(roots[_exponents(np.hstack([diff[:, tail_cols],
-                                                           tail[ls] - tail[lr]]), p, l)], p, l)
-                amp *= np.take(h_l.ravel(), _frequencies(diff.reshape(-1, n, n)[:, :h, h:], p),
+                w_l = hat.reshape(-1)[:j.size * p**l].reshape(j.size, p**l)  # tail phases
+                h_l = _fourier(np.take(roots, _exponents(np.hstack([diff[:, tail_cols],
+                                                                    tail[ls] - tail[lr]]), p, l),
+                                       out=w_l, mode="clip"), p, l)
+                bufs = (hat.view(np.float64).reshape(2, j.size, p**h),
+                        index[:j.size]) if p > 2 else None
+                amp *= np.take(h_l.ravel(), _frequencies(diff.reshape(-1, n, n)[:, :h, h:], p, bufs),
                                out=hat, mode="clip")
             dev[j] = np.abs(np.abs(np.einsum("ij->i", amp)) ** 2 * scale - 1.0 / d)
     bad = np.flatnonzero(dev > tol)

@@ -10,10 +10,15 @@ Two routes produce the seed matrix Q:
 2. Tridiagonal search.  Scan diagonals d of the symmetric tridiagonal
    matrix with unit off-diagonals until the characteristic polynomial is
    irreducible.  Guaranteed to succeed for p = 2; for p >= 3 a miss is a
-   normal outcome and the caller falls back to route 1.
+   normal outcome and the caller falls back to route 1.  A target f
+   fixes the trace, d_1 + ... + d_n = -c_{n-1}, so its scan runs over the
+   p^(n-1) prefixes d_1 .. d_{n-1} alone, each completed by its one d_n.
 
 The congruence reductions follow a fixed deterministic scan so that a
-given input always yields the same witness.  Both routes end in a
+given input always yields the same witness.  They hold B and P as small
+int64 arrays, and each step is one block T applied as three block
+products (B <- T B T^T, P <- T P); clearing a column below its pivot is
+one such step.  Both routes end in a
 `SymmetricRep`, which proves the seed.  Each hands it the polynomial it
 tested, except the untargeted tridiagonal search, which returns only a
 diagonal.
@@ -32,7 +37,7 @@ from .fields import (
     smallest_nonresidue,
     sqrt_mod,
 )
-from .linalg import MatZp, congruence
+from .linalg import MatZp, matmul_mod
 
 
 class ConstructionError(Exception):
@@ -182,41 +187,37 @@ def choose_form_multiplier(f: PolyZp, c: MatZp):
 
 
 class _Reduction:
-    """Mutable state for a congruence reduction: B and the accumulated P."""
+    """Mutable state for a congruence reduction: B and the accumulated P,
+    as int64 arrays of residues."""
 
     def __init__(self, b: MatZp):
         self.p = b.p
         self.n = b.n
-        self.B = b.to_lists()
-        self.P = [[int(i == j) for j in range(b.n)] for i in range(b.n)]
+        self.B = np.array(b.rows, dtype=np.int64)
+        self.P = np.eye(b.n, dtype=np.int64)
 
-    def _mix(self, idx: tuple[int, ...], coeff: list[list[int]]) -> None:
-        """Apply T with the small block `coeff` on `idx`: B <- T B T^T, P <- T P."""
-        p, k = self.p, len(idx)
-        for mat, cols_too in ((self.B, True), (self.P, False)):
-            new = [
-                [
-                    sum(coeff[a][b] * mat[idx[b]][c] for b in range(k)) % p
-                    for c in range(self.n)
-                ]
-                for a in range(k)
-            ]
-            for a, i in enumerate(idx):
-                mat[i] = new[a]
-            if cols_too:
-                for r in range(self.n):
-                    vals = [
-                        sum(coeff[a][b] * mat[r][idx[b]] for b in range(k)) % p
-                        for a in range(k)
-                    ]
-                    for a, i in enumerate(idx):
-                        mat[r][i] = vals[a]
+    def _mix(self, idx, coeff) -> None:
+        """Apply T, the identity but the block `coeff` on `idx`: B <- T B
+        T^T, P <- T P, as three block products.  Each row of a block holds
+        at most two nonzero residues, or three at p = 2 (omega_triple), so
+        every sum stays below 2 (p - 1)^2 < 2^63 for p < 2^31: exact."""
+        p, B, P = self.p, self.B, self.P
+        t = np.array(coeff, dtype=np.int64)
+        idx = list(idx)
+        B[idx] = t @ B[idx] % p
+        B[:, idx] = B[:, idx] @ t.T % p
+        P[idx] = t @ P[idx] % p
 
     def swap(self, i: int, j: int) -> None:
         self._mix((i, j), [[0, 1], [1, 0]])
 
-    def addrow(self, src: int, dst: int, a: int) -> None:
-        self._mix((src, dst), [[1, 0], [a % self.p, 1]])
+    def sweep(self, src: int, rows, a) -> None:
+        """Add a[k] times row (and column) src to each row (and column)
+        rows[k] at once: these steps commute, and none changes another's
+        multiplier, so one block is the sequence of them."""
+        t = np.eye(len(rows) + 1, dtype=np.int64)
+        t[1:, 0] = a
+        self._mix((src, *rows), t)
 
     def scale_row(self, i: int, s: int) -> None:
         self._mix((i,), [[s % self.p]])
@@ -230,11 +231,19 @@ class _Reduction:
     def phi(self, i: int, j: int, b: int) -> None:
         self._mix((i, j), [[1, b], [-b % self.p, 1]])
 
+    def clear(self, c: int, a) -> None:
+        """Sweep a B[r, c] times row and column c into each r > c with
+        B[r, c] != 0; a = -1 / B[c, c] clears column c below its pivot."""
+        rows = c + 1 + np.flatnonzero(self.B[c + 1:, c])
+        if rows.size:
+            self.sweep(c, rows.tolist(), self.B[rows, c] * a % self.p)
+
     def result(self, original: MatZp) -> MatZp:
-        pmat = MatZp(self.p, self.P)
-        if congruence(pmat, original) != MatZp.identity(self.p, self.n):
+        p, P = self.p, self.P
+        reached = matmul_mod(matmul_mod(P, np.array(original.rows, dtype=np.int64), p), P.T, p)
+        if not np.array_equal(reached, np.eye(self.n, dtype=np.int64)):
             raise ConstructionError("congruence reduction did not reach the identity")
-        return pmat
+        return MatZp(p, P.tolist())
 
 
 def reduce_to_identity_char2(b: MatZp) -> MatZp:
@@ -252,25 +261,23 @@ def reduce_to_identity_char2(b: MatZp) -> MatZp:
     B, n = st.B, st.n
     c = 0
     while c < n:
-        if B[c][c] == 0:
-            j = next((j for j in range(c + 1, n) if B[j][j]), None)
+        if B[c, c] == 0:
+            j = next((j for j in range(c + 1, n) if B[j, j]), None)
             if j is not None:
                 st.swap(c, j)
             else:
                 # zero diagonal tail; c >= 1 because the first pivot always
                 # finds a unit diagonal entry
-                j = next(j for j in range(c + 1, n) if B[j][c])
+                j = next(j for j in range(c + 1, n) if B[j, c])
                 if j != c + 1:
                     st.swap(c + 1, j)
                 st.omega_triple(c - 1, c, c + 1)
                 for i in (c - 1, c, c + 1):
-                    for r in range(c + 2, n):
-                        if B[r][i]:
-                            st.addrow(i, r, 1)
+                    rows = c + 2 + np.flatnonzero(B[c + 2:, i])
+                    if rows.size:
+                        st.sweep(i, rows.tolist(), 1)
             continue
-        for r in range(c + 1, n):
-            if B[r][c]:
-                st.addrow(c, r, 1)
+        st.clear(c, 1)
         c += 1
     return st.result(b)
 
@@ -298,35 +305,33 @@ def reduce_to_identity_odd(b: MatZp) -> MatZp:
     B = st.B
     c = 0
     while c < n:
-        if B[c][c] == 0:
-            cands = [j for j in range(c + 1, n) if B[j][j]]
+        if B[c, c] == 0:
+            cands = [j for j in range(c + 1, n) if B[j, j]]
             if cands:
-                preferred = [j for j in cands if is_quadratic_residue(B[j][j], p)]
+                preferred = [j for j in cands if is_quadratic_residue(int(B[j, j]), p)]
                 st.swap(c, (preferred or cands)[0])
             else:
-                j = next(j for j in range(c + 1, n) if B[j][c])
+                j = next(j for j in range(c + 1, n) if B[j, c])
                 if j != c + 1:
                     st.swap(c + 1, j)
                 st.omega_pair(c, c + 1)
             continue
-        inv = pow(B[c][c], p - 2, p)
-        for r in range(c + 1, n):
-            if B[r][c]:
-                st.addrow(c, r, -B[r][c] * inv % p)
+        st.clear(c, p - pow(int(B[c, c]), p - 2, p))
         c += 1
+    diag = B.diagonal()  # a view: it follows B through every step
     for i in range(n):
-        if is_quadratic_residue(B[i][i], p):
-            s = sqrt_mod(B[i][i], p)
+        if is_quadratic_residue(int(diag[i]), p):
+            s = sqrt_mod(int(diag[i]), p)
             if s != 1:
                 st.scale_row(i, pow(s, p - 2, p))
-    nonres = [i for i in range(n) if B[i][i] != 1]
+    nonres = [i for i in range(n) if diag[i] != 1]
     if nonres:
         if len(nonres) % 2:
             raise ConstructionError("odd number of non-residue diagonal entries")
         qhat = smallest_nonresidue(p)
         for i in nonres:
-            if B[i][i] != qhat:
-                s = sqrt_mod(B[i][i] * pow(qhat, p - 2, p) % p, p)
+            if diag[i] != qhat:
+                s = sqrt_mod(int(diag[i]) * pow(qhat, p - 2, p) % p, p)
                 st.scale_row(i, pow(s, p - 2, p))
         bpar = next(
             v for v in range(1, p)
@@ -334,7 +339,7 @@ def reduce_to_identity_odd(b: MatZp) -> MatZp:
         )
         for i, j in zip(nonres[0::2], nonres[1::2]):
             st.phi(i, j, bpar)
-            s = sqrt_mod(B[i][i], p)
+            s = sqrt_mod(int(diag[i]), p)
             if s != 1:
                 sinv = pow(s, p - 2, p)
                 st.scale_row(i, sinv)
@@ -378,12 +383,16 @@ def symmetrize_companion(f: PolyZp) -> SymmetricRep:
         multiplier = choose_form_multiplier(f, c)
         bform = multiplier @ b0 if isinstance(multiplier, MatZp) else b0.scale(multiplier)
         pmat = reduce_to_identity_odd(bform)
-    if c @ bform != bform @ c.transpose():
+    # both reductions refuse a B that is not symmetric, so C B = B C^T
+    # exactly when C B is symmetric
+    cb = matmul_mod(np.array(c.rows, dtype=np.int64), np.array(bform.rows, dtype=np.int64), p)
+    if not np.array_equal(cb, cb.T):
         raise ConstructionError("form does not symmetrize the companion matrix")
-    q = pmat @ c @ bform @ pmat.transpose()  # P^-1 = B P^T, as P B P^T = 1
+    pm = np.array(pmat.rows, dtype=np.int64)
+    q = matmul_mod(matmul_mod(pm, cb, p), pm.T, p)  # P^-1 = B P^T, as P B P^T = 1
     return SymmetricRep(
-        f=f, q=q, method="companion", companion=c, transform=pmat,
-        multiplier=multiplier,
+        f=f, q=MatZp(p, q.tolist()), method="companion", companion=c,
+        transform=pmat, multiplier=multiplier,
     )
 
 
@@ -442,18 +451,24 @@ def _tridiag_recursion(d: np.ndarray, p: int) -> np.ndarray:
 SEARCH_CHUNK = 1 << 16
 
 
-def _diagonal_char_polys(p: int, n: int):
-    """Yield (diagonals, char polys) for all p^n diagonals in lexicographic
-    order as int64 tables of shape (rows, n) and (rows, n + 1), the latter
-    from _tridiag_recursion.  Chunks start at 64 rows and double up to
-    SEARCH_CHUNK, so an early hit costs little and no scan holds more than
-    SEARCH_CHUNK rows."""
-    total = p**n
-    place = p ** np.arange(n - 1, -1, -1)
+def _diagonal_char_polys(p: int, n: int, trace: int | None = None):
+    """Yield (diagonals, char polys) in lexicographic order as int64 tables
+    of shape (rows, n) and (rows, n + 1), the latter from
+    _tridiag_recursion: all p^n diagonals, or with a trace t only the
+    p^(n-1) whose entries sum to t mod p, each prefix d_1 .. d_{n-1} in
+    lexicographic order completed by d_n = t - (d_1 + ... + d_{n-1}).
+    Chunks start at 64 rows and double up to SEARCH_CHUNK, so an early hit
+    costs little and no scan holds more than SEARCH_CHUNK rows."""
+    free = n if trace is None else n - 1
+    total = p**free
+    place = p ** np.arange(free - 1, -1, -1)
     start, size = 0, 64
     while start < total:
         stop = min(start + size, total)
-        d = np.arange(start, stop)[:, None] // place % p
+        d = np.empty((stop - start, n), dtype=np.int64)
+        d[:, :free] = np.arange(start, stop)[:, None] // place % p
+        if trace is not None:
+            d[:, -1] = (trace - d[:, :-1].sum(axis=1)) % p
         yield d, _tridiag_recursion(d, p)
         start, size = stop, min(2 * size, SEARCH_CHUNK)
 
@@ -464,11 +479,15 @@ def tridiag_search(p: int, n: int, target: PolyZp | None = None,
 
     Without a target: the first d whose characteristic polynomial is
     irreducible (primitive when requested).  With a target polynomial:
-    the first d realizing it exactly.  Returns (d, f): the diagonal
-    tuple and its characteristic polynomial, the instance tested here
-    (the target itself when given), for `tridiagonal_rep(p, d, f)`.  None
-    after exhausting all p^n candidates (a normal outcome for p >= 3,
-    where not every polynomial has a tridiagonal realization).
+    the first d realizing it exactly.  The trace of the matrix is
+    -c_{n-1}, so a target pins d_n to one value per prefix d_1 ..
+    d_{n-1}, and only those p^(n-1) diagonals are scanned; in
+    lexicographic order the first of them to realize it is the first of
+    all p^n.  Returns (d, f): the diagonal tuple and its characteristic
+    polynomial, the instance tested here (the target itself when given),
+    for `tridiagonal_rep(p, d, f)`.  None after exhausting the candidates
+    (a normal outcome for p >= 3, where not every polynomial has a
+    tridiagonal realization).
     """
     check_prime(p)
     if n < 1:
@@ -479,7 +498,8 @@ def tridiag_search(p: int, n: int, target: PolyZp | None = None,
             raise ValueError("target must be monic of degree n")
         if primitive and not (target.is_irreducible() and target.is_primitive()):
             return None
-    for d, polys in _diagonal_char_polys(p, n):
+    trace = None if target is None else -target.coeffs[n - 1] % p
+    for d, polys in _diagonal_char_polys(p, n, trace):
         if target is not None:
             hits = np.flatnonzero((polys == target.coeffs).all(axis=1))
             if hits.size:

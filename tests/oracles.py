@@ -210,6 +210,15 @@ def tridiag_char_poly_brute(p: int, d) -> PolyZp:
     return PolyZp(p, cur)
 
 
+def tridiag_first_brute(p: int, n: int) -> dict:
+    """{f: the lexicographically first diagonal d whose tridiagonal matrix
+    has characteristic polynomial f}, by scanning all p^n diagonals."""
+    first = {}
+    for d in product(range(p), repeat=n):
+        first.setdefault(tridiag_char_poly_brute(p, d), d)
+    return first
+
+
 def power_enumeration(q: MatZp) -> set:
     """{Q^k : 0 <= k < p^n - 1} together with the zero matrix, by repeated
     multiplication; it is the whole family exactly when the characteristic

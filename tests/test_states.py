@@ -570,7 +570,12 @@ def test_frequencies_match_brute(p, h, l):
     rng = np.random.default_rng(p * 100 + h * 10 + l)
     diff = rng.integers(-p + 1, p, size=(3, h + l, h + l))
     cross = diff[:, :h, h:]
-    assert np.array_equal(_frequencies(cross, p), frequencies_brute(cross, p))
+    buffers = None
+    if p > 2:  # odd p fills a caller's buffers, stale entries and all
+        buffers = np.full((2, 3, p**h), 7.5), np.full((3, p**h), -1, dtype=np.int64)
+    got = _frequencies(cross, p, buffers)
+    assert buffers is None or got is buffers[1]
+    assert np.array_equal(got, frequencies_brute(cross, p))
 
 
 @pytest.mark.parametrize("n", [2, 4])
