@@ -10,9 +10,10 @@ exactly when it has full rank.  For p = 2 rows of c bits (c the smaller
 side) are packed 64 // c to a uint64 word, or over ceil(c/64) words when
 c > 64, and each row operation is one XOR.  Arrays are reduced mod m by
 one kernel, `mod`, on whatever dtype holds them: the family stack's
-narrow signed dtype, or int64 inside the elimination.  `matmul_mod`
-multiplies small int64 arrays of residues exactly for every p below
-MODULUS_BOUND, for the seed's congruence reduction.
+narrow signed dtype, or int64 inside the elimination.  `matmul_mod`,
+the one exact integer matrix product, multiplies int64 arrays of
+residues for every p below MODULUS_BOUND: `MatZp @`, the powers of Q
+that expand a family, and the congruence steps of the seed.
 """
 
 from __future__ import annotations
@@ -135,15 +136,8 @@ class MatZp:
 
     def __matmul__(self, other: "MatZp") -> "MatZp":
         self._check_same(other)
-        p, n = self.p, self.n
-        cols = list(zip(*other.rows))
-        return MatZp(
-            p,
-            [
-                [sum(a * b for a, b in zip(row, col)) % p for col in cols]
-                for row in self.rows
-            ],
-        )
+        a, b = (np.array(m.rows, dtype=np.int64) for m in (self, other))
+        return MatZp(self.p, matmul_mod(a, b, self.p).tolist())
 
     def __pow__(self, k: int) -> "MatZp":
         if k < 0:

@@ -24,6 +24,11 @@ a coset of a subspace (a shifted or reordered field), since member 0 then
 meets every difference; for any other stack, the pairs where a walk in
 row-major order (`difference_rows`) first meets each difference, its
 packed key not yet in the set of those met.
+
+A document's stack is written by one template writer, `_members_text`:
+per block, each member is a fixed text row whose numbers are w bytes
+wide (w the digits of the block's largest entry), and the reader checks
+a span against the same template at w = 1.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .fields import PolyZp, check_prime
-from .linalg import MatZp, eliminate_stack, mod
+from .linalg import MatZp, eliminate_stack, matmul_mod, mod
 from .symrep import SymmetricRep, check_family_size, symmetric_representation
 
 
@@ -196,15 +201,12 @@ def _levels(q: MatZp):
     dtype = stack_dtype(p)
     seed = np.array(q.rows, dtype=np.int64)
     power = np.eye(n, dtype=np.int64)
-    # power @ seed sums n products of residues, exact in int64 since
-    # n (p - 1)^2 < 2^63 wherever this runs: p^n <= SEARCH_LIMIT from a
-    # witness, and p^n = len(stack) for a stack held in `MubSet.field_rep`
     for k in range(n):
         c, add = 1, power.astype(dtype)
         while c < p:
             yield c * p**k, min(c, p - c) * p**k, add
             c, add = 2 * c, mod(add + add, p)
-        power = power @ seed % p
+        power = matmul_mod(power, seed, p)
 
 
 def _field(q: MatZp) -> np.ndarray:
@@ -454,7 +456,7 @@ def _canonical_doc(raw: bytes) -> dict | None:
     if [k for k, _ in tops[-1]].count("matrices") != 1 \
             or type(n) is not int or not 0 < n * n <= end - start:
         return None
-    member = "".join(_stack_json(np.zeros((1, n, n), np.uint8)))[1:-1].encode()
+    member = _member_template(n, n, 1)[1:]
     blocks, pos = [], start
     while pos < end:
         cut = raw.find(b"]],[[", pos + STACK_BLOCK, end)
@@ -473,7 +475,7 @@ def _read_block(chunk: bytes, member: bytes, n: int, first: bool,
     """The entries of the k whole members in a chunk of a canonical span,
     (k, n, n) on the smallest unsigned dtype, or None unless the chunk
     holds only digits, "[", "]" and ",", and with each number written as
-    0 is the text `_stack_json` writes for k zero members (`member`),
+    0 is the text of k zero members (`member`, from `_member_template`),
     opened by "[" when first, else by the "," before its first member,
     and closed by "]" when last; and each number has at most 18 digits
     and no leading zero."""
@@ -548,16 +550,8 @@ STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`, bytes of `_canonica
 
 def _stack_json(stack: np.ndarray):
     """The compact JSON of a stack, yielded a block of about STACK_BLOCK
-    entries at a time, each member's text led by "," (the first one's by
-    the stack's opening "["), then the closing "]".  A block of single
-    digits (every entry below 10) has one fixed layout per member: a
-    template row, the member's zeros as `json.dumps` writes them, takes
-    each digit at its fixed offset.  Any other block, on the smallest
-    dtype that holds its largest entry (w digits), fills one uint8 grid:
-    per row, two cells of w + 1 bytes for ",[[" (a member's first row) or
-    ",[", one cell per entry (its digits, then "," or "]"), and one cell
-    for the "]" that closes the member.  A zero byte stands for a leading
-    zero or an unused position, so its text is the grid's nonzero bytes."""
+    entries at a time by `_members_text`, each member's text led by ","
+    (the first one's by the stack's opening "["), then the closing "]"."""
     m, r, c = stack.shape
     if not stack.size:
         yield json.dumps(stack.tolist())
@@ -567,42 +561,40 @@ def _stack_json(stack: np.ndarray):
         blk = stack[a:a + step]
         if blk.min() < 0:
             raise ValueError("stack entries to encode must be non-negative")
-        top = int(blk.max())
-        text = _digit_text(blk) if top < 10 else _grid_text(blk, top)
+        text = _members_text(blk, int(blk.max()))
         if not a:
             text[0] = ord("[")
         yield text.tobytes().decode()
     yield "]"
 
 
-def _digit_text(blk: np.ndarray) -> np.ndarray:
-    """The text bytes of a block of members with entries 0 .. 9, each led
-    by ",": a row of ",[[0,...,0],...,[0,...,0]]" per member, whose rows of
-    2c + 2 bytes after the leading ",[" hold the c digits at odd offsets."""
+def _member_template(r: int, c: int, w: int) -> bytes:
+    """One r x c member's text led by ",", each number w zeros wide: at
+    w = 1 the text `json.dumps` writes for a zero member."""
+    row = "[" + ",".join(["0" * w] * c) + "]"
+    return (",[" + ",".join([row] * r) + "]").encode()
+
+
+def _members_text(blk: np.ndarray, top: int) -> np.ndarray:
+    """The text bytes of a block of members with largest entry top (w
+    digits), each led by ",": a row of `_member_template` per member,
+    whose rows of c (w + 1) + 2 bytes after the leading ",[" hold the c
+    numbers at fixed offsets, w bytes each.  At w = 1 a number is its one
+    digit; wider numbers, on the smallest dtype that holds top, are
+    right-aligned with a zero byte for each leading zero, and the text is
+    the template's nonzero bytes."""
     k, r, c = blk.shape
-    template = ("," + json.dumps([[0] * c] * r, separators=(",", ":"))).encode()
-    text = np.empty((k, len(template)), dtype=np.uint8)
-    text[:] = np.frombuffer(template, np.uint8)
-    np.add(blk, ord("0"), out=text[:, 2:].reshape(k, r, 2 * c + 2)[:, :, 1:2 * c:2],
-           casting="unsafe")
-    return text.reshape(-1)
-
-
-def _grid_text(blk: np.ndarray, top: int) -> np.ndarray:
-    """The text bytes of a block of members with largest entry top, each
-    led by ",", through the zero-compacted grid of `_stack_json`."""
-    comma, opening, closing, zero = b",[]0"
-    r, c = blk.shape[1:]
     w = len(str(top))
+    template = np.frombuffer(_member_template(r, c, w), np.uint8)
+    text = np.empty((k, len(template)), dtype=np.uint8)
+    text[:] = template
+    cells = text[:, 2:].reshape(k, r, c * (w + 1) + 2)[:, :, 1:-1].reshape(k, r, c, w + 1)
+    if w == 1:
+        np.add(blk, ord("0"), out=cells[..., 0], casting="unsafe")
+        return text.reshape(-1)
     blk = blk.astype(np.min_scalar_type(top))[..., None]
     tens = 10 ** np.arange(w - 1, -1, -1, dtype=blk.dtype)
-    digits = blk // tens % 10 + zero
+    digits = blk // tens % 10 + ord("0")
     digits[..., :-1] *= blk >= tens[:-1]
-    grid = np.zeros((len(blk), r, c + 3, w + 1), dtype=np.uint8)
-    grid[:, :, 0, :2] = comma, opening
-    grid[:, 0, 1, 0] = opening
-    grid[:, :, 2:-1, :w] = digits
-    grid[:, :, 2:-1, w] = comma
-    grid[:, :, -2, w] = closing
-    grid[:, -1, -1, 0] = closing
-    return grid[grid != 0]
+    cells[..., :w] = digits
+    return text[text != 0]

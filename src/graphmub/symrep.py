@@ -14,11 +14,13 @@ Two routes produce the seed matrix Q:
    fixes the trace, d_1 + ... + d_n = -c_{n-1}, so its scan runs over the
    p^(n-1) prefixes d_1 .. d_{n-1} alone, each completed by its one d_n.
 
-The congruence reductions follow a fixed deterministic scan so that a
-given input always yields the same witness.  They hold B and P as small
-int64 arrays, and each step is one block T applied as three block
-products (B <- T B T^T, P <- T P); clearing a column below its pivot is
-one such step.  Both routes end in a
+The congruence reductions of both characteristics share one
+diagonalization (`_diagonalize`), a fixed deterministic scan, so that a
+given input always yields the same witness; only its deadlock mix
+depends on p.  They hold B and P as small int64 arrays, and each step is
+one block T applied as three `matmul_mod` products (B <- T B T^T,
+P <- T P); clearing a column below its pivot is one such step.  Both
+routes end in a
 `SymmetricRep`, which proves the seed.  Each hands it the polynomial it
 tested, except the untargeted tridiagonal search, which returns only a
 diagonal.
@@ -198,15 +200,13 @@ class _Reduction:
 
     def _mix(self, idx, coeff) -> None:
         """Apply T, the identity but the block `coeff` on `idx`: B <- T B
-        T^T, P <- T P, as three block products.  Each row of a block holds
-        at most two nonzero residues, or three at p = 2 (omega_triple), so
-        every sum stays below 2 (p - 1)^2 < 2^63 for p < 2^31: exact."""
+        T^T, P <- T P, as three block products."""
         p, B, P = self.p, self.B, self.P
         t = np.array(coeff, dtype=np.int64)
         idx = list(idx)
-        B[idx] = t @ B[idx] % p
-        B[:, idx] = B[:, idx] @ t.T % p
-        P[idx] = t @ P[idx] % p
+        B[idx] = matmul_mod(t, B[idx], p)
+        B[:, idx] = matmul_mod(B[:, idx], t.T, p)
+        P[idx] = matmul_mod(t, P[idx], p)
 
     def swap(self, i: int, j: int) -> None:
         self._mix((i, j), [[0, 1], [1, 0]])
@@ -246,51 +246,64 @@ class _Reduction:
         return MatZp(p, P.tolist())
 
 
+def _diagonalize(st: _Reduction) -> None:
+    """Bring B to diagonal form by a fixed column scan.  A nonzero pivot
+    B[c, c] clears its column below (`clear` with a = -1 / B[c, c]); a
+    zero one swaps in the first later nonzero diagonal entry, preferring
+    a quadratic residue (every unit is one for p = 2).  When every
+    remaining diagonal entry is zero, a row j > c with B[j, c] != 0 moves
+    to c + 1 and a mix restores a nonzero pivot: [[1,1],[1,-1]] on rows
+    c, c + 1 for odd p; for p = 2, where that mix leaves the diagonal
+    zero, a three-row mix with the last completed pivot row (c >= 1: a
+    reducible form has a unit diagonal entry), whose three rows are then
+    swept out below c + 1."""
+    p, B, n = st.p, st.B, st.n
+    c = 0
+    while c < n:
+        if B[c, c]:
+            st.clear(c, p - pow(int(B[c, c]), p - 2, p))
+            c += 1
+            continue
+        cands = [j for j in range(c + 1, n) if B[j, j]]
+        if cands:
+            preferred = [j for j in cands if is_quadratic_residue(int(B[j, j]), p)]
+            st.swap(c, (preferred or cands)[0])
+            continue
+        j = next(j for j in range(c + 1, n) if B[j, c])
+        if j != c + 1:
+            st.swap(c + 1, j)
+        if p != 2:
+            st.omega_pair(c, c + 1)
+            continue
+        st.omega_triple(c - 1, c, c + 1)
+        for i in (c - 1, c, c + 1):
+            rows = c + 2 + np.flatnonzero(B[c + 2:, i])
+            if rows.size:
+                st.sweep(i, rows.tolist(), 1)
+
+
 def reduce_to_identity_char2(b: MatZp) -> MatZp:
-    """P with P B P^T = 1 over Z_2.
+    """P with P B P^T = 1 over Z_2, by `_diagonalize`: every nonzero
+    diagonal entry of Z_2 is 1.
 
     Requires B symmetric, nonsingular, with at least one unit diagonal
-    entry.  Gaussian-style column sweep; when every remaining diagonal
-    entry is zero, a three-row mixing step against the last completed
-    pivot row restores unit pivots.
+    entry.
     """
     if b.p != 2:
         raise ValueError("char-2 reduction requires p = 2")
     _check_reducible_char2(b)
     st = _Reduction(b)
-    B, n = st.B, st.n
-    c = 0
-    while c < n:
-        if B[c, c] == 0:
-            j = next((j for j in range(c + 1, n) if B[j, j]), None)
-            if j is not None:
-                st.swap(c, j)
-            else:
-                # zero diagonal tail; c >= 1 because the first pivot always
-                # finds a unit diagonal entry
-                j = next(j for j in range(c + 1, n) if B[j, c])
-                if j != c + 1:
-                    st.swap(c + 1, j)
-                st.omega_triple(c - 1, c, c + 1)
-                for i in (c - 1, c, c + 1):
-                    rows = c + 2 + np.flatnonzero(B[c + 2:, i])
-                    if rows.size:
-                        st.sweep(i, rows.tolist(), 1)
-            continue
-        st.clear(c, 1)
-        c += 1
+    _diagonalize(st)
     return st.result(b)
 
 
 def reduce_to_identity_odd(b: MatZp) -> MatZp:
     """P with P B P^T = 1 over odd Z_p; det(B) must be a quadratic residue.
 
-    Three phases: (1) diagonalize, preferring pivots whose diagonal entry
-    is already a quadratic residue and breaking zero-diagonal deadlocks
-    with the [[1,1],[1,-1]] two-row mix; (2) rescale residue entries to 1;
-    (3) equalize the remaining non-residues, clear them pairwise with the
-    rotation-like mix [[1,b],[-b,1]] where 1 + b^2 is a non-residue, and
-    rescale.
+    Three phases: (1) diagonalize (`_diagonalize`); (2) rescale residue
+    entries to 1; (3) equalize the remaining non-residues, clear them
+    pairwise with the rotation-like mix [[1,b],[-b,1]] where 1 + b^2 is a
+    non-residue, and rescale.
     """
     p, n = b.p, b.n
     if p == 2:
@@ -302,23 +315,8 @@ def reduce_to_identity_odd(b: MatZp) -> MatZp:
         raise ValueError("matrix is not congruent to the identity: "
                          "determinant must be a nonzero quadratic residue")
     st = _Reduction(b)
-    B = st.B
-    c = 0
-    while c < n:
-        if B[c, c] == 0:
-            cands = [j for j in range(c + 1, n) if B[j, j]]
-            if cands:
-                preferred = [j for j in cands if is_quadratic_residue(int(B[j, j]), p)]
-                st.swap(c, (preferred or cands)[0])
-            else:
-                j = next(j for j in range(c + 1, n) if B[j, c])
-                if j != c + 1:
-                    st.swap(c + 1, j)
-                st.omega_pair(c, c + 1)
-            continue
-        st.clear(c, p - pow(int(B[c, c]), p - 2, p))
-        c += 1
-    diag = B.diagonal()  # a view: it follows B through every step
+    _diagonalize(st)
+    diag = st.B.diagonal()  # a view: it follows B through every step
     for i in range(n):
         if is_quadratic_residue(int(diag[i]), p):
             s = sqrt_mod(int(diag[i]), p)

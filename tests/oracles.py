@@ -9,7 +9,8 @@ expansion over int-list polynomials instead of Berkowitz and Gaussian
 elimination (one cofactor determinant per member or pair instead of the
 stacked elimination),
 int-list polynomial arithmetic instead of the int64 tridiagonal recursion,
-explicit matrix powers instead of the coefficient table, dense
+explicit matrix powers instead of the coefficient table, the
+schoolbook sum of products on Python ints instead of `matmul_mod`, dense
 basis-matrix grams instead of the difference-class Fourier sweep, the
 rank rule for the overlap spectrum of a difference B instead of its
 Fourier transform, one explicit state pair per sampled overlap instead
@@ -27,7 +28,7 @@ elimination, one
 `Fraction` term and one purity string per member instead of the rank
 histogram and the per-rank lookup of the analysis report, and plain
 `json.dumps` of the list-form document instead of the stack encoder's
-digit grid.
+fixed-width member template.
 """
 
 import json
@@ -128,6 +129,11 @@ def order_of_x_brute(f: PolyZp) -> int:
         if order > limit:
             raise AssertionError("x is not invertible mod f")
     return order
+
+
+def matmul_brute(a, b, p: int) -> list[list[int]]:
+    """a b mod p by the schoolbook sum of products, on Python ints."""
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
 
 def det_cofactor(rows: list[list[int]], p: int) -> int:

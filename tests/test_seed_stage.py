@@ -1,6 +1,7 @@
 """The seed stage of `gen`: the trace-pinned tridiagonal scan against an
-exhaustive scan, the congruence reduction on int64 arrays against fixed
-witnesses, and the exact Z_p matrix product against Python ints."""
+exhaustive scan, the one congruence diagonalization on int64 arrays
+against fixed witnesses (both deadlock mixes included), and the one exact
+Z_p matrix product, alone and under `MatZp`, against Python ints."""
 
 import json
 import random
@@ -13,8 +14,13 @@ import pytest
 from graphmub import symrep
 from graphmub.fields import MODULUS_BOUND, PolyZp
 from graphmub.linalg import MatZp, matmul_mod
-from graphmub.symrep import symmetrize_companion, tridiag_search
-from oracles import all_monic, irreducible_brute, tridiag_first_brute
+from graphmub.symrep import (
+    reduce_to_identity_char2,
+    reduce_to_identity_odd,
+    symmetrize_companion,
+    tridiag_search,
+)
+from oracles import all_monic, irreducible_brute, matmul_brute, tridiag_first_brute
 
 GOLDENS = json.loads((Path(__file__).parent / "companion_goldens.json").read_text())
 
@@ -81,8 +87,7 @@ def test_companion_goldens(monkeypatch):
             (3, 3, 2), (7, 3, 3), (13, 4, 1), (2, 8, None)} <= multipliers
 
 
-def _matmul_ints(a, b, p):
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+_matmul_ints = matmul_brute
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -96,6 +101,64 @@ def test_matmul_mod_is_exact_at_the_largest_modulus(n):
         assert got.tolist() == _matmul_ints(a, b, p)
     assert matmul_mod(np.array(top, dtype=np.int64), np.array(top, dtype=np.int64),
                       p).tolist() == [[n % p] * n] * n  # (p - 1)^2 = 1
+
+
+@pytest.mark.parametrize("p", [2, 3, MODULUS_BOUND - 1])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_matzp_products_are_exact(p, n):
+    # MatZp @, ** and inverse() run on matmul_mod; at p = 2^31 - 1 with
+    # entries p - 1 each sum of products passes 2^63 from n = 3
+    rng = random.Random(p + n)
+    top = [[p - 1] * n for _ in range(n)]
+    while True:
+        mixed = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if MatZp(p, mixed).det():
+            break
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    for a, b in ((top, top), (top, mixed), (mixed, top), (mixed, mixed)):
+        assert (MatZp(p, a) @ MatZp(p, b)).to_lists() == matmul_brute(a, b, p)
+    for rows in (top, mixed):
+        power = eye
+        for k in range(6):
+            assert (MatZp(p, rows) ** k).to_lists() == power
+            power = matmul_brute(power, rows, p)
+    inv = MatZp(p, mixed).inverse()
+    assert matmul_brute(mixed, inv.to_lists(), p) == eye
+    assert (MatZp(p, mixed) ** -2).to_lists() == matmul_brute(inv.to_lists(), inv.to_lists(), p)
+
+
+T4 = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+# (p, B, P) with P B P^T = 1, P as the reduction gave it before its two
+# characteristics shared one diagonalization; every B reaches the deadlock
+# mix, after a unit pivot or at once, and T4 through a swap to c + 1
+DEADLOCKS = [
+    (2, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 1, 0], [1, 0, 1], [1, 1, 1]]),
+    (2, [[1, 0, 0, 0, 0]] + [[0] + r for r in T4],
+     [[1, 1, 0, 0, 0], [1, 0, 0, 1, 0], [1, 1, 1, 1, 0], [1, 1, 0, 1, 1], [1, 1, 1, 1, 1]]),
+    (5, [[0, 1], [1, 0]], [[2, 4], [1, 3]]),
+    (5, [[0, 2], [2, 0]], [[3, 3], [1, 4]]),
+    (5, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 0, 0], [0, 2, 4], [0, 1, 3]]),
+    (5, T4, [[2, 0, 4, 0], [1, 0, 3, 0], [0, 2, 0, 4], [0, 1, 0, 3]]),
+    (13, [[0, 1], [1, 0]], [[11, 3], [10, 2]]),
+    (13, [[0, 3], [3, 0]], [[4, 6], [7, 9]]),
+    (13, [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 0, 0], [0, 11, 3], [0, 10, 2]]),
+    (13, T4, [[11, 0, 3, 0], [10, 0, 2, 0], [0, 11, 0, 3], [0, 10, 0, 2]]),
+]
+
+
+@pytest.mark.parametrize("p,b,expected", DEADLOCKS)
+def test_both_deadlock_mixes(monkeypatch, p, b, expected):
+    # an all-zero remaining diagonal: omega_triple for p = 2, omega_pair
+    # for odd p, one per deadlock
+    calls = _reduction_steps(monkeypatch)
+    reduce = reduce_to_identity_char2 if p == 2 else reduce_to_identity_odd
+    pm = reduce(MatZp(p, b)).to_lists()
+    assert pm == expected
+    eye = [[int(i == j) for j in range(len(b))] for i in range(len(b))]
+    assert matmul_brute(matmul_brute(pm, b, p), [list(c) for c in zip(*pm)], p) == eye
+    mix, other = ("omega_triple", "omega_pair") if p == 2 else ("omega_pair", "omega_triple")
+    assert calls[mix] == (2 if len(b) in (4, 5) else 1) and not calls[other]
 
 
 def test_reduction_steps_are_exact_at_the_largest_modulus():

@@ -1,6 +1,8 @@
-"""The stack text writer: single-digit blocks by the fixed layout, other
-blocks by the grid, yielded a block at a time; every text must equal
-json.dumps of the stack's nested lists."""
+"""The stack text writer, one template per block whose numbers are w
+bytes wide (w the digits of the block's largest entry), with zero bytes
+dropped only when w > 1, yielded a block at a time; every text must equal
+json.dumps of the stack's nested lists, and `_canonical_doc` must read
+back every width it accepts."""
 
 import json
 import random
@@ -10,7 +12,13 @@ import numpy as np
 import pytest
 
 from graphmub import mubs
-from graphmub.mubs import canonical_parts, mub_set, read_document, stack_document
+from graphmub.mubs import (
+    canonical_parts,
+    from_document,
+    mub_set,
+    read_document,
+    stack_document,
+)
 
 
 def _text(stack):
@@ -38,6 +46,60 @@ def test_fixed_layout_equals_json_dumps(p):
     assert _text(rect) == _dumps(rect) and _text(rect[:, :1]) == _dumps(rect[:, :1])
     fam = mub_set(p, 2)
     assert _text(fam.stack) == _dumps(fam.stack)
+
+
+def _wide_stack(rng, w, m, r, c, dtype):
+    """m members r x c on dtype, entries of 1 to w digits, the largest
+    10^w - 1 (2^64 - 1 at w = 20), each member symmetric when r = c."""
+    top = min(10**w - 1, 2**64 - 1)
+    a = [[[rng.randrange(min(10 ** rng.randint(0, w), top + 1)) for _ in range(c)]
+          for _ in range(r)]
+         for _ in range(m)]
+    if r == c:
+        a = [[[mem[max(i, j)][min(i, j)] for j in range(c)] for i in range(r)]
+             for mem in a]
+    a[-1][0][0] = a[-1][-1][-1] = top
+    return np.array(a, dtype=object).astype(dtype)
+
+
+@pytest.mark.parametrize("w", range(1, 21))
+def test_fixed_layout_equals_json_dumps_at_every_width(w):
+    rng = random.Random(w)
+    dtypes = [t for t in (np.int8, np.int16, np.int64, np.uint64)
+              if np.iinfo(t).max >= min(10**w - 1, 2**64 - 1)]
+    assert dtypes
+    for dtype in dtypes:
+        for m, r, c in ((1, 1, 1), (3, 2, 2), (2, 2, 3), (2, 3, 1), (4, 1, 4), (2, 5, 5)):
+            stack = _wide_stack(rng, w, m, r, c, dtype)
+            assert _text(stack) == _dumps(stack), (dtype, r, c)
+
+
+def test_fixed_layout_across_blocks_of_different_widths(monkeypatch):
+    monkeypatch.setattr(mubs, "STACK_BLOCK", 2 * 3 * 2)  # two members a block
+    rng = random.Random(0)
+    for dtype in (np.int16, np.int64):
+        stack = np.concatenate([_wide_stack(rng, w, 2, 3, 2, dtype) for w in (1, 4, 2, 1)])
+        pieces = list(mubs._stack_json(stack))
+        assert len(pieces) == 5
+        assert "".join(pieces) == _dumps(stack)
+
+
+@pytest.mark.parametrize("w", range(1, 21))
+def test_canonical_doc_reads_back_every_width_it_accepts(w):
+    # at most 18 digits per number are decoded straight into an array;
+    # wider numbers leave the document to json.loads
+    p = 2**31 - 1
+    stack = _wide_stack(random.Random(w), w, 3, 3, 3, np.uint64)
+    raw = ('{"matrices":' + _text(stack) + f',"n":3,"p":{p}}}\n').encode()
+    doc = mubs._canonical_doc(raw)
+    if w <= 18:
+        assert doc["matrices"].tolist() == stack.tolist()
+    else:
+        assert doc is None
+    family, oracle = read_document(raw), from_document(json.loads(raw))
+    assert family.stack.dtype == oracle.stack.dtype
+    assert np.array_equal(family.stack, oracle.stack)
+    assert np.array_equal(family.stack, np.array(stack.tolist(), dtype=object) % p)
 
 
 def test_fixed_layout_one_member_and_one_qupit():
@@ -90,8 +152,9 @@ def test_document_text_is_made_lazily(monkeypatch):
     # canonical_parts hands a writer one block of the stack at a time
     monkeypatch.setattr(mubs, "STACK_BLOCK", 8 * 8 * 4)  # four members a block
     built = []
-    real = mubs._digit_text
-    monkeypatch.setattr(mubs, "_digit_text", lambda blk: built.append(len(blk)) or real(blk))
+    real = mubs._members_text
+    monkeypatch.setattr(mubs, "_members_text",
+                        lambda blk, top: built.append(len(blk)) or real(blk, top))
     parts = canonical_parts(stack_document(mub_set(2, 8)))
     assert isinstance(parts, GeneratorType) and not built
     assert next(piece for piece in parts if piece.startswith("[[[")) and built == [4]
