@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
@@ -128,12 +129,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(parts: Iterable[str], out: str | None) -> None:
     """Write the pieces of a text one at a time, so the whole text (an
-    all-cuts report is tens of MB) is never joined or encoded at once."""
+    all-cuts report is tens of MB) is never joined or encoded at once.
+    A reader that closes stdout (`| head`) got all it asked for: stdout
+    is pointed at devnull, so the flush at shutdown prints nothing."""
     if out:
         with open(out, "w") as fh:
             fh.writelines(parts)
-    else:
+        return
+    try:
         sys.stdout.writelines(parts)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _load(path: str) -> MubSet | None:

@@ -23,7 +23,8 @@ N - 1 differences from member 0 when `MubSet.affine` proves the stack
 a coset of a subspace (a shifted or reordered field), since member 0 then
 meets every difference; for any other stack, the pairs where a walk in
 row-major order (`difference_rows`) first meets each difference, its
-packed key not yet in the set of those met.
+key (the bytes of its reduced upper triangle) not yet in the set of
+those met.
 
 A document's stack is written by one template writer, `_members_text`:
 per block, each member is a fixed text row whose numbers are w bytes
@@ -141,7 +142,7 @@ class MubSet:
         member 0 meets every difference class: each A_t - A_r is a nonzero
         member of G, and those are exactly the A_t - s_0, t > 0.  Proven
         from the stack alone, in any index order: the upper-triangle rows
-        of S - s_0 mod p are N distinct rows (sorted packed keys) of rank k
+        of S - s_0 mod p are N distinct rows (sorted byte keys) of rank k
         with p^k = N, so they are all of their span.  A proven field is one
         (s_0 = 0, G = Z_p[Q]) and skips that test."""
         if self.field_rep:  # proven already wherever the checks ask
@@ -150,7 +151,7 @@ class MubSet:
         if not len(coefs):  # no member 0, and no pair to walk
             return False
         coefs = mod(coefs - coefs[0], p)
-        keys = np.sort(_keys(coefs, _key_weights(p, coefs.shape[1])))
+        keys = np.sort(_keys(coefs))
         if (keys[1:] == keys[:-1]).any():  # cheaper than the rank
             return False
         return p ** int(eliminate_stack(coefs[None], p)[0]) == len(coefs)
@@ -234,26 +235,12 @@ def _upper(stack: np.ndarray) -> np.ndarray:
     return stack[..., i, j]
 
 
-def _key_weights(p: int, k: int) -> np.ndarray:
-    """Int64 weights (k, words) that pack k base-p digits into words of
-    c digits, c the largest with p^c <= 2^62: digit j has weight
-    p^(j mod c) in word j // c, so the packing is exact and injective."""
-    c = 1
-    while p ** (c + 1) <= 2**62:
-        c += 1
-    j = np.arange(k)
-    weights = np.zeros((k, -(-k // c)), dtype=np.int64)
-    weights[j, j // c] = p ** (j % c)
-    return weights
-
-
-def _keys(digits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """One sortable key per row of base-p digits: int64 for one word,
-    else the row's words as one opaque (void) item."""
-    words = digits @ weights
-    if words.shape[1] == 1:
-        return words.ravel()
-    return words.view(f"V{8 * words.shape[1]}").ravel()
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row of residues in [0, p) on `stack_dtype(p)`:
+    the row's own bytes as one opaque (void) item, so keys are equal
+    exactly when rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
 
 
 def difference_rows(stack: np.ndarray, p: int):
@@ -262,14 +249,13 @@ def difference_rows(stack: np.ndarray, p: int):
     a new class:
     ts holds, ascending, the t > r whose D = A_t - A_r mod p is met first
     at (r, t), so each distinct D comes once, at its least pair in
-    row-major order.  A class is its key, the base-p digits of D's upper
-    triangle (_key_weights); the keys met so far are one set."""
+    row-major order.  A class is its key, the bytes of D's upper triangle
+    reduced mod p (`_keys`); the keys met so far are one set."""
     coefs = _upper(stack)
-    weights = _key_weights(p, coefs.shape[1])
     seen = set()
     for r in range(len(coefs)):
         diff = mod(coefs[r + 1:] - coefs[r], p)
-        ts = [t for t, key in enumerate(_keys(diff, weights).tolist(), r + 1)
+        ts = [t for t, key in enumerate(_keys(diff).tolist(), r + 1)
               if key not in seen and not seen.add(key)]
         if ts:
             yield r, np.array(ts)

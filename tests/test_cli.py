@@ -653,6 +653,26 @@ def test_verify_reads_stdin():
     assert "pass" in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["gen", "export"])
+def test_closed_stdout_ends_quietly(tmp_path, command):
+    # a reader that stops early (| head) got all it asked for: no
+    # traceback and exit 0, not the code for a failed verification
+    argv = ["gen", "-p", "2", "-n", "12"]
+    if command == "export":
+        path = tmp_path / "doc.json"
+        path.write_text(canonical_json(stack_document(mub_set(2, 12))))
+        argv = ["export", str(path)]
+    proc = subprocess.Popen([sys.executable, "-m", "graphmub", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(64)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
+    assert head.startswith(b'{"d":')
+
+
 # -- fuzzed document mutations -------------------------------------------------
 
 FUZZ_SIZES = [(2, 2), (2, 3), (3, 2)]

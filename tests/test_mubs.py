@@ -175,6 +175,20 @@ def test_field_rep_proves_a_stack_without_a_second_stack(p, n):
         assert peak <= 0.25 * stack.nbytes
 
 
+def test_affine_keys_stay_on_the_stack_dtype():
+    # the duplicate test keys each row by its own bytes on the int8
+    # stack: no int64 copy of the upper triangles is made
+    s = shift_set(mub_set(2, 14), MatZp.identity(2, 14))
+    upper = mubs._upper(s.stack).nbytes
+    tracemalloc.start()
+    try:
+        assert s.affine
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * upper
+
+
 @pytest.mark.parametrize("p,n,kwargs", [
     (2, 3, {"d": (1, 0, 0)}),
     (3, 2, {}),

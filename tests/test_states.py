@@ -1,5 +1,4 @@
 import functools
-import math
 import random
 import tracemalloc
 from itertools import permutations, product
@@ -9,7 +8,7 @@ import pytest
 
 from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp, rank_mod_p
-from graphmub.mubs import MubSet, _key_weights, mub_set, shift_set, verify_mu_condition
+from graphmub.mubs import MubSet, _keys, mub_set, shift_set, stack_dtype, verify_mu_condition
 from graphmub import states
 from graphmub.states import (
     Circuit,
@@ -466,19 +465,25 @@ def test_sound_family_at_zero_tolerance_reports_label_zero(p, n):
 @pytest.mark.parametrize("p,k", [(2, 78), (2, 91), (3, 36), (5, 15), (9973, 1),
                                  (2**31 - 1, 3)])
 def test_difference_keys_are_exact(p, k):
-    # ceil(k log2 p / 62) words; a row, each of its k one-digit neighbours
-    # (word boundaries included), the all-(p - 1) row and random rows all
-    # get distinct keys
-    weights = _key_weights(p, k)
-    assert weights.shape[1] == math.ceil(k * math.log2(p) / 62)
+    # a row, a copy of it, each of its k one-digit neighbours, the
+    # all-(p - 1) row and random rows, on the stack dtype of p (int8,
+    # int16, int64): keys are equal exactly when rows are, also for a
+    # strided input
     rng = np.random.default_rng(k)
     base = rng.integers(p, size=k)
-    rows = np.vstack([base, np.full(k, p - 1), rng.integers(p, size=(20, k))]
+    rows = np.vstack([base, base, np.full(k, p - 1), rng.integers(p, size=(20, k))]
                      + [base] * k)
     rows[-k:][np.arange(k), np.arange(k)] = (base + 1) % p
-    words = rows @ weights
-    assert (words >= 0).all()
-    assert len({tuple(w) for w in words.tolist()}) == len({tuple(r) for r in rows.tolist()})
+    rows = rows.astype(stack_dtype(p))
+    keys = _keys(rows)
+    assert keys.shape == (len(rows),)
+    same_rows = (rows[:, None] == rows[None]).all(axis=2)
+    assert ((keys[:, None] == keys[None]) == same_rows).all()
+    assert len(set(keys.tolist())) == len({tuple(r) for r in rows.tolist()})
+    wide = np.zeros((len(rows), 2 * k), dtype=rows.dtype)
+    wide[:, ::2] = rows
+    assert not wide[:, ::2].flags.c_contiguous
+    assert (_keys(wide[:, ::2]) == keys).all()
 
 
 def test_full_sweep_two_word_keys():
