@@ -147,10 +147,11 @@ def _write(parts: Iterable[str], out: str | None) -> None:
 
 def _load(path: str) -> MubSet | None:
     """The family at path (- for stdin), or None after a `malformed input`
-    line on stderr (nesting too deep to parse included)."""
+    line on stderr (nesting too deep to parse included).  The bytes are
+    held by `read_document` alone, which drops them once decoded."""
     try:
-        raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
-        return read_document(raw)
+        return read_document(sys.stdin.buffer.read() if path == "-"
+                             else Path(path).read_bytes())
     except (OSError, ValueError, KeyError, RecursionError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return None
@@ -197,8 +198,8 @@ def _cmd_verify(args) -> int:
         print(f"FAIL algebraic (difference condition): matrices {r} and {t} "
               f"have a singular difference", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    print(f"algebraic difference condition: pass "
-          f"({algebraic.mode} mode, {len(fam.stack)} matrices)")
+    _write([f"algebraic difference condition: pass "
+            f"({algebraic.mode} mode, {len(fam.stack)} matrices)\n"], None)
     if args.numeric:
         try:
             report = verify_mu_numeric(fam, tol=args.tol, sample=args.sample)
@@ -210,9 +211,9 @@ def _cmd_verify(args) -> int:
             print(f"FAIL numeric (overlap): bases {r},{t} elements {mr},{ms} "
                   f"deviate by {dev:.3e} (tol {args.tol:.1e})", file=sys.stderr)
             return EXIT_VERIFY_FAILED
-        print(f"numeric overlap sweep: pass ({report.mode}, "
-              f"{report.pairs_checked} checks, worst deviation "
-              f"{report.worst_deviation:.3e})")
+        _write([f"numeric overlap sweep: pass ({report.mode}, "
+                f"{report.pairs_checked} checks, worst deviation "
+                f"{report.worst_deviation:.3e})\n"], None)
     return EXIT_OK
 
 
@@ -280,59 +281,61 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    if args.name == "appendix-c":
-        return _example_three_qutrits()
-    return _example_three_qubits()
+    lines = []
+    example = _example_three_qutrits if args.name == "appendix-c" else _example_three_qubits
+    ok = example(lines.append)
+    _write([line + "\n" for line in lines], None)
+    return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _example_three_qutrits() -> int:
+def _example_three_qutrits(say) -> bool:
     f = PolyZp(3, [1, 2, 1, 1])
-    print(f"polynomial f = {f} over Z_3 (irreducible: {f.is_irreducible()})")
+    say(f"polynomial f = {f} over Z_3 (irreducible: {f.is_irreducible()})")
     rep = symmetrize_companion(f)
-    print("companion matrix C:")
-    print(_fmt_matrix(rep.companion))
+    say("companion matrix C:")
+    say(_fmt_matrix(rep.companion))
     b0 = symmetrizing_form_odd(f)
-    print("base form B_0:")
-    print(_fmt_matrix(b0))
-    print(f"det(B_0) = {b0.det()}")
-    print(f"multiplier g = {rep.multiplier}")
-    print("congruence transform P with P (g B_0) P^T = 1:")
-    print(_fmt_matrix(rep.transform))
-    print("P^-1:")
-    print(_fmt_matrix(rep.transform.inverse()))
-    print("symmetric seed Q = P C P^-1:")
-    print(_fmt_matrix(rep.q))
-    print("Q^2:")
-    print(_fmt_matrix(rep.q @ rep.q))
+    say("base form B_0:")
+    say(_fmt_matrix(b0))
+    say(f"det(B_0) = {b0.det()}")
+    say(f"multiplier g = {rep.multiplier}")
+    say("congruence transform P with P (g B_0) P^T = 1:")
+    say(_fmt_matrix(rep.transform))
+    say("P^-1:")
+    say(_fmt_matrix(rep.transform.inverse()))
+    say("symmetric seed Q = P C P^-1:")
+    say(_fmt_matrix(rep.q))
+    say("Q^2:")
+    say(_fmt_matrix(rep.q @ rep.q))
     fam = mub_set(3, 3, method="companion", poly=f)
     report = verify_mu_condition(fam)
-    print(f"family: {len(fam.stack)} adjacency matrices; "
-          f"difference condition {'pass' if report.ok else 'FAIL'}; "
-          f"{fam.num_bases} mutually unbiased bases including computational")
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    say(f"family: {len(fam.stack)} adjacency matrices; "
+        f"difference condition {'pass' if report.ok else 'FAIL'}; "
+        f"{fam.num_bases} mutually unbiased bases including computational")
+    return report.ok
 
 
-def _example_three_qubits() -> int:
+def _example_three_qubits(say) -> bool:
     d = (1, 0, 0)
     rep = tridiagonal_rep(2, d)
-    print(f"diagonal d = {d} over Z_2")
-    print("tridiagonal seed Q:")
-    print(_fmt_matrix(rep.q))
-    print(f"characteristic polynomial: {rep.f} "
-          f"(irreducible: {rep.f.is_irreducible()}, primitive: {rep.f.is_primitive()})")
+    say(f"diagonal d = {d} over Z_2")
+    say("tridiagonal seed Q:")
+    say(_fmt_matrix(rep.q))
+    say(f"characteristic polynomial: {rep.f} "
+        f"(irreducible: {rep.f.is_irreducible()}, primitive: {rep.f.is_primitive()})")
     fam = mub_set(2, 3, d=d)
     for k in range(3):
-        print(f"fundamental graph Q^{k}:")
-        print(_fmt_matrix(rep.q**k))
-    print("all adjacency matrices (index: coefficient vector a_0,a_1,a_2):")
+        say(f"fundamental graph Q^{k}:")
+        say(_fmt_matrix(rep.q**k))
+    say("all adjacency matrices (index: coefficient vector a_0,a_1,a_2):")
     for idx, m in enumerate(fam.matrices):
-        print(f"  index {idx}, coefficients {fam.coeff_vector(idx)}:")
+        say(f"  index {idx}, coefficients {fam.coeff_vector(idx)}:")
         for row in m.rows:
-            print("    " + " ".join(map(str, row)))
+            say("    " + " ".join(map(str, row)))
     report = verify_mu_condition(fam)
-    print(f"difference condition {'pass' if report.ok else 'FAIL'}; "
-          f"{fam.num_bases} mutually unbiased bases including computational")
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    say(f"difference condition {'pass' if report.ok else 'FAIL'}; "
+        f"{fam.num_bases} mutually unbiased bases including computational")
+    return report.ok
 
 
 _HANDLERS = {

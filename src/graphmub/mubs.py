@@ -28,8 +28,13 @@ those met.
 
 A document's stack is written by one template writer, `_members_text`:
 per block, each member is a fixed text row whose numbers are w bytes
-wide (w the digits of the block's largest entry), and the reader checks
-a span against the same template at w = 1.
+wide (w the digits of the block's largest entry).  The reader takes a
+span of one-digit numbers by that template (`_digit_stack`): N rows of
+`_member_template(n, n, 1)`, read a block at a time through the writer's
+cell view straight into one stack on `stack_dtype(p)`, which `MubSet`
+keeps without a copy.  Wider spans, and spans whose blocks differ in
+width, are read number by number (`_read_block`), their text checked
+against the same template at w = 1.
 """
 
 from __future__ import annotations
@@ -54,7 +59,9 @@ class MubSet:
     `stack` is the family: a read-only array (N, n, n) of members reduced
     mod p, on `stack_dtype(p)`, from nested integers of any size or an
     integer array (ValueError for members or shifts that are not
-    symmetric n x n).  Entries already in [0, p) are only cast.
+    symmetric n x n).  Entries already in [0, p) are only cast, and a
+    read-only array of them already on that dtype (`read_document`'s, or
+    another family's stack) is kept as it is.
     Without a stack, the family is built here from `witness` (same p and
     n, no shifts): its `_field`, Z_p[Q] by construction.  Index i
     corresponds to the coefficient vector (a_0, ..., a_{n-1}) with a_0
@@ -93,9 +100,8 @@ class MubSet:
             if stack.size and not 0 <= int(stack.min()) <= int(stack.max()) < p:
                 stack = np.remainder(stack, p, dtype=np.promote_types(
                     stack.dtype, np.min_scalar_type(p)))
-            stack = stack.astype(stack_dtype(p))
-            if stack.ndim != 3 or stack.shape[1:] != (n, n) \
-                    or (stack != stack.transpose(0, 2, 1)).any():
+            stack = stack.astype(stack_dtype(p), copy=stack.flags.writeable)
+            if stack.ndim != 3 or stack.shape[1:] != (n, n) or not _symmetric(stack):
                 raise ValueError("adjacency matrices must be symmetric and n x n")
         stack.setflags(write=False)
         object.__setattr__(self, "_from_witness", self.stack is None)
@@ -218,6 +224,14 @@ def _field(q: MatZp) -> np.ndarray:
     for start, count, add in _levels(q):
         mod(np.add(stack[:count], add, out=stack[start:start + count]), p)
     return stack
+
+
+def _symmetric(stack: np.ndarray) -> bool:
+    """True when every member of an (N, n, n) stack equals its transpose,
+    compared in blocks of about STACK_BLOCK / 8 entries."""
+    rows = max(1, STACK_BLOCK // (8 * stack.shape[1] ** 2))
+    return all(np.array_equal(blk, blk.transpose(0, 2, 1))
+               for blk in (stack[lo:lo + rows] for lo in range(0, len(stack), rows)))
 
 
 def adjacency_set(witness: SymmetricRep) -> MubSet:
@@ -401,10 +415,13 @@ def read_document(raw: bytes) -> MubSet:
     array (`_canonical_doc`); any other document is decoded as text the
     way `open(path).read()` decodes a file and parsed by `json.loads`.
     Either way `from_document` checks the rest, so the verdicts and
-    messages are those of `json.loads` and `from_document`."""
+    messages are those of `json.loads` and `from_document`; the bytes are
+    dropped before it runs, so a caller that holds no other reference
+    (`cli`) frees them there."""
     doc = _canonical_doc(raw)
     if doc is None:
         doc = json.loads(_text(raw))
+    del raw
     return from_document(doc)
 
 
@@ -422,14 +439,19 @@ _MATRICES_KEY = re.compile(rb'\{(?:"d":\[[0-9,]*\],)?(?:"field_rep":(?:true|fals
 def _canonical_doc(raw: bytes) -> dict | None:
     """The document with `matrices` an (N, n, n) array of its entries, or
     None unless the bytes are canonical: the sorted-key prefix, then a
-    span up to the first "]]]" that `_read_block` accepts in blocks of
-    about STACK_BLOCK bytes cut between members, and the rest of the
-    document, the span replaced by 0, valid JSON holding `matrices` once
-    at the top level (under any spelling) and a positive int `n`."""
+    span up to the first "]]]" that `_digit_stack` accepts, or else
+    `_read_block` in blocks of about STACK_BLOCK bytes cut between
+    members, and the rest of the document, the span replaced by 0, valid
+    JSON holding `matrices` once at the top level (under any spelling)
+    and a positive int `n`.  The span is sought back from the quote of
+    the key after it (`n` comes after `matrices`), since no stack text
+    holds a quote; neither reader accepts a span that holds an earlier
+    "]]]", so the one found is the first in every accepted span."""
     key = _MATRICES_KEY.match(raw)
     if key is None:
         return None
-    start, end = key.end(), raw.find(b"]]]", key.end()) + 3
+    start = key.end()
+    end = raw.rfind(b"]]]", start, raw.find(b'"', start)) + 3
     if end < 3:
         return None
     tops = []
@@ -442,18 +464,60 @@ def _canonical_doc(raw: bytes) -> dict | None:
     if [k for k, _ in tops[-1]].count("matrices") != 1 \
             or type(n) is not int or not 0 < n * n <= end - start:
         return None
-    member = _member_template(n, n, 1)[1:]
-    blocks, pos = [], start
-    while pos < end:
-        cut = raw.find(b"]],[[", pos + STACK_BLOCK, end)
-        cut = end if cut < 0 else cut + 2
-        blocks.append(_read_block(raw[pos:cut], member, n,
-                                  pos == start, cut == end))
-        if blocks[-1] is None:
-            return None
-        pos = cut
-    doc["matrices"] = np.concatenate(blocks)
+    doc["matrices"] = _digit_stack(raw, start, end, n, doc.get("p"))
+    if doc["matrices"] is None:
+        member = _member_template(n, n, 1)[1:]
+        blocks, pos = [], start
+        while pos < end:
+            cut = raw.find(b"]],[[", pos + STACK_BLOCK, end)
+            cut = end if cut < 0 else cut + 2
+            blocks.append(_read_block(raw[pos:cut], member, n,
+                                      pos == start, cut == end))
+            if blocks[-1] is None:
+                return None
+            pos = cut
+        doc["matrices"] = np.concatenate(blocks)
     return doc
+
+
+def _digit_stack(raw: bytes, start: int, end: int, n: int, p) -> np.ndarray | None:
+    """The read-only (N, n, n) stack on `stack_dtype(p)` of a span
+    raw[start:end] whose every number is one digit, read by the writer's
+    own layout: N rows of `_member_template(n, n, 1)`, the first opened by
+    "[" in place of its ",", then the closing "]".  Block by block of about
+    STACK_BLOCK / 8 bytes, the block's bytes less the template's go to a
+    work buffer, uint8: each must be 0 to 9, a range checked before any
+    signed cast (a "[" in a cell reads 43, a byte above 175 would wrap
+    negative on int8), and every nonzero one must sit in a number cell
+    (the strided cell view of `_members_text`), which the cells, copied
+    into the stack, show by holding as many nonzero digits.  None for any
+    other span (wider numbers, blocks of mixed widths, or text that is no
+    canonical stack), and when p is no int > 1 with an integer stack
+    dtype; `_read_block` then decides."""
+    member = np.frombuffer(_member_template(n, n, 1), np.uint8)
+    width = len(member)
+    count, spare = divmod(end - start - 1, width)
+    if spare or type(p) is not int or p < 2 or stack_dtype(p).kind != "i":
+        return None
+    buf = np.empty((min(count, max(1, STACK_BLOCK // (8 * width))), width), np.uint8)
+    cells = _cells(buf, n, n, 1)[..., 0]
+    stack = np.empty((count, n, n), dtype=stack_dtype(p))
+    for lo in range(0, count, len(buf)):
+        k = min(len(buf), count - lo)
+        text = np.frombuffer(raw, np.uint8, k * width, start + lo * width)
+        diff = np.subtract(text.reshape(k, width), member, out=buf[:k])
+        if not lo:  # the stack's "[" in place of the first member's ","
+            if diff[0, 0] != ord("[") - ord(","):
+                return None
+            diff[0, 0] = 0
+        if diff.max() > 9:
+            return None
+        digits = stack[lo:lo + k]  # written as unsigned: 0 to 9 either way, and no cast
+        np.copyto(digits.view(f"u{digits.itemsize}"), cells[:k])
+        if np.count_nonzero(digits) != np.count_nonzero(diff):
+            return None
+    stack.setflags(write=False)
+    return stack
 
 
 def _read_block(chunk: bytes, member: bytes, n: int, first: bool,
@@ -574,7 +638,7 @@ def _members_text(blk: np.ndarray, top: int) -> np.ndarray:
     template = np.frombuffer(_member_template(r, c, w), np.uint8)
     text = np.empty((k, len(template)), dtype=np.uint8)
     text[:] = template
-    cells = text[:, 2:].reshape(k, r, c * (w + 1) + 2)[:, :, 1:-1].reshape(k, r, c, w + 1)
+    cells = _cells(text, r, c, w)
     if w == 1:
         np.add(blk, ord("0"), out=cells[..., 0], casting="unsafe")
         return text.reshape(-1)
@@ -584,3 +648,13 @@ def _members_text(blk: np.ndarray, top: int) -> np.ndarray:
     digits[..., :-1] *= blk >= tens[:-1]
     cells[..., :w] = digits
     return text[text != 0]
+
+
+def _cells(text: np.ndarray, r: int, c: int, w: int) -> np.ndarray:
+    """The (k, r, c, w + 1) view of the number cells in k member rows of
+    `_member_template(r, c, w)` text, (k, L) bytes: each row's r rows of
+    c (w + 1) + 2 bytes after its leading ",[", less their brackets, so
+    cell [..., :w] is a number's w bytes and [..., w] the "," or "]" after
+    it."""
+    k = len(text)
+    return text[:, 2:].reshape(k, r, c * (w + 1) + 2)[:, :, 1:-1].reshape(k, r, c, w + 1)

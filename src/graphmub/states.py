@@ -32,10 +32,14 @@ row.  Splitting the qupits into a head of ceil(n/2) and a tail of
 floor(n/2), the exponent is a head part, a tail part and one bilinear
 term u.C v between them, so the sum is the head's phases times the
 tail's Fourier transform (the full sweep's kernel) read at the
-frequencies C^T u: O(p^ceil(n/2) n^2) per draw, not O(p^n n^2).  Exponents
-come from float64 matmuls against monomial tables, exact in integers
-while the (p, n) bound that verify_mu_numeric checks first holds;
-graph_state uses the same tables.
+frequencies C^T u: O(p^ceil(n/2) n^2) per draw, not O(p^n n^2).  The
+label's phases are a head part, in the head's exponents, and a tail part
+w_p^(k.v), which shifts the tail's transform by k, the digits of the
+tail label difference: it enters as an offset of the frequency index,
+C^T u + k, and adds no exponent column.  Exponents come from float64
+matmuls against monomial tables, exact in integers while the (p, n)
+bound that verify_mu_numeric checks first holds, signed coefficients
+included; graph_state uses the same tables.
 
 Gate conventions: the local phase gate is diag(i^k) for p = 2 and
 diag(w_p^{k(k-1)/2}) for p >= 3; the controlled phase multiplies
@@ -187,13 +191,15 @@ def _phase_table(p: int, n: int) -> np.ndarray:
 
 
 def _exponents(coefs: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Phase exponents mod M at all p^n inputs x, shape (..., p^n), for
-    coefficient rows (..., k) against the first k rows of _phase_table:
-    one float64 matmul, exact (see _check_exact)."""
-    m = _phase_modulus(p)
-    coefs = mod(np.array(coefs, dtype=np.int64), m)
+    """Phase exponents mod M at all p^n inputs x, int64 of shape (..., p^n),
+    for coefficient rows (..., k), integers in (-M, M) on any dtype (a
+    signed difference row, or float64 rows a caller filled), against the
+    first k rows of _phase_table: one float64 matmul, exact (see
+    _check_exact: every term is below (M - 1)^2 in magnitude), cast to
+    int64 and reduced mod M in place."""
     table = _phase_table(p, n)[: coefs.shape[-1]]
-    return mod((coefs.astype(np.float64) @ table).astype(np.int64), m)
+    return mod((coefs.astype(np.float64, copy=False) @ table).astype(np.int64),
+               _phase_modulus(p))
 
 
 def graph_state(a: MatZp) -> np.ndarray:
@@ -533,33 +539,42 @@ def _pair_violation(s: MubSet, r: int, t: int) -> tuple:
     return (r, t, 0, int(np.rint(p**n * devs).argmax()), float(devs.max()))
 
 
-def _frequencies(cross: np.ndarray, p: int, buffers) -> np.ndarray:
-    """Flat indices into an (N, p^l) array of the frequencies C^T u mod p
-    at every head input u, shape (N, p^h), for a chunk's blocks C
-    (N, h, l) with entries in (-p, p), a view of its difference rows.
-    For p = 2 they double over the head digits, least significant first:
-    the indices with head digit i = 1 are those with i = 0 XOR row i of C
-    packed in l bits, one in-place bitwise_xor per digit.  For odd p, a
+def _frequencies(cross: np.ndarray, lr: np.ndarray, ls: np.ndarray, p: int,
+                 buffers) -> np.ndarray:
+    """Flat indices into an (N, p^l) array of the frequencies C^T u + k mod
+    p at every head input u, shape (N, p^h), for a chunk's blocks C
+    (N, h, l) with entries in (-p, p), a view of its difference rows, and
+    k the digits of tail label ls minus those of tail label lr, labels in
+    [0, p^l): the tail's label phases shift its Fourier transform by k, so
+    they enter as this index offset, not as exponent columns.  For p = 2
+    the indices are built in the (2^h, N) layout of `buffers` and returned
+    transposed: row 0 is p^l r XOR ls XOR lr, and they double over the head
+    digits, least significant first: the rows with head digit i = 1 are
+    those with i = 0 XOR row i of C packed in l bits, one in-place
+    bitwise_xor per digit over N contiguous entries a row.  For odd p, a
     Horner combine over the l tail digits in two float64 buffers of the
-    output's size: C_j^T u from one matmul against the head's digits (C
-    reduced by `mod` first), and its remainder as x - p floor(x / p), all
-    exact (sums below h p^2, indices below N p^l).  Odd p fills the
-    caller's `buffers`, held across chunks: the floats (2, N, p^h), and
-    the int64 indices (N, p^h) it returns; p = 2 takes None."""
+    output's size: C_j^T u from one matmul against the head's digits, plus
+    k_j, and its remainder as x - p floor(x / p), all exact (|sums| below
+    (h + 1) p^2, indices below N p^l).  `buffers` are the caller's, held
+    across chunks: the int64 indices (2^h, N) for p = 2; for odd p the
+    floats (2, N, p^h) and the int64 indices (N, p^h) it returns."""
     rows, h, l = cross.shape
     if p == 2:
-        packed = (cross & 1) @ (1 << np.arange(l - 1, -1, -1))
-        out = np.empty((rows, 1 << h), dtype=np.int64)
-        out[:, 0] = np.arange(rows) << l
+        out = buffers
+        packed = ((cross & 1) @ (1 << np.arange(l - 1, -1, -1))).T
+        np.bitwise_xor(np.arange(rows) << l, ls ^ lr, out=out[0])
         for i in range(h):
-            np.bitwise_xor(out[:, :1 << i], packed[:, h - 1 - i, None], out=out[:, 1 << i:2 << i])
-        return out
-    cross = mod(np.array(cross), p).astype(np.float64)
+            np.bitwise_xor(out[:1 << i], packed[h - 1 - i], out=out[1 << i:2 << i])
+        return out.T
+    tail = _digits(p, l)
+    shift = (tail[ls] - tail[lr]).T.astype(np.float64)
+    cross = cross.astype(np.float64)
     head = _digits(p, h).T.astype(np.float64)
     (out, sums), index = buffers
     out[:] = np.arange(rows)[:, None]
     for j in range(l):  # out p + (sums mod p)
         np.matmul(cross[:, :, j], head, out=sums)
+        sums += shift[j, :, None]
         out *= p
         out += sums
         sums /= p
@@ -592,20 +607,22 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     [A_t - A_r, m_s - m_r].  Split x = (u, v) into its first h = ceil(n/2)
     and last l = floor(n/2) digits: e(u, v) = e_H(u) + e_L(v) + (M/p) u.C v
     with C the head-by-tail block of A_t - A_r, so the sum is
-    sum_u w_M^e_H(u) h_L(C^T u) with h_L the Fourier transform (_fourier)
-    of w_M^e_L, O(p^h n^2) per draw instead of O(d n^2), in chunks of
+    sum_u w_M^e_H(u) h_L(C^T u + k) with h_L the Fourier transform
+    (_fourier) of the tail's graph phases and k the tail label
+    difference, O(p^h n^2) per draw instead of O(d n^2), in chunks of
     about SAMPLE_CHUNK entries of the largest per-draw array, p^h max(l, 1).
     Each chunk gathers its draws' member rows straight from the stack, as
-    (N, n n) rows on its dtype, and takes the head's and the tail's
-    upper-triangle columns by index and C as a view, so no copy of the
-    family is made; those rows, the head's phases and the gathered h_L
-    fill buffers allocated once per call, as do _frequencies' indices for
-    odd p; the gathered h_L's buffer first holds the tail's phases, then
-    _frequencies' floats, each dead before the next is written.  So a
-    chunk's largest arrays are not page-faulted again each time the
-    allocator returns them;
-    _frequencies finds C^T u for every u by doubling over the head digits
-    (p = 2).  A draw against the computational basis takes
+    (N, n n) rows on its dtype, and writes the head's upper-triangle
+    columns and label difference, and the tail's upper-triangle columns,
+    as signed float64 coefficient rows, and takes C as a view, so no copy
+    of the family is made; those rows, the coefficient rows, the head's
+    phases, the gathered h_L and _frequencies' indices fill buffers
+    allocated once per call; the gathered h_L's buffer first holds the
+    tail's phases, then _frequencies' floats (odd p), each dead before the
+    next is written.  So a chunk's largest arrays are not page-faulted
+    again each time the allocator returns them;
+    _frequencies finds C^T u + k for every u by doubling over the head
+    digits (p = 2).  A draw against the computational basis takes
     _computational_dev."""
     p, n, d = s.p, s.n, s.dim
     h, l = n - n // 2, n // 2
@@ -621,14 +638,17 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
     dev = np.empty(len(r))
     graph = (r != comp) & (t != comp)
     dev[~graph] = _computational_dev(p, n)
-    head, tail = _digits(p, h), _digits(p, l)
+    head = _digits(p, h)
+    kh = len(head_cols)
     rows = max(1, SAMPLE_CHUNK // (p**h * max(l, 1)))
     # the buffers hold the graph draws of the busiest chunk
     most = int(np.add.reduceat(graph, np.arange(0, len(r), rows), dtype=np.intp).max())
     gather = np.empty((2, most, n * n), dtype=members.dtype)
+    head_coefs = np.empty((most, kh + h))
+    tail_coefs = np.empty((most, len(tail_cols)))
     phases = np.empty((2, most, p**h), dtype=np.complex128)
-    if p > 2 and l:  # _frequencies' indices; its floats take hat's bytes, as w_l does
-        index = np.empty((most, p**h), dtype=np.int64)
+    if l:  # _frequencies' indices; its odd-p floats take hat's bytes, as w_l does
+        index = np.empty((p**h, most) if p == 2 else (most, p**h), dtype=np.int64)
     for lo in range(0, len(r), rows):
         j = lo + np.flatnonzero(graph[lo:lo + rows])
         if j.size:
@@ -640,16 +660,19 @@ def _verify_sampled(s: MubSet, tol: float, draws) -> NumericReport:
             diff -= np.take(members, r[j], axis=0, out=sub, mode="clip")
             hr, lr = np.divmod(mr[j], p**l)
             hs, ls = np.divmod(ms[j], p**l)
-            np.take(roots, _exponents(np.hstack([diff[:, head_cols], head[hs] - head[hr]]),
-                                      p, h), out=amp, mode="clip")
-            if l:  # times h_L(C^T u) / sqrt(p^l); no tail at n = 1
+            coefs = head_coefs[:j.size]
+            coefs[:, :kh] = diff[:, head_cols]
+            np.subtract(head[hs], head[hr], out=coefs[:, kh:])
+            np.take(roots, _exponents(coefs, p, h), out=amp, mode="clip")
+            if l:  # times h_L(C^T u + k) / sqrt(p^l); no tail at n = 1
+                coefs = tail_coefs[:j.size]
+                coefs[:] = diff[:, tail_cols]
                 w_l = hat.reshape(-1)[:j.size * p**l].reshape(j.size, p**l)  # tail phases
-                h_l = _fourier(np.take(roots, _exponents(np.hstack([diff[:, tail_cols],
-                                                                    tail[ls] - tail[lr]]), p, l),
-                                       out=w_l, mode="clip"), p, l)
-                bufs = (hat.view(np.float64).reshape(2, j.size, p**h),
-                        index[:j.size]) if p > 2 else None
-                amp *= np.take(h_l.ravel(), _frequencies(diff.reshape(-1, n, n)[:, :h, h:], p, bufs),
+                h_l = _fourier(np.take(roots, _exponents(coefs, p, l), out=w_l, mode="clip"), p, l)
+                bufs = index[:, :j.size] if p == 2 else (
+                    hat.view(np.float64).reshape(2, j.size, p**h), index[:j.size])
+                cross = diff.reshape(-1, n, n)[:, :h, h:]
+                amp *= np.take(h_l.ravel(), _frequencies(cross, lr, ls, p, bufs),
                                out=hat, mode="clip")
             dev[j] = np.abs(np.abs(np.einsum("ij->i", amp)) ** 2 * scale - 1.0 / d)
     bad = np.flatnonzero(dev > tol)

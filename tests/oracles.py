@@ -362,20 +362,22 @@ def numeric_sampled_brute(s, draws, tol: float = 1e-10) -> NumericReport:
                          first_violation=first)
 
 
-def frequencies_brute(cross, p: int) -> np.ndarray:
+def frequencies_brute(cross, p: int, offset=None) -> np.ndarray:
     """The sampled check's tail-frequency indices for blocks C (N, h, l):
     for row r and each head input u (base-p digits, most significant
-    first, in computational order), the digits of C^T u mod p, one dot
-    product each, packed in base p, plus p^l r."""
+    first, in computational order), the digits (C^T u + k) mod p, one dot
+    product each plus the row's label offset k (N, l; zero when None),
+    packed in base p, plus p^l r."""
     rows, h, l = cross.shape
     out = np.empty((rows, p**h), dtype=np.int64)
     for r in range(rows):
         c = cross[r].tolist()
-        for k, u in enumerate(product(range(p), repeat=h)):
+        k = [0] * l if offset is None else list(offset[r])
+        for i, u in enumerate(product(range(p), repeat=h)):
             index = r
             for j in range(l):
-                index = index * p + sum(u[i] * c[i][j] for i in range(h)) % p
-            out[r, k] = index
+                index = index * p + (sum(u[a] * c[a][j] for a in range(h)) + k[j]) % p
+            out[r, i] = index
     return out
 
 

@@ -653,24 +653,33 @@ def test_verify_reads_stdin():
     assert "pass" in proc.stdout
 
 
-@pytest.mark.parametrize("command", ["gen", "export"])
+@pytest.mark.parametrize("command", ["gen", "export", "verify", "verify-fail", "example"])
 def test_closed_stdout_ends_quietly(tmp_path, command):
     # a reader that stops early (| head) got all it asked for: no
-    # traceback and exit 0, not the code for a failed verification
-    argv = ["gen", "-p", "2", "-n", "12"]
-    if command == "export":
-        path = tmp_path / "doc.json"
-        path.write_text(canonical_json(stack_document(mub_set(2, 12))))
-        argv = ["export", str(path)]
+    # traceback, and the exit code of the run (0, or 1 for a verification
+    # that fails after its first line), not that of a failed verification
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_json(stack_document(mub_set(2, 12))))
+    argv, code, err_head = {
+        "gen": (["gen", "-p", "2", "-n", "12"], 0, b""),
+        "export": (["export", str(path)], 0, b""),
+        "verify": (["verify", str(path), "--numeric", "--sample", "100"], 0, b""),
+        # the algebraic pass is written, then no deviation is at most 0
+        "verify-fail": (["verify", str(path), "--numeric", "--sample", "100", "--tol", "0"],
+                        1, b"FAIL numeric"),
+        "example": (["example", "appendix-d"], 0, b""),
+    }[command]
     proc = subprocess.Popen([sys.executable, "-m", "graphmub", *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    head = proc.stdout.read(64)
+    # gen and export fill the pipe, so they meet the close mid-write; the
+    # others write a few lines, after the reader has gone
+    head = proc.stdout.read(64) if command in ("gen", "export") else b""
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait() == 0
-    assert err == b""
-    assert head.startswith(b'{"d":')
+    assert proc.wait() == code
+    assert err.startswith(err_head) and err.count(b"\n") == (code == 1)
+    assert head.startswith(b'{"d":') or not head
 
 
 # -- fuzzed document mutations -------------------------------------------------

@@ -2,21 +2,30 @@
 bytes wide (w the digits of the block's largest entry), with zero bytes
 dropped only when w > 1, yielded a block at a time; every text must equal
 json.dumps of the stack's nested lists, and `_canonical_doc` must read
-back every width it accepts."""
+back every width it accepts.  The reader of one-digit spans
+(`_digit_stack`) must give what `_read_block`, `json.loads` and
+`from_document` give on every document, canonical or mutated, and hold
+one stack."""
 
 import json
 import random
+import tracemalloc
 from types import GeneratorType
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmub import mubs
+from graphmub.linalg import MatZp
 from graphmub.mubs import (
     canonical_parts,
     from_document,
     mub_set,
     read_document,
+    shift_set,
     stack_document,
 )
 
@@ -159,3 +168,112 @@ def test_document_text_is_made_lazily(monkeypatch):
     assert isinstance(parts, GeneratorType) and not built
     assert next(piece for piece in parts if piece.startswith("[[[")) and built == [4]
     assert next(parts).startswith(",[[") and built == [4, 4]
+
+
+def _canonical(s):
+    return "".join(canonical_parts(stack_document(s))).encode()
+
+
+def test_read_document_holds_one_stack():
+    # the caller holds the bytes; the reader adds the stack and one block
+    raw = _canonical(mub_set(2, 14))
+    tracemalloc.start()
+    try:
+        s = read_document(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * s.stack.nbytes, peak / s.stack.nbytes
+
+
+def _digit_docs():
+    """Canonical one-digit documents: fields, a shifted field, a
+    one-member family and n = 1."""
+    fams = [mub_set(2, 3), mub_set(3, 2), mub_set(7, 2), mub_set(2, 1), mub_set(5, 1),
+            shift_set(mub_set(3, 3), MatZp.identity(3, 3)),
+            mubs.MubSet(p=5, n=2, stack=mub_set(5, 2).stack[7:8])]
+    return [_canonical(s) for s in fams]
+
+
+DIGIT_DOCS = _digit_docs()
+
+
+def _outcome(raw):
+    """read_document's array and dtype, or its refusal: type and message."""
+    try:
+        s = read_document(raw)
+    except (ValueError, KeyError, RecursionError) as exc:
+        return type(exc), str(exc)
+    return s.stack.dtype, s.stack.shape, s.stack.tobytes()
+
+
+def test_digit_reader_reads_canonical_one_digit_spans():
+    # every document of the grid takes the template path; a span with a
+    # two-digit block does not, and _read_block still reads it
+    for raw in DIGIT_DOCS:
+        doc = mubs._canonical_doc(raw)
+        assert not doc["matrices"].flags.writeable  # made by _digit_stack
+        assert np.array_equal(read_document(raw).stack,
+                              from_document(json.loads(raw)).stack)
+    raw = _canonical(mub_set(11, 2))
+    assert mubs._canonical_doc(raw)["matrices"].flags.writeable
+
+
+def _span(raw):
+    start = mubs._MATRICES_KEY.match(raw).end()
+    return start, raw.find(b"]]]", start) + 3
+
+
+SPAN_MUTATION = st.one_of(
+    st.tuples(st.just("cell"), st.integers(0, 10**6),
+              st.sampled_from(b"[]" + bytes(range(176, 256)) + b"0123456789")),
+    st.tuples(st.just("byte"), st.integers(0, 10**6), st.integers(176, 255)),
+    st.tuples(st.just("drop"), st.integers(0, 10**6)),
+    st.tuples(st.just("comma"), st.integers(0, 10**6)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("append"), st.lists(st.integers(0, 9), min_size=1, max_size=25)),
+)
+
+
+def _mutate_span(raw, op):
+    """One byte or one member of a canonical document's span changed;
+    positions wrap around what the span holds."""
+    start, end = _span(raw)
+    kind, *args = op
+    span = raw[start:end]
+    if kind == "cell":  # a digit becomes a bracket, a high byte or any digit
+        digits = [i for i, b in enumerate(span) if chr(b).isdigit()]
+        i = digits[args[0] % len(digits)]
+        span = span[:i] + bytes([args[1]]) + span[i + 1:]
+    elif kind == "byte":
+        i = args[0] % len(span)
+        span = span[:i] + bytes([args[1]]) + span[i + 1:]
+    elif kind in ("drop", "comma"):
+        commas = [i for i, b in enumerate(span) if b == ord(",")]
+        i = commas[args[0] % len(commas)] if commas else 1
+        span = span[:i] + span[i + 1:] if kind == "drop" else span[:i] + b"," + span[i:]
+    elif kind == "truncate":  # the span ends early, its text kept up to there
+        span = span[:1 + args[0] % (len(span) - 1)] + b"]"
+    else:  # a member appended, its digits cycling through the list
+        n = json.loads(raw)["n"]
+        entries = [args[0][(i * n + j) % len(args[0])] for i in range(n) for j in range(n)]
+        member = [entries[i * n:i * n + n] for i in range(n)]
+        span = span[:-1] + b"," + json.dumps(member, separators=(",", ":")).encode() + b"]"
+    return raw[:start] + span + raw[end:]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(range(len(DIGIT_DOCS))), SPAN_MUTATION)
+def test_digit_reader_matches_block_reader_on_mutations(which, op):
+    # the same array, or the same refusal with the same message, as the
+    # block reader and as json.loads with from_document
+    raw = _mutate_span(DIGIT_DOCS[which], op)
+    got = _outcome(raw)
+    with mock.patch.object(mubs, "_digit_stack", lambda *args: None):
+        assert _outcome(raw) == got
+    try:
+        oracle = from_document(json.loads(mubs._text(raw)))
+    except (ValueError, KeyError, RecursionError) as exc:
+        assert got[0] is type(exc) and got[1] == str(exc)
+    else:
+        assert got == (oracle.stack.dtype, oracle.stack.shape, oracle.stack.tobytes())

@@ -31,6 +31,7 @@ from graphmub.states import (
     state_index,
     verify_mu_numeric,
     _computational_dev,
+    _digits,
     _frequencies,
     _sample_draws,
     _verify_sampled,
@@ -571,16 +572,22 @@ def test_sampled_check_matches_brute(monkeypatch, p, n, kind):
                                    for h, l in ((1, 1), (2, 1), (3, 2), (5, 5), (6, 5))
                                    if p**h <= 20000])  # the oracle walks all p^h inputs
 def test_frequencies_match_brute(p, h, l):
-    # a chunk passes C as a view of its raw differences, in (-p, p)
+    # a chunk passes C as a view of its raw differences, in (-p, p), and
+    # the tail labels whose digit differences k shift every frequency
     rng = np.random.default_rng(p * 100 + h * 10 + l)
     diff = rng.integers(-p + 1, p, size=(3, h + l, h + l))
     cross = diff[:, :h, h:]
-    buffers = None
-    if p > 2:  # odd p fills a caller's buffers, stale entries and all
-        buffers = np.full((2, 3, p**h), 7.5), np.full((3, p**h), -1, dtype=np.int64)
-    got = _frequencies(cross, p, buffers)
-    assert buffers is None or got is buffers[1]
-    assert np.array_equal(got, frequencies_brute(cross, p))
+    tail = _digits(p, l)
+    lr = rng.integers(p**l, size=3)
+    ls = (lr + rng.integers(1, p**l, size=3)) % p**l  # every offset nonzero
+    for lr, ls in ((lr, lr), (lr, ls)):
+        if p == 2:  # the (2^h, N) layout, returned transposed
+            buffers = np.full((2**h, 3), -1, dtype=np.int64)
+        else:  # odd p fills a caller's buffers, stale entries and all
+            buffers = np.full((2, 3, p**h), 7.5), np.full((3, p**h), -1, dtype=np.int64)
+        got = _frequencies(cross, lr, ls, p, buffers)
+        assert np.shares_memory(got, buffers if p == 2 else buffers[1])
+        assert np.array_equal(got, frequencies_brute(cross, p, tail[ls] - tail[lr]))
 
 
 @pytest.mark.parametrize("n", [2, 4])
