@@ -9,7 +9,9 @@ except the seeded sampler).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -281,61 +283,63 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    lines = []
+    # the example prints as it goes; its text is sent on through _write,
+    # so a reader that closes stdout early ends it quietly
     example = _example_three_qutrits if args.name == "appendix-c" else _example_three_qubits
-    ok = example(lines.append)
-    _write([line + "\n" for line in lines], None)
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        code = example()
+    _write([text.getvalue()], None)
+    return code
 
 
-def _example_three_qutrits(say) -> bool:
+def _example_three_qutrits() -> int:
     f = PolyZp(3, [1, 2, 1, 1])
-    say(f"polynomial f = {f} over Z_3 (irreducible: {f.is_irreducible()})")
+    print(f"polynomial f = {f} over Z_3 (irreducible: {f.is_irreducible()})")
     rep = symmetrize_companion(f)
-    say("companion matrix C:")
-    say(_fmt_matrix(rep.companion))
+    print("companion matrix C:")
+    print(_fmt_matrix(rep.companion))
     b0 = symmetrizing_form_odd(f)
-    say("base form B_0:")
-    say(_fmt_matrix(b0))
-    say(f"det(B_0) = {b0.det()}")
-    say(f"multiplier g = {rep.multiplier}")
-    say("congruence transform P with P (g B_0) P^T = 1:")
-    say(_fmt_matrix(rep.transform))
-    say("P^-1:")
-    say(_fmt_matrix(rep.transform.inverse()))
-    say("symmetric seed Q = P C P^-1:")
-    say(_fmt_matrix(rep.q))
-    say("Q^2:")
-    say(_fmt_matrix(rep.q @ rep.q))
+    print("base form B_0:")
+    print(_fmt_matrix(b0))
+    print(f"det(B_0) = {b0.det()}")
+    print(f"multiplier g = {rep.multiplier}")
+    print("congruence transform P with P (g B_0) P^T = 1:")
+    print(_fmt_matrix(rep.transform))
+    print("P^-1:")
+    print(_fmt_matrix(rep.transform.inverse()))
+    print("symmetric seed Q = P C P^-1:")
+    print(_fmt_matrix(rep.q))
+    print("Q^2:")
+    print(_fmt_matrix(rep.q @ rep.q))
     fam = mub_set(3, 3, method="companion", poly=f)
     report = verify_mu_condition(fam)
-    say(f"family: {len(fam.stack)} adjacency matrices; "
-        f"difference condition {'pass' if report.ok else 'FAIL'}; "
-        f"{fam.num_bases} mutually unbiased bases including computational")
-    return report.ok
+    print(f"family: {len(fam.stack)} adjacency matrices; "
+          f"difference condition {'pass' if report.ok else 'FAIL'}; "
+          f"{fam.num_bases} mutually unbiased bases including computational")
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
-def _example_three_qubits(say) -> bool:
+def _example_three_qubits() -> int:
     d = (1, 0, 0)
     rep = tridiagonal_rep(2, d)
-    say(f"diagonal d = {d} over Z_2")
-    say("tridiagonal seed Q:")
-    say(_fmt_matrix(rep.q))
-    say(f"characteristic polynomial: {rep.f} "
-        f"(irreducible: {rep.f.is_irreducible()}, primitive: {rep.f.is_primitive()})")
+    print(f"diagonal d = {d} over Z_2")
+    print("tridiagonal seed Q:")
+    print(_fmt_matrix(rep.q))
+    print(f"characteristic polynomial: {rep.f} "
+          f"(irreducible: {rep.f.is_irreducible()}, primitive: {rep.f.is_primitive()})")
     fam = mub_set(2, 3, d=d)
     for k in range(3):
-        say(f"fundamental graph Q^{k}:")
-        say(_fmt_matrix(rep.q**k))
-    say("all adjacency matrices (index: coefficient vector a_0,a_1,a_2):")
+        print(f"fundamental graph Q^{k}:")
+        print(_fmt_matrix(rep.q**k))
+    print("all adjacency matrices (index: coefficient vector a_0,a_1,a_2):")
     for idx, m in enumerate(fam.matrices):
-        say(f"  index {idx}, coefficients {fam.coeff_vector(idx)}:")
+        print(f"  index {idx}, coefficients {fam.coeff_vector(idx)}:")
         for row in m.rows:
-            say("    " + " ".join(map(str, row)))
+            print("    " + " ".join(map(str, row)))
     report = verify_mu_condition(fam)
-    say(f"difference condition {'pass' if report.ok else 'FAIL'}; "
-        f"{fam.num_bases} mutually unbiased bases including computational")
-    return report.ok
+    print(f"difference condition {'pass' if report.ok else 'FAIL'}; "
+          f"{fam.num_bases} mutually unbiased bases including computational")
+    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
 
 
 _HANDLERS = {

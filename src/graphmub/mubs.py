@@ -100,7 +100,10 @@ class MubSet:
             if stack.size and not 0 <= int(stack.min()) <= int(stack.max()) < p:
                 stack = np.remainder(stack, p, dtype=np.promote_types(
                     stack.dtype, np.min_scalar_type(p)))
-            stack = stack.astype(stack_dtype(p), copy=stack.flags.writeable)
+            # an array of its own that is read-only is kept (the reader's
+            # stack); a caller's writable array or view of one is copied
+            stack = stack.astype(stack_dtype(p),
+                                 copy=stack.flags.writeable or stack.base is not None)
             if stack.ndim != 3 or stack.shape[1:] != (n, n) or not _symmetric(stack):
                 raise ValueError("adjacency matrices must be symmetric and n x n")
         stack.setflags(write=False)
@@ -540,9 +543,6 @@ def _read_block(chunk: bytes, member: bytes, n: int, first: bool,
     zeros = (b"[" if first else b",") + b",".join([member] * k) + b"]" * last
     if spare or np.where(more, 120, c).tobytes().translate(_AS_ZERO, b"x") != zeros:
         return None
-    digits = np.frombuffer(chunk.translate(None, b"[],"), np.uint8) - 48
-    if len(digits) == k * n * n:  # one digit per number
-        return digits.reshape(k, n, n)
     starts, ends = (np.flatnonzero(np.diff(isd)) + 1).reshape(-1, 2).T
     width = ends - starts
     w = int(width.max())

@@ -452,6 +452,24 @@ def test_stack_is_the_stored_family():
             MubSet(p=2, n=2, stack=[[[0, 0], [0, 0]]], shifts=(shift,))
 
 
+def test_stack_is_not_shared_with_a_callers_array():
+    # a caller's array, or a read-only view of it, is copied: a later write
+    # to the array leaves the family (and its cached properties) as built
+    base = qubit_triple_family().stack.copy()
+    view = base[:]
+    view.setflags(write=False)
+    for given in (base, view):
+        fam = MubSet(p=2, n=3, stack=given)
+        assert not np.shares_memory(fam.stack, base)
+        before = fam.stack.copy()
+        base[1] ^= 1
+        assert np.array_equal(fam.stack, before)
+    # a read-only array that owns its memory (the document reader's) is kept
+    owned = qubit_triple_family().stack.copy()
+    owned.setflags(write=False)
+    assert MubSet(p=2, n=3, stack=owned).stack is owned
+
+
 def test_family_sizes_examples():
     assert mub_set(2, 3).num_bases == 9
     assert mub_set(3, 3).num_bases == 28
