@@ -7,8 +7,11 @@ cut, so a basis is biseparable exactly when its edge graph is
 disconnected.
 
 Every rank comes from one table, `_rank_table`: the rank of each member
-of the (N, n, n) family stack at each cut asked for.  Cuts with the same
-|X| share a crossing shape, with c columns from the smaller side.  For
+of the (N, n, n) family stack at each cut asked for.  Cuts are arrays,
+not objects: `_all_cuts` gives, for each |X|, one int array of X sides
+and one of Y sides, and a named `Bipartition` is a one-row pair of the
+same kind.  The cuts whose smaller side has c vertices share a crossing
+shape, (n - c) x c, each cut's block taken in its own orientation.  For
 p = 2 a rank is counted, not eliminated: a block's kernel holds
 2^(c - rank) of the 2^c subsets of its columns, and with each column one
 word of bits, the XORs of all subsets double over the columns
@@ -20,28 +23,27 @@ of one) all read this table, and a purity is one lookup per rank.
 `analysis_report` builds the report as a dict; `analysis_parts` writes
 its canonical JSON straight from the table, block by block, through one
 pre-encoded text per rank value, so no per-member int or str is built.
+The keys of the cuts are laid out by the same gather, into one
+fixed-width bytes array that sorts in their str order.
 
 Purities are exact rationals, so the averaged-purity identity over a
 complete family,
 
     (1 + sum_i p^{-rank_i}) / (p^n + 1) = (d_X + d_Y) / (d_X d_Y + 1),
 
-is checked with exact equality: the left side is one Fraction built from
-the rank histogram of the cut's row, and the right side depends only on
-|X|.  Labels come from one pass over the stack's boolean edge arrays.
-Self-loops (diagonal entries) are local operations and never affect any
-classification here.
+is checked with exact equality: the left side's numerators are summed
+from the table, one Fraction per distinct value, and the right side
+depends only on |X|.  Labels come from a walk over each member's packed
+neighbour words.  Self-loops (diagonal entries) are local operations and
+never affect any classification here.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import mul
 
 import numpy as np
 
@@ -58,12 +60,13 @@ BISEPARABLE = "biseparable-structure"
 
 # Most (cut, member) pairs an all-cuts report takes.  On one BLAS thread
 # of a 2-vCPU Xeon VM (a shared host) the rank table costs about
-# 0.03-0.05 us per pair ((2,10) to (2,12)) plus 1.3 us per cut (one
+# 0.03-0.04 us per pair ((2,10) to (2,12)) plus 0.2-0.3 us per cut (one
 # member, n = 16 and 17), and CLI `analyze` takes 0.8-1.2 s for a
-# complete (2,12) family (0.25-0.4 s of ranks) and about 1.1 s for one
-# member at n = 17.  A cut counts as at least 2^7 members, so these fit;
-# (2,13), a report of 33M ranks (a 268 MB int64 table), and one member
-# at n = 18 do not.
+# complete (2,12) family (about 0.27 s of ranks and 0.27 s of report
+# text) and 0.3-0.5 s for one member at n = 17.  A cut counts as at
+# least 2^7 members, so these fit; (2,13), a report of 33M ranks (a 268
+# MB int64 table), and one member at n = 18 do not (the latter's report
+# takes 0.24-0.34 s in process, at a peak RSS of 114 MiB).
 ALL_CUTS_LIMIT = 2**23
 
 # Widest crossing (columns) whose p = 2 ranks `_count_kernels` counts.
@@ -113,92 +116,123 @@ class Bipartition:
 
 
 def all_bipartitions(n: int) -> list[Bipartition]:
-    """One orientation per split (vertex 1 kept on the X side)."""
-    out = []
-    for size in range(1, n):
-        for rest in combinations(range(2, n + 1), size - 1):
-            out.append(Bipartition(x=(1,) + rest,
-                                   y=tuple(v for v in range(2, n + 1) if v not in rest)))
-    return out
+    """One orientation per split (vertex 1 kept on the X side), in the
+    order of `_all_cuts`."""
+    return [Bipartition(x=tuple(x), y=tuple(y))
+            for xs, ys in _all_cuts(n) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def _all_cuts(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every cut with vertex 1 on the X side, as arrays: for each |X| from
+    1 to n - 1, the X sides (vertex 1 and each (|X| - 1)-subset of [2, n],
+    in `combinations` order) and their complements, the Y sides, one row
+    per cut (1-based, ascending).  The r-subsets grow from the (r - 1)-
+    subsets, each row followed by every vertex after its last, and the
+    complements of the r-subsets are the (n - 1 - r)-subsets in reverse."""
+    levels = [np.zeros((1, 0), dtype=np.intp)]  # the r-subsets of [2, n]
+    for r in range(1, n):
+        last = levels[-1][:, -1] if r > 1 else np.ones(1, dtype=np.intp)
+        counts = n - last
+        starts = np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        levels.append(np.hstack([np.repeat(levels[-1], counts, axis=0),
+                                 (np.arange(counts.sum()) - starts)[:, None]]))
+    return [(np.hstack([np.ones((len(levels[x - 1]), 1), dtype=np.intp), levels[x - 1]]),
+             levels[n - x][::-1]) for x in range(1, n)]
+
+
+def _sides(bips: list[Bipartition]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Named cuts in the form of `_all_cuts`: a one-row pair each."""
+    return [(np.array([b.x], dtype=np.intp), np.array([b.y], dtype=np.intp)) for b in bips]
 
 
 def connectivity_rank(a: MatZp, b: Bipartition) -> int:
     """Z_p-rank of the |X| x |Y| off-diagonal block selected by b: the
     rank table of a stack of one at one cut."""
-    return int(_rank_table(np.array([a.rows], dtype=np.int64), a.p, [b])[0, 0])
+    return int(_rank_table(np.array([a.rows], dtype=np.int64), a.p, _sides([b]))[0, 0])
 
 
-def _crossing(m: np.ndarray, b: Bipartition) -> np.ndarray:
-    """The X rows and Y columns of an (n, n) matrix, or of every member of
-    an (N, n, n) stack."""
-    return m[..., [v - 1 for v in b.x], :][..., [v - 1 for v in b.y]]
-
-
-def _rank_table(stack: np.ndarray, p: int, bips: list[Bipartition]) -> np.ndarray:
+def _rank_table(stack: np.ndarray, p: int,
+                cuts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """connectivity_rank of every member of an (N, n, n) stack at every
-    cut of bips: an int64 (len(bips), N) table.  The cuts of one |X|
-    share a crossing shape, taken tall (the transpose when |X| < |Y|: the
-    same rank), so its c columns come from the smaller side.  For p = 2
-    (n <= 64, c <= KERNEL_BITS) the ranks come from `_count_kernels`;
-    otherwise the (cut, member) pairs, cut after cut, are gathered by flat
-    offsets into the stack, GATHER_BLOCK entries at a time, and each
-    gather is one stacked elimination."""
+    cut, given as (X sides, Y sides) array pairs (`_all_cuts`, `_sides`):
+    an int64 table with one row per cut, pair after pair, and one column
+    per member.  The cuts whose smaller side has c vertices share a
+    crossing shape: each cut's block A[X, Y], taken tall (its transpose,
+    the same rank, when |X| < |Y|), has c columns from the smaller side.
+    For p = 2 (n <= 64, c <= KERNEL_BITS) the ranks come from
+    `_count_kernels`; otherwise the (cut, member) pairs of one c are
+    gathered by flat offsets into the stack, GATHER_BLOCK entries at a
+    time, and each gather is one stacked elimination."""
     count, n = len(stack), stack.shape[-1]
-    sizes = {}  # the cuts of each |X|
-    for i, b in enumerate(bips):
-        if b.n != n:
+    shapes = {}  # per c, the rows and sides of its cuts
+    rows = 0
+    for xs, ys in cuts:
+        x = xs.shape[1]
+        if x + ys.shape[1] != n:
             raise ValueError("bipartition size does not match the matrices")
-        sizes.setdefault(len(b.x), []).append(i)
+        shapes.setdefault(min(x, n - x), []).append((np.arange(rows, rows + len(xs)), xs, ys))
+        rows += len(xs)
     flat = stack.reshape(-1)
-    cells = np.arange(n * n).reshape(n, n)
-    table = np.zeros((len(bips), count), dtype=np.int64)
-    lines = {}  # per orientation, every member's packed rows or columns
-    for x in sorted(sizes):
-        cuts = np.array(sizes[x])
-        tall = 2 * x < n
-        if p == 2 and n <= 64 and min(x, n - x) <= KERNEL_BITS:
-            if tall not in lines:
-                lines[tall] = _packed_rows(stack if tall else stack.transpose(0, 2, 1))
-            picks = np.array([bips[i].x if tall else bips[i].y for i in cuts]) - 1
-            _count_kernels(table, cuts, picks, lines[tall])
+    table = np.zeros((rows, count), dtype=np.int64)
+    lines = None  # every member's packed rows, then its packed columns
+    for c, groups in shapes.items():
+        index = np.concatenate([r for r, _, _ in groups])
+        if p == 2 and n <= 64 and c <= KERNEL_BITS:
+            if lines is None:
+                odd = (stack & 1) != 0
+                lines = _words(np.concatenate([odd, odd.transpose(0, 2, 1)], axis=1))[..., 0]
+            # X picks rows of the member, Y picks columns (lines n and on)
+            picks = np.concatenate([xs - 1 if 2 * xs.shape[1] < n else ys - 1 + n
+                                    for _, xs, ys in groups])
+            _count_kernels(table, index, picks, lines)
             continue
-        offsets = np.array([_crossing(cells, bips[i]) for i in cuts])
-        if tall:
-            offsets = offsets.transpose(0, 2, 1)
-        shape = offsets.shape[1:]
-        offsets = offsets.reshape(len(cuts), -1)
-        pairs, step = len(cuts) * count, max(1, GATHER_BLOCK // offsets.shape[1])
+        offsets = []
+        for _, xs, ys in groups:
+            block = (xs - 1)[:, :, None] * n + (ys - 1)[:, None, :]
+            offsets.append((block.transpose(0, 2, 1) if 2 * xs.shape[1] < n else block)
+                           .reshape(len(xs), -1))
+        offsets = np.concatenate(offsets)
+        pairs, step = len(index) * count, max(1, GATHER_BLOCK // offsets.shape[1])
         for start in range(0, pairs, step):
             cut, member = np.divmod(np.arange(start, min(start + step, pairs)), count)
             block = np.take(flat, (member * n * n)[:, None] + offsets[cut])
-            table[cuts[cut], member] = eliminate_stack(block.reshape(-1, *shape), p)
+            table[index[cut], member] = eliminate_stack(block.reshape(-1, n - c, c), p)
     return table
 
 
-def _packed_rows(stack: np.ndarray) -> np.ndarray:
-    """Each row of each member of an (N, n, n) stack as one unsigned word
-    (n <= 64) of its parities: bit k of row i is entry (i, k) mod 2."""
-    n = stack.shape[-1]
-    word = np.min_scalar_type((1 << n) - 1)
-    bits = np.bitwise_and(stack, 1, dtype=word, casting="unsafe")
-    return bits @ (np.ones(1, word) << np.arange(n, dtype=word))
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Boolean (..., n) rows packed into words, bit k of a row's word w
+    set when entry w B + k is: (..., 1) words of B bits, the narrowest
+    unsigned type, for n <= 64, else (..., ceil(n / 64)) words of 64."""
+    n = bits.shape[-1]
+    word = np.min_scalar_type((1 << min(n, 64)) - 1)
+    width = 8 * word.itemsize
+    count = -(-n // width)
+    if count > 1:
+        bits = np.concatenate([bits, np.zeros(bits.shape[:-1] + (count * width - n,), bool)],
+                              axis=-1)
+    per = bits.shape[-1] // count
+    return (bits.reshape(*bits.shape[:-1], count, per)
+            @ (np.ones(1, word) << np.arange(per, dtype=word)))
 
 
 def _count_kernels(table: np.ndarray, cuts: np.ndarray, picks: np.ndarray,
                    lines: np.ndarray) -> None:
     """Fill rows cuts of a p = 2 rank table, where cut k has the smaller
-    side picks[k] (c vertices, 0-based) and T the rest.  Column s of a
-    crossing block is line s of the member masked to T (lines: (N, n)
-    words from `_packed_rows`), so the block sends v in Z_2^c to the XOR
-    of the lines it picks, and its kernel holds 2^(c - rank) vectors.  The
-    XORs of every subset double over the c lines (as `states._frequencies`
-    does), one in-place XOR per line, for a rectangle of cuts and members
-    of about SPAN_BLOCK subsets in all; the zeros among them are the
-    kernel, and rank = c + 1 - the exponent `np.frexp` reads off that
-    power of two."""
+    side picks[k] (c lines, 0-based; line s < n is row s of the member,
+    line n + s its column s, so the picked vertices are picks mod n) and
+    T the rest.  Column s of a crossing block is line s masked to T
+    (lines: (N, 2n) words from `_words`), so the block sends v in Z_2^c
+    to the XOR of the lines it picks, and its kernel holds 2^(c - rank)
+    vectors.  The XORs of every subset double over the c lines (as
+    `states._frequencies` does), one in-place XOR per line, for a
+    rectangle of cuts and members of about SPAN_BLOCK subsets in all; the
+    zeros among them are the kernel, and rank = c + 1 - the exponent
+    `np.frexp` reads off that power of two."""
     count = len(lines)
     # every bit but S's (a line has no bits above n)
-    masks = ~np.bitwise_or.reduce(np.ones(1, lines.dtype) << picks.astype(lines.dtype), axis=1)
+    vertices = (picks % (lines.shape[1] // 2)).astype(lines.dtype)
+    masks = ~np.bitwise_or.reduce(np.ones(1, lines.dtype) << vertices, axis=1)
     c = picks.shape[1]
     members = max(1, min(count, SPAN_BLOCK >> c))
     width = max(1, (SPAN_BLOCK >> c) // members)
@@ -236,25 +270,31 @@ class DesignCheck:
     passed: bool
 
 
-def _design_checks(p: int, n: int, bips: list[Bipartition],
-                   table: np.ndarray) -> list[DesignCheck]:
-    """The design identity at each cut of bips, from its row of the rank
-    table: the averaged purity of a complete family whose N graph bases
-    have k_r members of rank r, and the computational basis purity 1,
+def _design(p: int, n: int, cuts: list[tuple[np.ndarray, np.ndarray]],
+            table: np.ndarray) -> tuple[list[tuple[Fraction, Fraction]], np.ndarray]:
+    """The design identity at each cut, from its row of the rank table:
+    the averaged purity of a complete family whose N graph bases have
+    k_r members of rank r, and the computational basis purity 1,
 
         (p^n + sum_r k_r p^(n-r)) / (p^n (N + 1)),
 
-    against the Haar value (p^|X| + p^|Y|) / (p^n + 1), once per |X|."""
-    d = p**n
-    haar = {x: Fraction(p**x + p ** (n - x), d + 1) for x in {len(b.x) for b in bips}}
-    weights = [p ** (n - r) for r in range(n + 1)]
-    checks = []
-    for b, ranks in zip(bips, table):
-        lhs = Fraction(d + sum(map(mul, np.bincount(ranks).tolist(), weights)),
-                       d * (len(ranks) + 1))
-        rhs = haar[len(b.x)]
-        checks.append(DesignCheck(lhs=lhs, rhs=rhs, passed=lhs == rhs))
-    return checks
+    against the Haar value (p^|X| + p^|Y|) / (p^n + 1).  The numerators
+    are summed from the table a block of REPORT_BLOCK ranks at a time
+    (they stay below p^n (N + 1), so int64 holds them); one Fraction is
+    built per distinct numerator and per size.  Returns the distinct
+    (lhs, rhs) pairs and each cut's index into them."""
+    d, count = p**n, table.shape[1]
+    weights = np.array([p ** (n - r) for r in range(n // 2 + 1)], dtype=np.int64)
+    step = max(1, REPORT_BLOCK // max(1, count))
+    sums = [np.take(weights, table[a:a + step]).sum(axis=1) for a in range(0, len(table), step)]
+    values, which = np.unique(np.concatenate(sums + [np.zeros(0, np.int64)]),
+                              return_inverse=True)
+    lhs = [Fraction(d + v, d * (count + 1)) for v in values.tolist()]
+    sizes = np.repeat(np.array([min(xs.shape[1], n - xs.shape[1]) for xs, _ in cuts],
+                               dtype=np.int64), [len(xs) for xs, _ in cuts])
+    pairs, index = np.unique(which * (n // 2 + 1) + sizes, return_inverse=True)
+    return [(lhs[v], Fraction(p**c + p ** (n - c), d + 1))
+            for v, c in (divmod(pair, n // 2 + 1) for pair in pairs.tolist())], index
 
 
 def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
@@ -268,7 +308,10 @@ def design_purity_check(s: MubSet, b: Bipartition) -> DesignCheck:
             f"complete family required: expected {s.dim} matrices, "
             f"got {len(s.stack)}"
         )
-    return _design_checks(s.p, s.n, [b], _rank_table(s.stack, s.p, [b]))[0]
+    cuts = _sides([b])
+    pairs, index = _design(s.p, s.n, cuts, _rank_table(s.stack, s.p, cuts))
+    lhs, rhs = pairs[index[0]]
+    return DesignCheck(lhs=lhs, rhs=rhs, passed=lhs == rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +332,30 @@ def classify_basis(a: MatZp) -> str:
 
 
 def _labels(stack: np.ndarray, p: int) -> list[str]:
-    """classify_basis of every member of an (N, n, n) stack reduced mod p:
-    the set reached from vertex 0 grows by one edge step per pass, and
-    n - 1 passes reach its whole component."""
-    n = stack.shape[1]
-    edges = (stack != 0) & ~np.eye(n, dtype=bool)
-    degrees = edges.sum(axis=2)
-    reached = np.broadcast_to(np.arange(n) == 0, stack.shape[:2])
+    """classify_basis of every member of an (N, n, n) stack reduced mod p.
+    Each vertex's neighbours are packed into words (`_words`); the set
+    reached from vertex 0, a word per member, grows by the neighbours of
+    the vertices it holds, one edge step per pass, until no member's set
+    grows (n - 1 passes reach a whole component)."""
+    count, n = stack.shape[:2]
+    edges = stack != 0
+    edges[:, np.arange(n), np.arange(n)] = False
+    degrees = np.count_nonzero(edges, axis=2)
+    neighbours = _words(edges)
+    bit, shift = np.divmod(np.arange(n), 8 * neighbours.itemsize)
+    shift = shift.astype(neighbours.dtype)
+    reached = np.zeros((count, neighbours.shape[2]), dtype=neighbours.dtype)
+    reached[:, 0] = 1
     for _ in range(n - 1):
-        reached = reached | (reached[:, :, None] & edges).any(axis=1)
+        held = (reached[:, bit] >> shift) & 1  # (N, n): 1 where the vertex is reached
+        grown = reached | np.bitwise_or.reduce(neighbours * held[:, :, None], axis=1)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    connected = (reached == _words(np.ones(n, dtype=bool))).all(axis=1)
     hubs = (degrees == n - 1).sum(axis=1)  # complete graph, or a star
     ghz = (hubs == n) | ((hubs == 1) & ((degrees == 1).sum(axis=1) == n - 1))
-    return np.select([~degrees.any(axis=1), ~reached.all(axis=1), ghz & (p == 2)],
+    return np.select([~degrees.any(axis=1), ~connected, ghz & (p == 2)],
                      [FULLY_SEPARABLE, BISEPARABLE, GHZ_TYPE], GENUINELY_MULTIPARTITE).tolist()
 
 
@@ -318,92 +373,119 @@ def census(s: MubSet, include_computational: bool = False) -> dict[str, int]:
 
 def _analysis(s: MubSet, bipartitions) -> tuple:
     """What a report holds: its fields other than the bipartitions, the
-    cuts, their rank table, and their design checks (None unless the
-    family is complete).  All bipartitions by default; ValueError, before
-    any is built, if they are over ALL_CUTS_LIMIT."""
+    keys of the cuts (`_keys`), their rank table, and their design pairs
+    and indices (`_design`; None unless the family is complete).  All
+    bipartitions by default; ValueError, before any is built, if they are
+    over ALL_CUTS_LIMIT."""
     if bipartitions is None:
-        cuts = 2 ** (s.n - 1) - 1
-        if cuts * max(len(s.stack), 2**7) > ALL_CUTS_LIMIT:
-            raise ValueError(f"all {cuts} bipartitions of n = {s.n} times "
+        count = 2 ** (s.n - 1) - 1
+        if count * max(len(s.stack), 2**7) > ALL_CUTS_LIMIT:
+            raise ValueError(f"all {count} bipartitions of n = {s.n} times "
                              f"max({len(s.stack)} members, 128) exceed "
                              f"ALL_CUTS_LIMIT = {ALL_CUTS_LIMIT}; name a bipartition")
-        bipartitions = all_bipartitions(s.n)
-    bips = list(bipartitions)
-    table = _rank_table(s.stack, s.p, bips)
-    checks = _design_checks(s.p, s.n, bips, table) if len(s.stack) == s.dim else None
+        cuts = _all_cuts(s.n)
+    else:
+        cuts = _sides(list(bipartitions))
+    table = _rank_table(s.stack, s.p, cuts)
+    design = _design(s.p, s.n, cuts, table) if len(s.stack) == s.dim else None
     labels = _labels(s.stack, s.p)
     head = {"p": s.p, "n": s.n, "labels": labels, "census": dict(Counter(labels)),
             "computational_basis": FULLY_SEPARABLE}
-    return head, bips, table, checks
+    return head, _keys(s.n, cuts), table, design
+
+
+def _keys(n: int, cuts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Bipartition.key of every cut, in table order, as one bytes array:
+    each key holds every vertex once, so all have one width.  A key is
+    the texts ",v" of its X then Y vertices, "|v" for the first of Y, laid
+    out by `_laid_out`, with the leading "," dropped."""
+    texts = [f",{v}" for v in range(1, n + 1)] + [f"|{v}" for v in range(1, n + 1)]
+    width = sum(map(len, texts[:n]))
+    codes = _codes(texts)
+    keys = [np.zeros(0, dtype=f"S{width - 1}")]
+    for xs, ys in cuts:
+        text = _laid_out(np.hstack([xs - 1, ys[:, :1] + n - 1, ys[:, 1:] - 1]), codes)
+        keys.append(np.ascontiguousarray(text.reshape(-1, width)[:, 1:]).view(keys[0].dtype)
+                    .reshape(-1))
+    return np.concatenate(keys)
 
 
 def analysis_report(s: MubSet, bipartitions=None) -> dict:
     """Per-graph ranks, purities and labels, keyed by bipartition,
     plus the exact two sides of the design identity (see `_analysis`)."""
-    report, bips, table, checks = _analysis(s, bipartitions)
+    report, keys, table, design = _analysis(s, bipartitions)
     report["bipartitions"] = {}
     purity = np.array([str(Fraction(1, s.p**r)) for r in range(s.n + 1)], dtype=object)
-    for i, (b, ranks) in enumerate(zip(bips, table)):
+    pairs, index = design or ([], np.zeros(len(table), dtype=np.intp))
+    for key, ranks, i in zip(keys.tolist(), table, index.tolist()):
         entry = {"ranks": ranks.tolist(), "purities": purity[ranks].tolist()}
-        if checks is not None:
-            entry.update(design_lhs=str(checks[i].lhs), design_rhs=str(checks[i].rhs),
-                         design_pass=checks[i].passed)
-        report["bipartitions"][b.key()] = entry
+        if design is not None:
+            lhs, rhs = pairs[i]
+            entry.update(design_lhs=str(lhs), design_rhs=str(rhs), design_pass=lhs == rhs)
+        report["bipartitions"][key.decode()] = entry
     return report
 
 
 def analysis_parts(s: MubSet, bipartitions=None) -> Iterator[str]:
     """canonical_json(analysis_report(s, bipartitions)) as an iterator of
     pieces, written straight from the rank table: no Python int or str is
-    built per member and rank.  The cuts go out in key order, REPORT_BLOCK
-    ranks at a time, each block's rank and purity rows joined by
-    `_joined_rows`.  Refusals raise here, before the first piece."""
-    head, bips, table, checks = _analysis(s, bipartitions)
-    return _report_pieces(s, bips, table, checks, canonical_json(head))
+    built per member and rank.  The cuts go out in key order (a bytes
+    sort), REPORT_BLOCK ranks at a time, each block's rank and purity rows
+    joined by `_joined_rows`, and each cut's design fields are the one
+    text of its (lhs, rhs) pair.  Refusals raise here, before the first
+    piece."""
+    head, keys, table, design = _analysis(s, bipartitions)
+    return _report_pieces(s, keys, table, design, canonical_json(head))
 
 
-def _design_json(check: DesignCheck) -> str:
-    """A report entry's design fields in canonical JSON, unbraced, and a
-    ",": their values are a bool and two Fractions, whose text is
-    JSON-safe."""
-    return (f'"design_lhs":"{check.lhs}","design_pass":{json.dumps(check.passed)},'
-            f'"design_rhs":"{check.rhs}",')
-
-
-def _report_pieces(s: MubSet, bips: list[Bipartition], table: np.ndarray, checks,
+def _report_pieces(s: MubSet, keys: np.ndarray, table: np.ndarray, design,
                    head: str) -> Iterator[str]:
-    cuts = sorted({b.key(): i for i, b in enumerate(bips)}.items())  # a repeated cut is one entry
+    keys, rows = np.unique(keys, return_index=True)  # a repeated cut is one entry
     ranks = [str(r) for r in range(s.n // 2 + 1)]  # a rank is at most min(|X|, |Y|)
     purities = [f'"{Fraction(1, s.p**r)}"' for r in range(s.n // 2 + 1)]
+    if design is None:
+        designs, index = [""], np.zeros(len(table), dtype=np.intp)
+    else:
+        designs = [f'"design_lhs":"{lhs}","design_pass":{"true" if lhs == rhs else "false"},'
+                   f'"design_rhs":"{rhs}",' for lhs, rhs in design[0]]
+        index = design[1]
     step = max(1, REPORT_BLOCK // max(1, len(s.stack)))
     sep = ""
     yield '{"bipartitions":{'
-    for a in range(0, len(cuts), step):
-        chunk = cuts[a:a + step]
-        block = table[[i for _, i in chunk]]
-        for (key, i), purity, rank in zip(chunk, _joined_rows(block, purities),
-                                          _joined_rows(block, ranks)):
-            design = "" if checks is None else _design_json(checks[i])
-            yield f'{sep}"{key}":{{{design}"purities":[{purity}],"ranks":[{rank}]}}'
+    for a in range(0, len(rows), step):
+        chunk = rows[a:a + step]
+        block = table[chunk]
+        for key, i, purity, rank in zip(keys[a:a + step].tolist(), index[chunk].tolist(),
+                                        _joined_rows(block, purities), _joined_rows(block, ranks)):
+            yield f'{sep}"{key.decode()}":{{{designs[i]}"purities":[{purity}],"ranks":[{rank}]}}'
             sep = ","
     yield "}," + head[1:]
 
 
 def _joined_rows(block: np.ndarray, texts: list[str]) -> list[str]:
     """",".join(texts[v] for v in row) for each row of an int array of
-    indices into texts (ASCII, no NUL).  Each text, after a ",", fills a
-    code of w bytes, zero-padded (w a power of two, or a multiple of 8),
-    and one gather of the codes as words lays the block's rows back to
-    back; with the zero bytes dropped (none when every code is full) the
-    rows are cut at offsets summed from the text lengths, and each one's
-    leading "," is dropped."""
-    sizes = np.array([len(t) + 1 for t in texts])
-    top = int(sizes.max())
+    indices into texts: the rows laid out by `_laid_out` with a "," before
+    each text, cut at offsets summed from the text lengths, and each
+    one's leading "," dropped."""
+    text = _laid_out(block, _codes(["," + t for t in texts])).tobytes().decode()
+    ends = np.cumsum(np.array([len(t) + 1 for t in texts])[block].sum(axis=1)).tolist()
+    return [text[a + 1:b] for a, b in zip([0] + ends, ends)]
+
+
+def _codes(texts: list[str]) -> np.ndarray:
+    """Each text (ASCII, no NUL) as a code of w bytes, zero-padded: w a
+    power of two, or a multiple of 8."""
+    top = max(map(len, texts))
     w = 1 << (top - 1).bit_length() if top <= 8 else -(-top // 8) * 8
     codes = np.zeros((len(texts), w), dtype=np.uint8)
     for v, t in enumerate(texts):
-        codes[v, :sizes[v]] = np.frombuffer(("," + t).encode(), dtype=np.uint8)
-    grid = np.take(codes.view(f"<u{min(w, 8)}"), block, axis=0).view(np.uint8)
-    text = (grid if (sizes == w).all() else grid[grid != 0]).tobytes().decode()
-    ends = np.cumsum(sizes[block].sum(axis=1)).tolist()
-    return [text[a + 1:b] for a, b in zip([0] + ends, ends)]
+        codes[v, :len(t)] = np.frombuffer(t.encode(), dtype=np.uint8)
+    return codes
+
+
+def _laid_out(block: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The texts of `_codes` indexed by an int array, row after row, back
+    to back, as a uint8 array of their bytes: one gather of the codes as
+    words, with the zero bytes dropped (none when every code is full)."""
+    grid = np.take(codes.view(f"<u{min(codes.shape[1], 8)}"), block, axis=0).view(np.uint8)
+    return grid.reshape(-1) if codes[:, -1].all() else grid[grid != 0]

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -63,6 +64,32 @@ def test_all_bipartitions_count():
         assert all(1 in b.x for b in bips)
 
 
+@pytest.mark.parametrize("n", range(1, 18))
+def test_cut_arrays_are_all_bipartitions_in_order(n):
+    # X sides from combinations with vertex 1 fixed, Y their complements,
+    # the keys as Bipartition.key writes them, and the bytes order of the
+    # keys is their str order ("1,10|..." before "1,2|...")
+    expected = [Bipartition(x=(1,) + rest, y=tuple(v for v in range(2, n + 1) if v not in rest))
+                for size in range(n - 1) for rest in combinations(range(2, n + 1), size)]
+    cuts = entanglement._all_cuts(n)
+    assert [xs.shape[1] for xs, _ in cuts] == list(range(1, n))
+    assert [(tuple(x), tuple(y)) for xs, ys in cuts
+            for x, y in zip(xs.tolist(), ys.tolist())] == [(b.x, b.y) for b in expected]
+    assert all_bipartitions(n) == expected
+    keys = entanglement._keys(n, cuts)
+    assert [key.decode() for key in keys.tolist()] == [b.key() for b in expected]
+    ordered = [key.decode() for key in np.unique(keys).tolist()]
+    assert ordered == sorted(b.key() for b in expected)
+    if n >= 10:
+        assert ordered.index(Bipartition.of((1, 10), n).key()) < ordered.index(
+            Bipartition.of((1, 2), n).key())
+    if n == 1:
+        s = mub_set(2, 1)
+        assert analysis_report(s)["bipartitions"] == {}
+        text = "".join(entanglement.analysis_parts(s))
+        assert text.startswith('{"bipartitions":{},') and text == canonical_json(analysis_report(s))
+
+
 def test_connectivity_rank_fixtures():
     b = Bipartition.of((1,), 3)
     assert connectivity_rank(MatZp.zeros(5, 3), b) == 0
@@ -81,6 +108,22 @@ def test_connectivity_rank_of_non_symmetric_matrices():
         rank = rank_brute(a.submatrix([v - 1 for v in b.x], [v - 1 for v in b.y]), p)
         assert connectivity_rank(a, b) == rank, (a, b)
         assert reduced_purity(a, b) == Fraction(1, p**rank)
+        # X and Y swapped: the same c, the other orientation, in one table
+        swapped = Bipartition.of(b.y, n)
+        table = entanglement._rank_table(np.array([a.rows]), p, entanglement._sides([b, swapped]))
+        assert table[:, 0].tolist() == [rank, rank_brute(
+            a.submatrix([v - 1 for v in b.y], [v - 1 for v in b.x]), p)], (a, b)
+    # stacks of non-symmetric members at cuts of both orientations of
+    # each c, one table for all, against an elimination of each A[X, Y]
+    for p, n in ((2, 7), (2, 8), (3, 6), (5, 5)):
+        stack = np.array([[[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                          for _ in range(40)])
+        bips = [Bipartition.of(x, n) for size in range(1, n)
+                for x in rng.sample(list(combinations(range(1, n + 1), size)), 2)]
+        rng.shuffle(bips)
+        table = entanglement._rank_table(stack, p, entanglement._sides(bips))
+        assert np.array_equal(table, per_cut_ranks(stack, p, bips)), (p, n)
+        assert not np.array_equal(table, per_cut_ranks(stack.transpose(0, 2, 1), p, bips))
 
 
 def test_six_of_eight_connected_at_first_vertex():
@@ -220,6 +263,55 @@ def test_classify_matches_bipartition_scan_on_random_graphs():
         assert census(s) == dict(Counter(expected)), (p, n)
 
 
+def graphs_of_every_kind(rng, p, n, randoms):
+    """Reduced symmetric members on n vertices: empty, a star, complete, a
+    path, two components (vertex 1 in the first), an isolated last
+    vertex, and random graphs; edges of any nonzero weight, diagonals
+    uniform."""
+    def graph(edges):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.randrange(p)
+        for i, j in edges:
+            rows[i][j] = rows[j][i] = rng.randrange(1, p)
+        return MatZp(p, rows)
+    hub = rng.randrange(n)
+    half = rng.randrange(2, n - 1)
+    graphs = [graph([]),
+              graph([(hub, v) for v in range(n) if v != hub]),
+              graph(list(combinations(range(n), 2))),
+              graph([(v, v + 1) for v in range(n - 1)]),
+              graph([(v, v + 1) for v in range(n - 1) if v != half - 1]),
+              graph([(rng.randrange(v), v) for v in range(1, n - 1)])]
+    return graphs + [random_symmetric(rng, p, n, rng.choice((0.05, 0.2, 0.5)))
+                     for _ in range(randoms)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [8, 9, 16, 17])
+def test_labels_at_packed_word_widths(p, n):
+    # a row of neighbours is one word of 8 bits (n = 8), 16 (n = 9 and
+    # 16) or 32 (n = 17): each width at its edges, against the scan of
+    # every cut, members of every kind in one stack
+    rng = random.Random(100 * n + p)
+    graphs = graphs_of_every_kind(rng, p, n, 12 if n < 16 else 1)
+    labels = entanglement._labels(np.array([a.rows for a in graphs]), p)
+    assert labels == [classify_by_bipartitions(a) for a in graphs]
+    kinds = {FULLY_SEPARABLE, BISEPARABLE, GENUINELY_MULTIPARTITE}
+    kinds |= {GHZ_TYPE} if p == 2 else set()
+    assert set(labels) == kinds
+
+
+def test_labels_past_one_word():
+    # n > 64 takes ceil(n / 64) uint64 words per row; labels known by
+    # construction (a path is connected, neither a star nor complete)
+    for n in (65, 70, 130):
+        rng = random.Random(n)
+        graphs = graphs_of_every_kind(rng, 2, n, 0)
+        assert entanglement._labels(np.array([a.rows for a in graphs]), 2) == [
+            FULLY_SEPARABLE, GHZ_TYPE, GHZ_TYPE, GENUINELY_MULTIPARTITE, BISEPARABLE, BISEPARABLE]
+
+
 def test_census_three_qubits():
     fam = qubit_triple_family()
     assert census(fam) == {FULLY_SEPARABLE: 2, GHZ_TYPE: 6}
@@ -323,9 +415,9 @@ def test_analysis_parts_refuse_before_the_first_piece():
 
 def test_all_cuts_over_the_limit_are_refused_before_any_is_built(monkeypatch):
     def no_cuts(n):
-        raise AssertionError("all_bipartitions ran")
+        raise AssertionError("_all_cuts ran")
 
-    monkeypatch.setattr(entanglement, "all_bipartitions", no_cuts)
+    monkeypatch.setattr(entanglement, "_all_cuts", no_cuts)
     one = MubSet(p=2, n=30, stack=np.zeros((1, 30, 30), dtype=np.int64))
     with pytest.raises(ValueError, match="ALL_CUTS_LIMIT"):
         analysis_report(one)
@@ -338,7 +430,7 @@ def test_all_cuts_over_the_limit_are_refused_before_any_is_built(monkeypatch):
                                                   (4096, 12, True), (8192, 13, False)])
 def test_all_cuts_limit_admits_2_12_and_one_member_n_17(monkeypatch, members, n, admitted):
     # (2^(n-1) - 1) x max(members, 2^7) against 2^23; no cut is built here
-    monkeypatch.setattr(entanglement, "all_bipartitions", lambda n: [])
+    monkeypatch.setattr(entanglement, "_all_cuts", lambda n: [])
     s = MubSet(p=2, n=n, stack=np.zeros((members, n, n), dtype=np.int64))
     assert ALL_CUTS_LIMIT == 2**23
     if admitted:
@@ -348,10 +440,16 @@ def test_all_cuts_limit_admits_2_12_and_one_member_n_17(monkeypatch, members, n,
             analysis_report(s)
 
 
+def crossing(m, b):
+    """The X rows and Y columns of an (n, n) matrix, or of every member of
+    an (N, n, n) stack."""
+    return m[..., [v - 1 for v in b.x], :][..., [v - 1 for v in b.y]]
+
+
 def per_cut_ranks(stack, p, bips):
     """The rank table cut by cut: one stacked elimination of each cut's
     crossing blocks."""
-    return np.array([eliminate_stack(entanglement._crossing(stack, b), p).tolist()
+    return np.array([eliminate_stack(crossing(stack, b), p).tolist()
                      for b in bips], dtype=np.int64).reshape(len(bips), len(stack))
 
 
@@ -361,12 +459,12 @@ def test_rank_table_equals_a_per_cut_elimination(p, n):
     shifted = shift_set(fam, random_shift(p, n, 7 * p + n))
     bips = all_bipartitions(n)
     for s in (fam, shifted):
-        table = entanglement._rank_table(s.stack, p, bips)
+        table = entanglement._rank_table(s.stack, p, entanglement._all_cuts(n))
         assert table.dtype == np.int64 and table.shape == (len(bips), p**n)
         assert np.array_equal(table, per_cut_ranks(s.stack, p, bips))
     # cuts of mixed |X| in any order land in their own rows
     picked = random.Random(p + n).sample(bips, min(9, len(bips)))
-    assert np.array_equal(entanglement._rank_table(shifted.stack, p, picked),
+    assert np.array_equal(entanglement._rank_table(shifted.stack, p, entanglement._sides(picked)),
                           per_cut_ranks(shifted.stack, p, picked))
 
 
@@ -390,9 +488,9 @@ def test_rank_table_p2_unreduced_random_stack():
     stack[:, np.arange(7), np.arange(7)] -= 4  # negative diagonals too
     assert stack.min() < 0 and stack.max() > 1
     for bips in (all_bipartitions(7), random_cuts(rng, 7, 30)):
-        table = entanglement._rank_table(stack, 2, bips)
+        table = entanglement._rank_table(stack, 2, entanglement._sides(bips))
         assert np.array_equal(table, per_cut_ranks(stack, 2, bips))
-        assert table[:, 3].tolist() == [rank_gf2_basis(entanglement._crossing(stack[3], b))
+        assert table[:, 3].tolist() == [rank_gf2_basis(crossing(stack[3], b))
                                         for b in bips]
 
 
@@ -400,7 +498,7 @@ def test_rank_table_p2_unreduced_random_stack():
 def test_rank_table_at_picked_cuts_of_mixed_sizes(p, n):
     fam = shift_set(mub_set(p, n), random_shift(p, n, 5 * p + n))
     bips = random_cuts(random.Random(p * n), n, 25)
-    assert np.array_equal(entanglement._rank_table(fam.stack, p, bips),
+    assert np.array_equal(entanglement._rank_table(fam.stack, p, entanglement._sides(bips)),
                           per_cut_ranks(fam.stack, p, bips))
 
 
@@ -412,8 +510,8 @@ def test_rank_table_p2_crossings_wider_than_kernel_bits():
         stack = np.array([a.rows], dtype=np.int64)
         bips = [Bipartition.of(rng.sample(range(1, n + 1), size), n)
                 for size in sizes for _ in range(3)]
-        table = entanglement._rank_table(stack, 2, bips)
-        expected = [rank_gf2_basis(entanglement._crossing(stack[0], b)) for b in bips]
+        table = entanglement._rank_table(stack, 2, entanglement._sides(bips))
+        expected = [rank_gf2_basis(crossing(stack[0], b)) for b in bips]
         assert table[:, 0].tolist() == expected
     assert entanglement.KERNEL_BITS == 9
 
@@ -428,9 +526,9 @@ def test_rank_table_one_member_n17_at_two_word_cuts():
     stack += 2 * np.random.default_rng(1717).integers(-3, 4, stack.shape)
     bips = [Bipartition.of(rng.sample(range(1, 18), size), 17)
             for size in (1, 8, 9) for _ in range(40)]
-    table = entanglement._rank_table(stack, 2, bips)
+    table = entanglement._rank_table(stack, 2, entanglement._sides(bips))
     assert table.shape == (120, 1)
-    expected = [rank_gf2_basis(entanglement._crossing(stack[0], b)) for b in bips]
+    expected = [rank_gf2_basis(crossing(stack[0], b)) for b in bips]
     assert table[:, 0].tolist() == expected
     assert np.array_equal(table, per_cut_ranks(stack, 2, bips))
     assert len(set(expected[40:])) >= 3  # the two-word cuts reach several ranks
@@ -438,7 +536,9 @@ def test_rank_table_one_member_n17_at_two_word_cuts():
 
 def test_rank_table_makes_one_elimination_per_gather_block(monkeypatch):
     # (3,5): 243 members; a block of 100 entries holds 100 // (|X| |Y|)
-    # (cut, member) pairs, so blocks end inside cuts and inside members
+    # (cut, member) pairs, so blocks end inside cuts and inside members.
+    # The cuts whose smaller side has c vertices share their blocks: |X| = 1
+    # with |X| = 4, and |X| = 2 with |X| = 3
     fam = shift_set(mub_set(3, 5), random_shift(3, 5, 35))
     bips = all_bipartitions(5)
     expected = per_cut_ranks(fam.stack, 3, bips)
@@ -455,21 +555,22 @@ def test_rank_table_makes_one_elimination_per_gather_block(monkeypatch):
         report = analysis_report(fam)
         table = np.array([entry["ranks"] for entry in report["bipartitions"].values()])
         assert np.array_equal(table, expected)
-        sizes = Counter(len(b.x) for b in bips)
-        blocks = sum(-(-cuts * 243 // max(1, gather // (x * (5 - x))))
-                     for x, cuts in sizes.items())
+        sizes = Counter(min(len(b.x), len(b.y)) for b in bips)
+        blocks = sum(-(-cuts * 243 // max(1, gather // (c * (5 - c))))
+                     for c, cuts in sizes.items())
         assert len(calls) == blocks
         assert all(r * c * (count - 1) < gather for count, r, c in calls)
-    assert blocks == len(sizes)  # every |X| of (3,5) fits one default block
+        assert {(r, c) for _, r, c in calls} == {(4, 1), (3, 2)}  # taken tall
+    assert blocks == len(sizes) == 2  # every c of (3,5) fits one default block
 
 
 def test_rank_table_memory_at_2_11():
     # the table (1023 cuts x 2048 members, 16 MiB) plus a few gather blocks
     s = mub_set(2, 11)
-    bips = all_bipartitions(11)
+    cuts = entanglement._all_cuts(11)
     tracemalloc.start()
     try:
-        table = entanglement._rank_table(s.stack, 2, bips)
+        table = entanglement._rank_table(s.stack, 2, cuts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -481,7 +582,8 @@ def test_a_bipartition_of_the_wrong_n_is_refused():
     fam = qubit_triple_family()
     wrong = Bipartition.of((1,), 4)
     with pytest.raises(ValueError, match="bipartition size does not match"):
-        entanglement._rank_table(fam.stack, 2, [Bipartition.of((1,), 3), wrong])
+        entanglement._rank_table(fam.stack, 2,
+                                 entanglement._sides([Bipartition.of((1,), 3), wrong]))
     for call in (lambda: connectivity_rank(fam.matrices[0], wrong),
                  lambda: design_purity_check(fam, wrong),
                  lambda: analysis_report(fam, [wrong])):

@@ -145,8 +145,11 @@ def test_every_member_is_combination_of_fundamental_graphs():
 @pytest.mark.parametrize("p,n", [(2, 12), (3, 7), (9973, 1)])
 def test_field_fills_one_stack(p, n):
     # the family table is written in place: no second table of its size,
-    # not even the multiples j Q^k, j < p, which at n = 1 are the stack
+    # not even the multiples j Q^k, j < p, which at n = 1 are the stack.
+    # One untraced call first: the allocations a first call makes (caches
+    # filled once per process) would otherwise dominate the small n = 1 peak
     q = symmetric_representation(p, n).q
+    mubs._field(q)
     tracemalloc.start()
     try:
         stack = mubs._field(q)
