@@ -129,15 +129,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(parts: Iterable[str], out: str | None) -> None:
+def _write(parts: Iterable[str], out: str | None) -> int:
     """Write the pieces of a text one at a time, so the whole text (an
-    all-cuts report is tens of MB) is never joined or encoded at once.
+    all-cuts report is tens of MB) is never joined or encoded at once;
+    the exit code.  An `out` path that cannot be opened is a usage error.
     A reader that closes stdout (`| head`) got all it asked for: stdout
     is pointed at devnull, so the flush at shutdown prints nothing."""
     if out:
-        with open(out, "w") as fh:
+        try:
+            fh = open(out, "w")
+        except OSError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        with fh:
             fh.writelines(parts)
-        return
+        return EXIT_OK
     try:
         sys.stdout.writelines(parts)
         sys.stdout.flush()
@@ -145,6 +151,7 @@ def _write(parts: Iterable[str], out: str | None) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+    return EXIT_OK
 
 
 def _load(path: str) -> MubSet | None:
@@ -179,8 +186,7 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(canonical_parts(stack_document(fam)), args.out)
-    return EXIT_OK
+    return _write(canonical_parts(stack_document(fam)), args.out)
 
 
 def _cmd_verify(args) -> int:
@@ -229,8 +235,7 @@ def _cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(parts, args.out)
-    return EXIT_OK
+    return _write(parts, args.out)
 
 
 def adjacency_to_dot(m: MatZp, name: str) -> str:
@@ -272,14 +277,12 @@ def _cmd_export(args) -> int:
     else:
         out = ["\n".join(circuit_to_text(emit_measurement_circuit(member(i)))
                           for i in indices)]
-    _write(out, args.out)
-    return EXIT_OK
+    return _write(out, args.out)
 
 
 def _cmd_tables(args) -> int:
-    _write([json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-            for r in derive_rows(args.p)], args.out)
-    return EXIT_OK
+    return _write([json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                   for r in derive_rows(args.p)], args.out)
 
 
 def _cmd_example(args) -> int:

@@ -9,9 +9,12 @@ irreducibility and primitivity of a seed polynomial, and quadratic-residue
 machinery.  No ring API on `PolyZp` and no general GF(p^n) element API.
 
 One private kernel on plain residue lists does the Z_p[x] work: product
-and reduction mod a monic f, power by squaring, and the monic gcd.  The
-distinct-degree irreducibility test and the factored-order primitivity
-test of `PolyZp` run on it, with no `PolyZp` built per step.
+and reduction mod a monic f, power by squaring, and the monic gcd, each
+of whose remainders is that one reduction against the divisor made
+monic.  The distinct-degree irreducibility test and the factored-order
+primitivity test of `PolyZp` run on it, with no `PolyZp` built per step.
+One trial division, `prime_factors`, both factors the group order of the
+primitivity test and decides primality (`is_prime`).
 """
 
 from __future__ import annotations
@@ -29,18 +32,7 @@ MODULUS_BOUND = 2**31
 def is_prime(p: int) -> bool:
     """Deterministic primality by trial division (callers bound p first,
     see check_prime)."""
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    return prime_factors(p) == [p]
 
 
 def check_prime(p: int) -> int:
@@ -53,7 +45,8 @@ def check_prime(p: int) -> int:
 
 
 def prime_factors(m: int) -> list[int]:
-    """Distinct prime factors of m by trial division."""
+    """Distinct prime factors of m by trial division: 2, then the odd
+    numbers; [] for m < 2."""
     factors = []
     f = 2
     while f * f <= m:
@@ -61,7 +54,7 @@ def prime_factors(m: int) -> list[int]:
             factors.append(f)
             while m % f == 0:
                 m //= f
-        f += 1
+        f += 2 if f > 2 else 1
     if m > 1:
         factors.append(m)
     return factors
@@ -122,20 +115,13 @@ def _powmod(a, e: int, f, p: int) -> list:
 
 
 def _gcd(a, b, p: int) -> list:
-    """The monic gcd of a and b, not both zero, by Euclid on the
-    remainder alone."""
-    while b:
-        n = len(b) - 1
-        rem = list(a)
-        inv = pow(b[-1], p - 2, p)
-        for k in range(len(a) - n - 1, -1, -1):
-            c = rem[k + n] * inv % p
-            if c:
-                for j in range(n):
-                    rem[k + j] -= c * b[j]
-        a, b = b, _trim([v % p for v in rem[:n]])
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
+    """The monic gcd of a and b, not both zero, by Euclid on the remainder
+    alone: each divisor made monic, and the remainder taken against it by
+    `_reduce`."""
+    divisor = b or a
+    inv = pow(divisor[-1], p - 2, p)
+    monic = [c * inv % p for c in divisor]
+    return _gcd(monic, _reduce(list(a), monic, p), p) if b else monic
 
 
 class PolyZp:

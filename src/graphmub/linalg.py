@@ -9,11 +9,13 @@ Gaussian elimination, ranks a whole stack of integer matrices at once
 exactly when it has full rank.  For p = 2 rows of c bits (c the smaller
 side) are packed 64 // c to a uint64 word, or over ceil(c/64) words when
 c > 64, and each row operation is one XOR.  Arrays are reduced mod m by
-one kernel, `mod`, on whatever dtype holds them: the family stack's
-narrow signed dtype, or int64 inside the elimination.  `matmul_mod`,
-the one exact integer matrix product, multiplies int64 arrays of
-residues for every p below MODULUS_BOUND: `MatZp @`, the powers of Q
-that expand a family, and the congruence steps of the seed.
+one kernel, `mod`, on whatever dtype holds them, at every size: the
+family stack's narrow signed dtype, or int64 inside the elimination.
+`matmul_mod`, the one exact integer matrix product, multiplies int64
+arrays of residues for every p below MODULUS_BOUND: `MatZp @`, the
+powers of Q that expand a family, and the congruence steps of the seed.
+`MatZp` holds one small matrix with the operations that the seed stage,
+the congruence checks of the tests and the demos use.
 """
 
 from __future__ import annotations
@@ -50,12 +52,6 @@ class MatZp:
     @classmethod
     def identity(cls, p: int, n: int) -> "MatZp":
         return cls(p, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def diagonal(cls, p: int, entries) -> "MatZp":
-        es = list(entries)
-        n = len(es)
-        return cls(p, [[es[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def companion(cls, f: PolyZp) -> "MatZp":
@@ -128,9 +124,6 @@ class MatZp:
             ],
         )
 
-    def __neg__(self) -> "MatZp":
-        return MatZp(self.p, [[-v for v in r] for r in self.rows])
-
     def scale(self, s: int) -> "MatZp":
         return MatZp(self.p, [[s * v for v in r] for r in self.rows])
 
@@ -153,10 +146,6 @@ class MatZp:
 
     def transpose(self) -> "MatZp":
         return MatZp(self.p, list(zip(*self.rows)))
-
-    def submatrix(self, row_idx, col_idx) -> list[list[int]]:
-        """Rectangular block (plain lists; not necessarily square)."""
-        return [[self.rows[i][j] for j in col_idx] for i in row_idx]
 
     # -- quantities of one matrix: Berkowitz, and the rank by elimination --
 
@@ -212,21 +201,15 @@ class MatZp:
         return PolyZp(p, list(reversed(vec)))
 
 
-MOD_SMALL = 512  # entries below which one remainder call beats three
-
-
 def mod(x: np.ndarray, m: int) -> np.ndarray:
     """x mod m, in place, for an integer array x on a dtype that holds m and
     the multiples of m nearest its entries (a signed stack dtype holds
     every difference and every sum of two residues, and int64 every
     entry below 2^62 in magnitude): a mask for a power of two m, else a
     division and a subtraction, since numpy divides by a scalar several
-    times faster than it takes the remainder; below MOD_SMALL entries
-    the call overhead dominates, and one remainder is cheaper."""
+    times faster than it takes the remainder."""
     if not m & (m - 1):
         return np.bitwise_and(x, m - 1, out=x)
-    if x.size < MOD_SMALL:
-        return np.remainder(x, m, out=x)
     q = x // m
     q *= m
     x -= q

@@ -58,10 +58,11 @@ class MubSet:
 
     `stack` is the family: a read-only array (N, n, n) of members reduced
     mod p, on `stack_dtype(p)`, from nested integers of any size or an
-    integer array (ValueError for members or shifts that are not
-    symmetric n x n).  Entries already in [0, p) are only cast, and a
-    read-only array of them already on that dtype (`read_document`'s, or
-    another family's stack) is kept as it is.
+    integer array (ValueError for float, complex, bool or str entries,
+    and for members or shifts that are not symmetric n x n).
+    Entries already in [0, p) are only cast, and a read-only array of
+    them already on that dtype (`read_document`'s, or another family's
+    stack) is kept as it is.
     Without a stack, the family is built here from `witness` (same p and
     n, no shifts): its `_field`, Z_p[Q] by construction.  Index i
     corresponds to the coefficient vector (a_0, ..., a_{n-1}) with a_0
@@ -92,11 +93,15 @@ class MubSet:
             stack = _field(w.q)
         else:
             stack = np.asarray(self.stack)
-            if stack.dtype.kind not in "iu":  # bools, floats, ints past int64 (float64 or object)
+            if stack.dtype.kind not in "iu":  # ints past int64 come as float64 or object
+                stack = np.array(self.stack, dtype=object)
+                if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                           for v in stack.flat):
+                    raise ValueError("adjacency matrices must hold integers")
                 try:
-                    stack = np.asarray(self.stack, dtype=np.int64)
-                except OverflowError:  # entries beyond int64
-                    stack = np.array(self.stack, dtype=object)
+                    stack = stack.astype(np.int64)
+                except OverflowError:  # entries beyond int64 stay Python ints
+                    pass
             if stack.size and not 0 <= int(stack.min()) <= int(stack.max()) < p:
                 stack = np.remainder(stack, p, dtype=np.promote_types(
                     stack.dtype, np.min_scalar_type(p)))
@@ -443,13 +448,15 @@ def _canonical_doc(raw: bytes) -> dict | None:
     """The document with `matrices` an (N, n, n) array of its entries, or
     None unless the bytes are canonical: the sorted-key prefix, then a
     span up to the first "]]]" that `_digit_stack` accepts, or else
-    `_read_block` in blocks of about STACK_BLOCK bytes cut between
-    members, and the rest of the document, the span replaced by 0, valid
-    JSON holding `matrices` once at the top level (under any spelling)
-    and a positive int `n`.  The span is sought back from the quote of
-    the key after it (`n` comes after `matrices`), since no stack text
-    holds a quote; neither reader accepts a span that holds an earlier
-    "]]]", so the one found is the first in every accepted span."""
+    `_read_block` in blocks of about STACK_BLOCK / 8 bytes cut between
+    members, as `_digit_stack` cuts its own (each number takes int64
+    offsets and masks there), and the rest of the document, the span
+    replaced by 0, valid JSON holding `matrices` once at the top level
+    (under any spelling) and a positive int `n`.  The span is sought back
+    from the quote of the key after it (`n` comes after `matrices`), since
+    no stack text holds a quote; neither reader accepts a span that holds
+    an earlier "]]]", so the one found is the first in every accepted
+    span."""
     key = _MATRICES_KEY.match(raw)
     if key is None:
         return None
@@ -472,7 +479,7 @@ def _canonical_doc(raw: bytes) -> dict | None:
         member = _member_template(n, n, 1)[1:]
         blocks, pos = [], start
         while pos < end:
-            cut = raw.find(b"]],[[", pos + STACK_BLOCK, end)
+            cut = raw.find(b"]],[[", pos + STACK_BLOCK // 8, end)
             cut = end if cut < 0 else cut + 2
             blocks.append(_read_block(raw[pos:cut], member, n,
                                       pos == start, cut == end))
@@ -595,7 +602,7 @@ def _encode(v):
 _LEAF = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`, bytes of `_canonical_doc`
+STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`; the readers take an eighth
 
 
 def _stack_json(stack: np.ndarray):

@@ -14,6 +14,9 @@ Two routes produce the seed matrix Q:
    fixes the trace, d_1 + ... + d_n = -c_{n-1}, so its scan runs over the
    p^(n-1) prefixes d_1 .. d_{n-1} alone, each completed by its one d_n.
 
+`symmetric_representation` picks the route: one tridiagonal search,
+then, on a miss or by request, one companion symmetrization.
+
 The congruence reductions of both characteristics share one
 diagonalization (`_diagonalize`), a fixed deterministic scan, so that a
 given input always yields the same witness; only its deadlock mix
@@ -543,9 +546,13 @@ def symmetric_representation(p: int, n: int, method: str = "auto",
                              primitive: bool = False) -> SymmetricRep:
     """Obtain a seed witness by the requested route.
 
-    `auto` tries the tridiagonal search first (compact witness) and falls
-    back to companion symmetrization, seeding with a primitive polynomial
-    whenever the multiplier rule demands one.  A malformed request (n < 1,
+    An explicit diagonal is its own witness.  Otherwise `auto` and
+    `tridiag` make one tridiagonal search (compact witness), for `poly`
+    when given; a miss ends `tridiag`, and `auto` and `companion` take
+    companion symmetrization of `poly`, or of the first irreducible
+    polynomial: a primitive one for `auto`, and wherever `primitive` or
+    the multiplier rule (p = 3 mod 4, n = 2 mod 4) demands it.  Each seed
+    is tested for primitivity once.  A malformed request (n < 1,
     an unknown method, a diagonal of length other than n or with the
     companion method, a polynomial not monic of degree n over Z_p) is a
     ValueError; a well-formed one that the route cannot realize is a
@@ -576,25 +583,18 @@ def symmetric_representation(p: int, n: int, method: str = "auto",
             raise ConstructionError(f"{poly} is reducible over Z_{p}")
         if primitive and not poly.is_primitive():
             raise ConstructionError(f"{poly} is not primitive")
-        if method in ("tridiag", "auto"):
-            found = tridiag_search(p, n, target=poly)
-            if found is not None:
-                return tridiagonal_rep(p, *found)
-            if method == "tridiag":
-                raise ConstructionError(
-                    f"no tridiagonal matrix over Z_{p} realizes {poly}"
-                )
-        return symmetrize_companion(poly)
-    if method in ("tridiag", "auto"):
-        found = tridiag_search(p, n, primitive=primitive)
+    if method != "companion":
+        # a given poly is proven primitive above, so the scan only matches it
+        found = tridiag_search(p, n, target=poly, primitive=primitive and poly is None)
         if found is not None:
             return tridiagonal_rep(p, *found)
         if method == "tridiag":
             raise ConstructionError(
-                f"no tridiagonal diagonal over Z_{p} of size {n} is "
-                f"{'primitive' if primitive else 'irreducible'}"
+                f"no tridiagonal matrix over Z_{p} realizes {poly}" if poly is not None
+                else f"no tridiagonal diagonal over Z_{p} of size {n} is "
+                     f"{'primitive' if primitive else 'irreducible'}"
             )
-        # auto fallback: a primitive seed always satisfies the multiplier rule
-        return symmetrize_companion(find_irreducible(p, n, primitive=True))
-    needs_primitive = primitive or (p % 4 == 3 and n % 4 == 2)
-    return symmetrize_companion(find_irreducible(p, n, primitive=needs_primitive))
+    # the auto fallback seeds with a primitive polynomial, which always
+    # satisfies the multiplier rule
+    needs_primitive = primitive or method == "auto" or (p % 4 == 3 and n % 4 == 2)
+    return symmetrize_companion(poly or find_irreducible(p, n, primitive=needs_primitive))

@@ -418,7 +418,7 @@ def analysis_report_brute(s, cuts=None) -> dict:
               "computational_basis": FULLY_SEPARABLE, "bipartitions": {}}
     for x in cuts:
         y = [v for v in range(1, n + 1) if v not in x]
-        ranks = [rank_brute(m.submatrix([v - 1 for v in x], [v - 1 for v in y]), p)
+        ranks = [rank_brute([[m.rows[i - 1][j - 1] for j in y] for i in x], p)
                  for m in mats]
         entry = {"ranks": ranks, "purities": [str(Fraction(1, p**r)) for r in ranks]}
         if len(mats) == p**n:

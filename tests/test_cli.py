@@ -325,6 +325,22 @@ def test_malformed_document_is_usage_error(capsys, tmp_path, command, case):
     assert "malformed input" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["gen", "analyze", "export", "tables"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unopenable_out_is_usage_error(capsys, tmp_path, command, target):
+    # an --out path that cannot be opened is a usage error, one stderr
+    # line, not a traceback with the exit code of a failed verification
+    doc = tmp_path / "fam.json"
+    doc.write_text(gen_doc(capsys))
+    out = tmp_path / "missing" / "x.json" if target == "missing" else tmp_path
+    argv = {"gen": ["gen", "-p", "2", "-n", "3"], "tables": ["tables"]}.get(
+        command, [command, str(doc)])
+    code, stdout, err = run_cli(capsys, [*argv, "--out", str(out)])
+    assert code == 2
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and stdout == ""
+    assert not (tmp_path / "missing").exists()
+
+
 DEEP = "[" * 100000 + "]" * 100000
 
 

@@ -105,14 +105,14 @@ def test_connectivity_rank_of_non_symmetric_matrices():
         p, n = rng.choice((2, 3, 5)), rng.randrange(2, 9)
         a = MatZp(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
         b = Bipartition.of(rng.sample(range(1, n + 1), rng.randrange(1, n)), n)
-        rank = rank_brute(a.submatrix([v - 1 for v in b.x], [v - 1 for v in b.y]), p)
+        rank = rank_brute([[a[i - 1, j - 1] for j in b.y] for i in b.x], p)
         assert connectivity_rank(a, b) == rank, (a, b)
         assert reduced_purity(a, b) == Fraction(1, p**rank)
         # X and Y swapped: the same c, the other orientation, in one table
         swapped = Bipartition.of(b.y, n)
         table = entanglement._rank_table(np.array([a.rows]), p, entanglement._sides([b, swapped]))
         assert table[:, 0].tolist() == [rank, rank_brute(
-            a.submatrix([v - 1 for v in b.y], [v - 1 for v in b.x]), p)], (a, b)
+            [[a[i - 1, j - 1] for j in b.x] for i in b.y], p)], (a, b)
     # stacks of non-symmetric members at cuts of both orientations of
     # each c, one table for all, against an elimination of each A[X, Y]
     for p, n in ((2, 7), (2, 8), (3, 6), (5, 5)):

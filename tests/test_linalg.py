@@ -405,7 +405,7 @@ def test_congruence_empty_diagonal_block():
         omega = MatZp(p, [[1, 1], [1, -1]])
         for d in range(1, p):
             block = MatZp(p, [[0, d], [d, 0]])
-            assert congruence(omega, block) == MatZp.diagonal(p, [2 * d, -2 * d])
+            assert congruence(omega, block) == MatZp(p, [[2 * d, 0], [0, -2 * d]])
 
 
 def test_congruence_preserves_symmetry_and_nonsingularity():

@@ -447,12 +447,27 @@ def test_stack_is_the_stored_family():
     # entries of any size and sign are reduced before they are narrowed
     raw = MubSet(p=3, n=2, stack=[[[4, -1], [2, 3 * 2**70]]])
     assert raw.stack.tolist() == [[[1, 2], [2, 0]]]
+    # int64 beside uint64 entries, which numpy takes as float64
+    raw = MubSet(p=3, n=2, stack=[[[1, 2**63], [2**63, 0]]])
+    assert raw.stack.tolist() == [[[1, 2], [2, 0]]]
     for bad in ([[[0, 1], [0, 0]]], [[[0]]], [[0, 0], [0, 0]], [], [[[0, 0], [0]]]):
         with pytest.raises(ValueError):
             MubSet(p=2, n=2, stack=bad)
     for shift in (MatZp(2, [[0, 1], [0, 0]]), MatZp(2, [[1]]), MatZp(3, [[0, 0], [0, 0]])):
         with pytest.raises(ValueError):
             MubSet(p=2, n=2, stack=[[[0, 0], [0, 0]]], shifts=(shift,))
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.7, float("nan"), 1.0, 1 + 0j, True, False, "1"])
+@pytest.mark.parametrize("container", ["array", "nested"])
+def test_non_integer_stack_entries_are_refused(entry, container):
+    # a stack of float, complex, bool or str entries is no stack: refused,
+    # not truncated or cast (NaN read 0, 1.7 read 1), as documents refuse
+    # them (numpy itself reads a bool among ints as an int)
+    rows = [[entry] * 2] * 2
+    stack = np.array([rows]) if container == "array" else [rows]
+    with pytest.raises(ValueError, match="integers"):
+        MubSet(p=2, n=2, stack=stack)
 
 
 def test_stack_is_not_shared_with_a_callers_array():

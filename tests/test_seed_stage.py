@@ -1,11 +1,14 @@
-"""The seed stage of `gen`: the trace-pinned tridiagonal scan against an
-exhaustive scan, the one congruence diagonalization on int64 arrays
-against fixed witnesses (both deadlock mixes included), and the one exact
-Z_p matrix product, alone and under `MatZp`, against Python ints."""
+"""The seed stage of `gen`: the route that `symmetric_representation`
+picks, against a recorded table of witnesses and refusals, the
+trace-pinned tridiagonal scan against an exhaustive scan, the one
+congruence diagonalization on int64 arrays against fixed witnesses (both
+deadlock mixes included), and the one exact Z_p matrix product, alone and
+under `MatZp`, against Python ints."""
 
 import json
 import random
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +20,20 @@ from graphmub.linalg import MatZp, matmul_mod
 from graphmub.symrep import (
     reduce_to_identity_char2,
     reduce_to_identity_odd,
+    symmetric_representation,
     symmetrize_companion,
     tridiag_search,
 )
-from oracles import all_monic, irreducible_brute, matmul_brute, tridiag_first_brute
+from oracles import (
+    all_monic,
+    irreducible_brute,
+    matmul_brute,
+    order_of_x_brute,
+    tridiag_first_brute,
+)
 
 GOLDENS = json.loads((Path(__file__).parent / "companion_goldens.json").read_text())
+ROUTE_GOLDENS = Path(__file__).parent / "route_goldens.json"
 
 SEARCH_GRID = ([(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)]
                + [(5, 3), (7, 3), (11, 2), (13, 2)])
@@ -55,6 +66,83 @@ def test_targeted_search_scans_only_the_trace_class(monkeypatch):
     assert (scanned.sum(axis=1) % 3 == 1).all()  # the trace, -c_4 = 1
     weights = 3 ** np.arange(3, -1, -1)
     assert (scanned[:, :-1] @ weights == np.arange(3**4)).all()
+
+
+def _route_requests():
+    """The requests of route_goldens.json.  For each (p, n) in {2, 3, 5, 7}
+    x {1, 2, 3} and (11, 2): every method, with and without `primitive`,
+    with no polynomial and with the first primitive, the first irreducible
+    non-primitive, the first irreducible that no tridiagonal matrix
+    realizes and the first reducible polynomial (those that exist, chosen
+    by the oracles), each alone and with the diagonal (1, 0, ..., 0); and
+    for `auto` and `tridiag` without a diagonal, once more with the
+    tridiagonal scan made to miss (`miss`), which at these sizes is the
+    only way to reach the fallbacks of a search without a target."""
+    sizes = [(p, n) for p in (2, 3, 5, 7) for n in (1, 2, 3)] + [(11, 2)]
+    for p, n in sizes:
+        realized = tridiag_first_brute(p, n)
+
+        def primitive(f):  # for irreducible f; x is no unit mod f = x
+            return f.coeffs[0] and order_of_x_brute(f) == p**n - 1
+
+        kinds = [
+            lambda f: irreducible_brute(f) and primitive(f),
+            lambda f: irreducible_brute(f) and not primitive(f),
+            lambda f: irreducible_brute(f) and f not in realized,
+            lambda f: not irreducible_brute(f),
+        ]
+        polys = dict.fromkeys(f.coeffs for kind in kinds
+                              for f in islice(filter(kind, all_monic(p, n)), 1))
+        for method in ("auto", "tridiag", "companion"):
+            for primitive in (False, True):
+                for poly in [None, *map(list, polys)]:
+                    request = {"p": p, "n": n, "method": method, "primitive": primitive,
+                               "poly": poly, "d": None, "miss": False}
+                    yield request
+                    yield {**request, "d": [1] + [0] * (n - 1)}
+                    if method != "companion":
+                        yield {**request, "miss": True}
+
+
+def _route_outcome(request, monkeypatch):
+    """The witness that symmetric_representation returns for a request, or
+    the type and message of its refusal, with the number of primitivity
+    tests it ran."""
+    tests = []
+    real = PolyZp.is_primitive
+    monkeypatch.setattr(PolyZp, "is_primitive", lambda f: tests.append(f) or real(f))
+    monkeypatch.setattr(symrep, "tridiag_search", (lambda *args, **kwargs: None)
+                        if request["miss"] else tridiag_search)
+    p, poly = request["p"], request["poly"]
+    try:
+        rep = symmetric_representation(
+            p, request["n"], method=request["method"],
+            poly=None if poly is None else PolyZp(p, poly), d=request["d"],
+            primitive=request["primitive"])
+    except (ValueError, symrep.ConstructionError) as exc:
+        return {"error": type(exc).__name__, "message": str(exc),
+                "primitive_tests": len(tests)}
+    m = rep.multiplier
+    return {"method": rep.method, "d": None if rep.d is None else list(rep.d),
+            "f": list(rep.f.coeffs), "q": rep.q.to_lists(),
+            "transform": None if rep.transform is None else rep.transform.to_lists(),
+            "multiplier": m.to_lists() if isinstance(m, MatZp) else m,
+            "primitive_tests": len(tests)}
+
+
+def test_route_goldens(monkeypatch):
+    # every request of the table gets the recorded witness or refusal, with
+    # as many primitivity tests: tridiagonal hits and misses, companion
+    # fallbacks with scalar and matrix multipliers, explicit diagonals,
+    # and each refusal message
+    cases = json.loads(ROUTE_GOLDENS.read_text())
+    assert [case["request"] for case in cases] == list(_route_requests())
+    for case in cases:
+        assert _route_outcome(case["request"], monkeypatch) == case["outcome"], case["request"]
+    outcomes = Counter(case["outcome"].get("error", case["outcome"].get("method"))
+                       for case in cases)
+    assert set(outcomes) == {"tridiagonal", "companion", "ConstructionError",
+                             "PrimitivePolynomialRequired", "ValueError"}
 
 
 def _reduction_steps(monkeypatch):
@@ -188,3 +276,12 @@ def test_reduction_steps_are_exact_at_the_largest_modulus():
         t = _matmul_ints(step, t, p)
     assert st.B.tolist() == ref
     assert st.P.tolist() == t
+
+
+if __name__ == "__main__":
+    # records route_goldens.json from the code at hand:
+    # cd tests && PYTHONPATH=../src python test_seed_stage.py
+    with pytest.MonkeyPatch.context() as mp:
+        rows = [json.dumps({"request": r, "outcome": _route_outcome(r, mp)},
+                           separators=(",", ":")) for r in _route_requests()]
+    ROUTE_GOLDENS.write_text("[\n" + ",\n".join(rows) + "\n]\n")

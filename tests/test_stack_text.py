@@ -186,6 +186,19 @@ def test_read_document_holds_one_stack():
     assert peak < 1.25 * s.stack.nbytes, peak / s.stack.nbytes
 
 
+def test_read_document_holds_few_stacks_of_wide_numbers():
+    # spans of two-digit numbers (p >= 11) are read in blocks of about
+    # STACK_BLOCK / 8 bytes, so their per-number temporaries stay small
+    raw = _canonical(mub_set(13, 4))
+    tracemalloc.start()
+    try:
+        s = read_document(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * s.stack.nbytes, peak / s.stack.nbytes
+
+
 def _digit_docs():
     """Canonical one-digit documents: fields, a shifted field, a
     one-member family and n = 1."""
