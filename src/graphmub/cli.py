@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -24,6 +23,7 @@ from .fields import PolyZp, check_prime
 from .linalg import MatZp
 from .mubs import (
     MubSet,
+    canonical_json,
     canonical_parts,
     mub_set,
     read_document,
@@ -281,8 +281,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    return _write([json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                   for r in derive_rows(args.p)], args.out)
+    return _write(map(canonical_json, derive_rows(args.p)), args.out)
 
 
 def _cmd_example(args) -> int:

@@ -22,9 +22,11 @@ The report, the design check and a single `connectivity_rank` (a stack
 of one) all read this table, and a purity is one lookup per rank.
 `analysis_report` builds the report as a dict; `analysis_parts` writes
 its canonical JSON straight from the table, block by block, through one
-pre-encoded text per rank value, so no per-member int or str is built.
-The keys of the cuts are laid out by the same gather, into one
-fixed-width bytes array that sorts in their str order.
+pre-encoded text per rank value, so no per-member int or str is built:
+the texts are a NUL-padded bytes array, a block's are gathered by one
+`np.take`, and `bytes.translate` drops the padding.  The keys of the
+cuts are laid out by the same gather, into one fixed-width bytes array
+that sorts in their str order.
 
 Purities are exact rationals, so the averaged-purity identity over a
 complete family,
@@ -397,16 +399,15 @@ def _analysis(s: MubSet, bipartitions) -> tuple:
 def _keys(n: int, cuts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Bipartition.key of every cut, in table order, as one bytes array:
     each key holds every vertex once, so all have one width.  A key is
-    the texts ",v" of its X then Y vertices, "|v" for the first of Y, laid
-    out by `_laid_out`, with the leading "," dropped."""
-    texts = [f",{v}" for v in range(1, n + 1)] + [f"|{v}" for v in range(1, n + 1)]
-    width = sum(map(len, texts[:n]))
-    codes = _codes(texts)
-    keys = [np.zeros(0, dtype=f"S{width - 1}")]
+    the text "v" of its first X vertex, ",v" of the other vertices and
+    "|v" of the first of Y, laid out by `_laid_out`."""
+    texts = ([str(v) for v in range(1, n + 1)] + [f",{v}" for v in range(1, n + 1)]
+             + [f"|{v}" for v in range(1, n + 1)])
+    keys = [np.zeros(0, dtype=f"S{sum(map(len, texts[n:2 * n])) - 1}")]
     for xs, ys in cuts:
-        text = _laid_out(np.hstack([xs - 1, ys[:, :1] + n - 1, ys[:, 1:] - 1]), codes)
-        keys.append(np.ascontiguousarray(text.reshape(-1, width)[:, 1:]).view(keys[0].dtype)
-                    .reshape(-1))
+        text = _laid_out(np.hstack([xs[:, :1] - 1, xs[:, 1:] + n - 1,
+                                    ys[:, :1] + 2 * n - 1, ys[:, 1:] + n - 1]), texts)
+        keys.append(np.frombuffer(text, dtype=keys[0].dtype))
     return np.concatenate(keys)
 
 
@@ -432,8 +433,8 @@ def analysis_parts(s: MubSet, bipartitions=None) -> Iterator[str]:
     built per member and rank.  The cuts go out in key order (a bytes
     sort), REPORT_BLOCK ranks at a time, each block's rank and purity rows
     joined by `_joined_rows`, and each cut's design fields are the one
-    text of its (lhs, rhs) pair.  Refusals raise here, before the first
-    piece."""
+    text `canonical_json` writes for its (lhs, rhs) pair.  Refusals raise
+    here, before the first piece."""
     head, keys, table, design = _analysis(s, bipartitions)
     return _report_pieces(s, keys, table, design, canonical_json(head))
 
@@ -446,8 +447,8 @@ def _report_pieces(s: MubSet, keys: np.ndarray, table: np.ndarray, design,
     if design is None:
         designs, index = [""], np.zeros(len(table), dtype=np.intp)
     else:
-        designs = [f'"design_lhs":"{lhs}","design_pass":{"true" if lhs == rhs else "false"},'
-                   f'"design_rhs":"{rhs}",' for lhs, rhs in design[0]]
+        designs = [canonical_json({"design_lhs": str(lhs), "design_pass": lhs == rhs,
+                                   "design_rhs": str(rhs)})[1:-2] + "," for lhs, rhs in design[0]]
         index = design[1]
     step = max(1, REPORT_BLOCK // max(1, len(s.stack)))
     sep = ""
@@ -467,25 +468,14 @@ def _joined_rows(block: np.ndarray, texts: list[str]) -> list[str]:
     indices into texts: the rows laid out by `_laid_out` with a "," before
     each text, cut at offsets summed from the text lengths, and each
     one's leading "," dropped."""
-    text = _laid_out(block, _codes(["," + t for t in texts])).tobytes().decode()
+    text = _laid_out(block, [f",{t}" for t in texts]).decode()
     ends = np.cumsum(np.array([len(t) + 1 for t in texts])[block].sum(axis=1)).tolist()
     return [text[a + 1:b] for a, b in zip([0] + ends, ends)]
 
 
-def _codes(texts: list[str]) -> np.ndarray:
-    """Each text (ASCII, no NUL) as a code of w bytes, zero-padded: w a
-    power of two, or a multiple of 8."""
-    top = max(map(len, texts))
-    w = 1 << (top - 1).bit_length() if top <= 8 else -(-top // 8) * 8
-    codes = np.zeros((len(texts), w), dtype=np.uint8)
-    for v, t in enumerate(texts):
-        codes[v, :len(t)] = np.frombuffer(t.encode(), dtype=np.uint8)
-    return codes
-
-
-def _laid_out(block: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The texts of `_codes` indexed by an int array, row after row, back
-    to back, as a uint8 array of their bytes: one gather of the codes as
-    words, with the zero bytes dropped (none when every code is full)."""
-    grid = np.take(codes.view(f"<u{min(codes.shape[1], 8)}"), block, axis=0).view(np.uint8)
-    return grid.reshape(-1) if codes[:, -1].all() else grid[grid != 0]
+def _laid_out(block: np.ndarray, texts: list[str]) -> bytes:
+    """The texts (ASCII, no NUL) indexed by an int array, row after row,
+    back to back: one gather from their bytes array, which numpy pads
+    with NULs to one width, with the padding dropped."""
+    codes = np.array([t.encode() for t in texts])
+    return np.take(codes, block).tobytes().translate(None, b"\0")

@@ -59,7 +59,8 @@ class MubSet:
     `stack` is the family: a read-only array (N, n, n) of members reduced
     mod p, on `stack_dtype(p)`, from nested integers of any size or an
     integer array (ValueError for float, complex, bool or str entries,
-    and for members or shifts that are not symmetric n x n).
+    a bool among ints included, and for members or shifts that are not
+    symmetric n x n).
     Entries already in [0, p) are only cast, and a read-only array of
     them already on that dtype (`read_document`'s, or another family's
     stack) is kept as it is.
@@ -92,9 +93,12 @@ class MubSet:
                                  "witness over the same p and n, unshifted")
             stack = _field(w.q)
         else:
-            stack = np.asarray(self.stack)
-            if stack.dtype.kind not in "iu":  # ints past int64 come as float64 or object
-                stack = np.array(self.stack, dtype=object)
+            stack = self.stack
+            # numpy reads a bool among ints as an int, and ints past int64
+            # as float64 or object: any stack but an integer array is
+            # checked entry by entry as it was given
+            if not (isinstance(stack, np.ndarray) and stack.dtype.kind in "iu"):
+                stack = np.array(stack, dtype=object)
                 if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                            for v in stack.flat):
                     raise ValueError("adjacency matrices must hold integers")
@@ -400,6 +404,10 @@ def from_document(doc: dict) -> MubSet:
     mats = doc["matrices"]
     if not (isinstance(mats, np.ndarray) and mats.dtype.kind in "iu"):
         mats = _ints(mats, "matrices", 3)
+        try:  # checked here, so MubSet is handed an array it need not check
+            mats = np.array(mats, dtype=np.int64)
+        except OverflowError:  # ints past int64, which MubSet reduces as Python ints
+            mats = np.array(mats, dtype=object)
     if not len(mats):
         raise ValueError("document contains no matrices")
     poly = doc.get("polynomial")
@@ -618,10 +626,8 @@ def _stack_json(stack: np.ndarray):
         blk = stack[a:a + step]
         if blk.min() < 0:
             raise ValueError("stack entries to encode must be non-negative")
-        text = _members_text(blk, int(blk.max()))
-        if not a:
-            text[0] = ord("[")
-        yield text.tobytes().decode()
+        text = _members_text(blk, int(blk.max())).decode()
+        yield text if a else "[" + text[1:]
     yield "]"
 
 
@@ -632,14 +638,13 @@ def _member_template(r: int, c: int, w: int) -> bytes:
     return (",[" + ",".join([row] * r) + "]").encode()
 
 
-def _members_text(blk: np.ndarray, top: int) -> np.ndarray:
-    """The text bytes of a block of members with largest entry top (w
-    digits), each led by ",": a row of `_member_template` per member,
-    whose rows of c (w + 1) + 2 bytes after the leading ",[" hold the c
-    numbers at fixed offsets, w bytes each.  At w = 1 a number is its one
-    digit; wider numbers, on the smallest dtype that holds top, are
-    right-aligned with a zero byte for each leading zero, and the text is
-    the template's nonzero bytes."""
+def _members_text(blk: np.ndarray, top: int) -> bytes:
+    """The text of a block of members with largest entry top (w digits),
+    each led by ",": a row of `_member_template` per member, whose rows
+    of c (w + 1) + 2 bytes after the leading ",[" hold the c numbers at
+    fixed offsets, w bytes each.  At w = 1 a number is its one digit;
+    wider numbers, on the smallest dtype that holds top, are right-aligned
+    with a NUL for each leading zero, which `bytes.translate` drops."""
     k, r, c = blk.shape
     w = len(str(top))
     template = np.frombuffer(_member_template(r, c, w), np.uint8)
@@ -648,13 +653,13 @@ def _members_text(blk: np.ndarray, top: int) -> np.ndarray:
     cells = _cells(text, r, c, w)
     if w == 1:
         np.add(blk, ord("0"), out=cells[..., 0], casting="unsafe")
-        return text.reshape(-1)
+        return text.tobytes()
     blk = blk.astype(np.min_scalar_type(top))[..., None]
     tens = 10 ** np.arange(w - 1, -1, -1, dtype=blk.dtype)
     digits = blk // tens % 10 + ord("0")
     digits[..., :-1] *= blk >= tens[:-1]
     cells[..., :w] = digits
-    return text[text != 0]
+    return text.tobytes().translate(None, b"\0")
 
 
 def _cells(text: np.ndarray, r: int, c: int, w: int) -> np.ndarray:

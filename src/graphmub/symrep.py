@@ -90,26 +90,6 @@ class SymmetricRep:
     def n(self) -> int:
         return self.f.degree
 
-    def to_document(self) -> dict:
-        doc = {
-            "p": self.p,
-            "n": self.n,
-            "polynomial": list(self.f.coeffs),
-            "method": self.method,
-            "q": self.q.to_lists(),
-        }
-        if self.d is not None:
-            doc["d"] = list(self.d)
-        if self.companion is not None:
-            doc["companion"] = self.companion.to_lists()
-        if self.transform is not None:
-            doc["transform"] = self.transform.to_lists()
-        if isinstance(self.multiplier, MatZp):
-            doc["multiplier"] = self.multiplier.to_lists()
-        elif self.multiplier is not None:
-            doc["multiplier"] = self.multiplier
-        return doc
-
 
 # ---------------------------------------------------------------------------
 # Commuting bilinear forms: symmetric invertible B with C B = B C^T

@@ -405,6 +405,28 @@ def test_analysis_parts_are_the_report_bytes(monkeypatch, p, n):
                 assert "".join(entanglement.analysis_parts(s, bips)) == expected, (s, bips)
 
 
+@pytest.mark.parametrize("p, n, purity", [(5, 10, "1/3125"), (3, 12, "1/729"),
+                                          (2, 20, "1/1024")])
+def test_analysis_parts_write_wide_codes(p, n, purity):
+    # X = {1, ..., n/2} crosses a full-rank block, so with its "," the
+    # purity code takes 8 or 9 bytes ('"1/3125"'); beside a zero member
+    # the codes of one row differ in width, and the keys hold two-digit
+    # vertices; the oracle writes the same report
+    h = n // 2
+    full = np.zeros((n, n), dtype=np.int64)
+    full[:h, h:] = np.diag(1 + np.arange(h) % (p - 1))
+    full[h:, :h] = full[:h, h:].T
+    x = tuple(range(1, h + 1))
+    cut = [Bipartition.of(x, n)]
+    for stack in ([full], [full, np.zeros_like(full)]):
+        s = MubSet(p=p, n=n, stack=np.array(stack))
+        report = analysis_report(s, cut)
+        assert report["bipartitions"][cut[0].key()]["purities"][0] == purity
+        expected = canonical_json(report)
+        assert "".join(entanglement.analysis_parts(s, cut)) == expected
+        assert expected == canonical_json(analysis_report_brute(s, [x]))
+
+
 def test_analysis_parts_refuse_before_the_first_piece():
     one = MubSet(p=2, n=30, stack=np.zeros((1, 30, 30), dtype=np.int64))
     with pytest.raises(ValueError, match="ALL_CUTS_LIMIT"):

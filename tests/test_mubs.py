@@ -459,13 +459,15 @@ def test_stack_is_the_stored_family():
 
 
 @pytest.mark.parametrize("entry", [0.5, 1.7, float("nan"), 1.0, 1 + 0j, True, False, "1"])
-@pytest.mark.parametrize("container", ["array", "nested"])
+@pytest.mark.parametrize("container", ["array", "nested", "mixed", "tuple"])
 def test_non_integer_stack_entries_are_refused(entry, container):
     # a stack of float, complex, bool or str entries is no stack: refused,
     # not truncated or cast (NaN read 0, 1.7 read 1), as documents refuse
-    # them (numpy itself reads a bool among ints as an int)
+    # them; so is one such entry among ints, in nested lists or tuples,
+    # which numpy would read as an int (True as 1) or as a float
     rows = [[entry] * 2] * 2
-    stack = np.array([rows]) if container == "array" else [rows]
+    stack = {"array": np.array([rows]), "nested": [rows], "mixed": [[[entry, 0], [0, 1]]],
+             "tuple": (((1, entry), (entry, 0)),)}[container]
     with pytest.raises(ValueError, match="integers"):
         MubSet(p=2, n=2, stack=stack)
 

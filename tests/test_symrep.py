@@ -502,29 +502,6 @@ def test_representation_every_small_case():
             assert rep.q.char_poly().is_irreducible()
 
 
-def test_witness_document():
-    rep = symmetrize_companion(F27)
-    doc = rep.to_document()
-    assert doc["p"] == 3 and doc["n"] == 3
-    assert doc["polynomial"] == [1, 2, 1, 1]
-    assert doc["method"] == "companion"
-    assert doc["q"] == rep.q.to_lists()
-    assert doc["companion"] == rep.companion.to_lists()
-    assert doc["transform"] == rep.transform.to_lists()
-    assert doc["multiplier"] == 2
-
-    rep2 = tridiagonal_rep(2, (1, 0, 0))
-    doc2 = rep2.to_document()
-    assert doc2["d"] == [1, 0, 0]
-    assert "companion" not in doc2
-
-    # matrix multiplier case: n mod 4 = 2 with -1 a non-residue
-    f2 = find_irreducible(3, 2, primitive=True)
-    rep3 = symmetrize_companion(f2)
-    doc3 = rep3.to_document()
-    assert doc3["multiplier"] == rep3.companion.to_lists()
-
-
 def test_find_irreducible_is_lex_first():
     assert find_irreducible(2, 2) == PolyZp(2, [1, 1, 1])
     f = find_irreducible(3, 2)
