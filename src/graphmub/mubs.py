@@ -28,13 +28,10 @@ those met.
 
 A document's stack is written by one template writer, `_members_text`:
 per block, each member is a fixed text row whose numbers are w bytes
-wide (w the digits of the block's largest entry).  The reader takes a
-span of one-digit numbers by that template (`_digit_stack`): N rows of
-`_member_template(n, n, 1)`, read a block at a time through the writer's
-cell view straight into one stack on `stack_dtype(p)`, which `MubSet`
-keeps without a copy.  Wider spans, and spans whose blocks differ in
-width, are read number by number (`_read_block`), their text checked
-against the same template at w = 1.
+wide (w the digits of the block's largest entry).  One reader,
+`_read_stack`, checks every span by that template at w = 1, each number
+cut to its first digit, and reads it a block at a time into one stack on
+`stack_dtype(p)`, which `MubSet` keeps without a copy.
 """
 
 from __future__ import annotations
@@ -454,17 +451,13 @@ _MATRICES_KEY = re.compile(rb'\{(?:"d":\[[0-9,]*\],)?(?:"field_rep":(?:true|fals
 
 def _canonical_doc(raw: bytes) -> dict | None:
     """The document with `matrices` an (N, n, n) array of its entries, or
-    None unless the bytes are canonical: the sorted-key prefix, then a
-    span up to the first "]]]" that `_digit_stack` accepts, or else
-    `_read_block` in blocks of about STACK_BLOCK / 8 bytes cut between
-    members, as `_digit_stack` cuts its own (each number takes int64
-    offsets and masks there), and the rest of the document, the span
-    replaced by 0, valid JSON holding `matrices` once at the top level
-    (under any spelling) and a positive int `n`.  The span is sought back
-    from the quote of the key after it (`n` comes after `matrices`), since
-    no stack text holds a quote; neither reader accepts a span that holds
-    an earlier "]]]", so the one found is the first in every accepted
-    span."""
+    None unless the bytes are canonical: the sorted-key prefix, a span up
+    to the first "]]]" that `_read_stack` accepts, and the rest of the
+    document, the span replaced by 0, valid JSON holding `matrices` once
+    at the top level (under any spelling) and a positive int `n`.  The
+    span is sought back from the quote of the key after it (`n` comes
+    after `matrices`): no stack text holds a quote, and no accepted span
+    an earlier "]]]"."""
     key = _MATRICES_KEY.match(raw)
     if key is None:
         return None
@@ -482,94 +475,98 @@ def _canonical_doc(raw: bytes) -> dict | None:
     if [k for k, _ in tops[-1]].count("matrices") != 1 \
             or type(n) is not int or not 0 < n * n <= end - start:
         return None
-    doc["matrices"] = _digit_stack(raw, start, end, n, doc.get("p"))
-    if doc["matrices"] is None:
-        member = _member_template(n, n, 1)[1:]
-        blocks, pos = [], start
-        while pos < end:
-            cut = raw.find(b"]],[[", pos + STACK_BLOCK // 8, end)
-            cut = end if cut < 0 else cut + 2
-            blocks.append(_read_block(raw[pos:cut], member, n,
-                                      pos == start, cut == end))
-            if blocks[-1] is None:
-                return None
-            pos = cut
-        doc["matrices"] = np.concatenate(blocks)
-    return doc
+    doc["matrices"] = _read_stack(raw, start, end, n, doc.get("p"))
+    return None if doc["matrices"] is None else doc
 
 
-def _digit_stack(raw: bytes, start: int, end: int, n: int, p) -> np.ndarray | None:
-    """The read-only (N, n, n) stack on `stack_dtype(p)` of a span
-    raw[start:end] whose every number is one digit, read by the writer's
-    own layout: N rows of `_member_template(n, n, 1)`, the first opened by
-    "[" in place of its ",", then the closing "]".  Block by block of about
-    STACK_BLOCK / 8 bytes, the block's bytes less the template's go to a
-    work buffer, uint8: each must be 0 to 9, a range checked before any
-    signed cast (a "[" in a cell reads 43, a byte above 175 would wrap
-    negative on int8), and every nonzero one must sit in a number cell
-    (the strided cell view of `_members_text`), which the cells, copied
-    into the stack, show by holding as many nonzero digits.  None for any
-    other span (wider numbers, blocks of mixed widths, or text that is no
-    canonical stack), and when p is no int > 1 with an integer stack
-    dtype; `_read_block` then decides."""
+def _read_stack(raw: bytes, start: int, end: int, n: int, p) -> np.ndarray | None:
+    """The read-only (N, n, n) stack on `stack_dtype(p)` (int64 for an
+    entry past it) of a span raw[start:end] that, less every digit that a
+    digit follows, is N rows of `_member_template(n, n, 1)`, the first
+    opened by "[" in place of its ",", then the closing "]"; each number
+    has at most 18 digits and no leading zero.  It is read in blocks of
+    about STACK_BLOCK / 8 bytes cut after whole members.  None for any
+    other span, and unless p is an int > 1 with an integer stack dtype."""
+    if type(p) is not int or p < 2 or stack_dtype(p).kind != "i":
+        return None
     member = np.frombuffer(_member_template(n, n, 1), np.uint8)
     width = len(member)
-    count, spare = divmod(end - start - 1, width)
-    if spare or type(p) is not int or p < 2 or stack_dtype(p).kind != "i":
-        return None
-    buf = np.empty((min(count, max(1, STACK_BLOCK // (8 * width))), width), np.uint8)
+    rows, spare = divmod(end - start - 1, width)
+    counted = bool(spare)  # else sized for one-digit rows, until a wider number
+    stack = np.empty((raw.count(b"]],[[", start, end) + 1 if counted else rows, n, n),
+                     stack_dtype(p))
+    buf = np.empty((min(len(stack), max(1, STACK_BLOCK // (8 * width))), width), np.uint8)
     cells = _cells(buf, n, n, 1)[..., 0]
-    stack = np.empty((count, n, n), dtype=stack_dtype(p))
-    for lo in range(0, count, len(buf)):
-        k = min(len(buf), count - lo)
-        text = np.frombuffer(raw, np.uint8, k * width, start + lo * width)
+
+    def check(text: np.ndarray, first: bool, out: np.ndarray) -> int | None:
+        """The k members of text, k rows of the template, their digits
+        copied into out[:k]; None unless its bytes less the template's are
+        0 to 9 (as uint8 in buf: none wraps negative) and all nonzero ones
+        sit in number cells."""
+        k, spare = divmod(len(text), width)
+        if spare or not 0 < k <= min(len(buf), len(out)):
+            return None
         diff = np.subtract(text.reshape(k, width), member, out=buf[:k])
-        if not lo:  # the stack's "[" in place of the first member's ","
-            if diff[0, 0] != ord("[") - ord(","):
-                return None
-            diff[0, 0] = 0
+        if first:  # the stack's "[" in place of its first ",": 0 for "[" alone
+            diff[0, :1] -= ord("[") - ord(",")
         if diff.max() > 9:
             return None
-        digits = stack[lo:lo + k]  # written as unsigned: 0 to 9 either way, and no cast
+        digits = out[:k]  # written as unsigned: 0 to 9 either way, and no cast
         np.copyto(digits.view(f"u{digits.itemsize}"), cells[:k])
-        if np.count_nonzero(digits) != np.count_nonzero(diff):
+        return k if np.count_nonzero(digits) == np.count_nonzero(diff) else None
+
+    def numbers(text: np.ndarray, first: bool, out: np.ndarray):
+        """(k, at, values), or None: text's numbers, each cut to its first
+        digit, pass `check` into out[:k], and `values` are those of 2 to 18
+        digits (no leading zero), at the flat offsets `at` of out[:k]."""
+        a = text - 48  # a digit's value; "[", "]" and "," wrap to 10 or more
+        isd = a < 10
+        more = np.zeros_like(isd)  # a digit after a digit
+        np.logical_and(isd[1:], isd[:-1], out=more[1:])
+        k = check(text[~more], first, out)
+        if k is None:
             return None
-    stack.setflags(write=False)
+        digit = np.flatnonzero(more)
+        rank = np.flatnonzero(~more[digit - 1])  # second digits, by rank among the dropped
+        digit = digit[rank]
+        lead = digit - rank - 1  # the first digit's offset in the checked text
+        cell = np.zeros(width, np.intp)  # the number of the cell at each offset of a row
+        cell[_cells(np.arange(width)[None], n, n, 1)[0, ..., 0].ravel()] = np.arange(n * n)
+        at = lead // width * (n * n) + cell[lead % width]
+        values = out[:k].reshape(-1)[at].astype(np.int64)
+        if not values.all():  # a leading zero
+            return None
+        live = np.arange(len(at))
+        for _ in range(17):  # the second to the 18th digit
+            values[live] = values[live] * 10 + a[digit]
+            go = more[digit + 1]
+            digit, live = digit[go] + 1, live[go]
+            if not len(live):
+                return k, at, values
+        return None
+
+    lo, pos = 0, start
+    while pos < end:
+        # each member takes width bytes or more, so a block takes len(buf) or fewer
+        cut = raw.find(b"]],[[", pos + (len(buf) - 1) * width - 1, end)
+        cut = end if cut < 0 else cut + 2
+        text = np.frombuffer(raw, np.uint8, cut - pos - (cut == end), pos)  # less the last "]"
+        k = check(text, pos == start, stack[lo:])
+        if k is None:  # wider numbers, or no stack text
+            wide = numbers(text, pos == start, stack[lo:])
+            if wide is None:
+                return None
+            k, at, values = wide
+            big = int(values.max()) > np.iinfo(stack.dtype).max
+            if big or not counted:  # sized by the members' count, int64 past the dtype
+                grown = np.empty((raw.count(b"]],[[", start, end) + 1, n, n),
+                                 np.int64 if big else stack.dtype)
+                grown[:lo + k] = stack[:lo + k]
+                stack, counted = grown, True
+            stack[lo:lo + k].reshape(-1)[at] = values
+        lo, pos = lo + k, cut
+    stack.setflags(write=False)  # lo == len(stack): a span of whole blocks fills it
     return stack
-
-
-def _read_block(chunk: bytes, member: bytes, n: int, first: bool,
-                last: bool) -> np.ndarray | None:
-    """The entries of the k whole members in a chunk of a canonical span,
-    (k, n, n) on the smallest unsigned dtype, or None unless the chunk
-    holds only digits, "[", "]" and ",", and with each number written as
-    0 is the text of k zero members (`member`, from `_member_template`),
-    opened by "[" when first, else by the "," before its first member,
-    and closed by "]" when last; and each number has at most 18 digits
-    and no leading zero."""
-    if chunk.translate(None, b"0123456789[],"):
-        return None
-    c = np.frombuffer(chunk, np.uint8)
-    a = c - 48  # a digit's value; "[", "]" and "," wrap to 10 or more
-    isd = a < 10
-    more = np.zeros_like(isd)  # a digit after a digit, deleted as "x"
-    np.logical_and(isd[1:], isd[:-1], out=more[1:])
-    k, spare = divmod(int(np.count_nonzero(isd)) - int(np.count_nonzero(more)), n * n)
-    zeros = (b"[" if first else b",") + b",".join([member] * k) + b"]" * last
-    if spare or np.where(more, 120, c).tobytes().translate(_AS_ZERO, b"x") != zeros:
-        return None
-    starts, ends = (np.flatnonzero(np.diff(isd)) + 1).reshape(-1, 2).T
-    width = ends - starts
-    w = int(width.max())
-    if w > 18 or ((a[starts] == 0) & (width > 1)).any():
-        return None
-    values = np.zeros(len(starts), np.min_scalar_type(10**w - 1))
-    for j in range(w, 0, -1):  # the digit of place 10^(j - 1), 0 before a start
-        values = values * 10 + np.where(ends - j >= starts, a[ends - j], 0)
-    return values.reshape(k, n, n)
-
-
-_AS_ZERO = bytes.maketrans(b"0123456789", b"0" * 10)
 
 
 def canonical_json(doc: dict) -> str:
@@ -610,7 +607,7 @@ def _encode(v):
 _LEAF = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`; the readers take an eighth
+STACK_BLOCK = 1 << 20  # entries per block of `_stack_json`; `_read_stack` reads an eighth
 
 
 def _stack_json(stack: np.ndarray):
@@ -626,8 +623,7 @@ def _stack_json(stack: np.ndarray):
         blk = stack[a:a + step]
         if blk.min() < 0:
             raise ValueError("stack entries to encode must be non-negative")
-        text = _members_text(blk, int(blk.max())).decode()
-        yield text if a else "[" + text[1:]
+        yield _members_text(blk, int(blk.max()), not a).decode()
     yield "]"
 
 
@@ -638,18 +634,20 @@ def _member_template(r: int, c: int, w: int) -> bytes:
     return (",[" + ",".join([row] * r) + "]").encode()
 
 
-def _members_text(blk: np.ndarray, top: int) -> bytes:
+def _members_text(blk: np.ndarray, top: int, first: bool) -> bytes:
     """The text of a block of members with largest entry top (w digits),
-    each led by ",": a row of `_member_template` per member, whose rows
-    of c (w + 1) + 2 bytes after the leading ",[" hold the c numbers at
-    fixed offsets, w bytes each.  At w = 1 a number is its one digit;
-    wider numbers, on the smallest dtype that holds top, are right-aligned
-    with a NUL for each leading zero, which `bytes.translate` drops."""
+    each led by "," (the stack's first member by its opening "["): a row
+    of `_member_template` per member, whose rows of c (w + 1) + 2 bytes
+    after the leading ",[" hold the c numbers at fixed offsets, w bytes
+    each.  At w = 1 a number is its one digit; wider numbers, on the
+    smallest dtype that holds top, are right-aligned with a NUL for each
+    leading zero, which `bytes.translate` drops."""
     k, r, c = blk.shape
     w = len(str(top))
     template = np.frombuffer(_member_template(r, c, w), np.uint8)
     text = np.empty((k, len(template)), dtype=np.uint8)
     text[:] = template
+    text[0, 0] = ord("[" if first else ",")
     cells = _cells(text, r, c, w)
     if w == 1:
         np.add(blk, ord("0"), out=cells[..., 0], casting="unsafe")

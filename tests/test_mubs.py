@@ -708,7 +708,7 @@ def _falls_back(raw: bytes):
     return got
 
 
-def test_documents_the_fast_path_hands_to_json_loads():
+def test_documents_the_fast_path_hands_to_json_loads(monkeypatch):
     raw = _canonical_bytes(2, 2)
     tail = b',"method"'
     # a second matrices key, under either spelling: json.loads keeps the last
@@ -727,6 +727,12 @@ def test_documents_the_fast_path_hands_to_json_loads():
     # the matrices key out of canonical order, and a space
     _falls_back(_edited(raw, b'{"d":[0,1],', b'{"p":2,"d":[0,1],'))
     _falls_back(_edited(raw, b"[[[0,", b"[[[0, "))
+    # a wide span with one "]],[[" fewer than its members, the last of them
+    # in the last of eleven reader blocks of eleven members
+    wide = _canonical_bytes(11, 2)
+    cut = wide.rfind(b"]],[[")
+    monkeypatch.setattr(mubs, "STACK_BLOCK", 8 * 11 * len(mubs._member_template(2, 2, 1)))
+    _falls_back(wide[:cut] + b"]],[]" + wide[cut + 5:])
 
 
 @pytest.mark.parametrize("entry,fast", [(b"100000000000000002", True),  # 18 digits
