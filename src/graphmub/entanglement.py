@@ -63,12 +63,12 @@ BISEPARABLE = "biseparable-structure"
 # Most (cut, member) pairs an all-cuts report takes.  On one BLAS thread
 # of a 2-vCPU Xeon VM (a shared host) the rank table costs about
 # 0.03-0.04 us per pair ((2,10) to (2,12)) plus 0.2-0.3 us per cut (one
-# member, n = 16 and 17), and CLI `analyze` takes 0.8-1.2 s for a
-# complete (2,12) family (about 0.27 s of ranks and 0.27 s of report
-# text) and 0.3-0.5 s for one member at n = 17.  A cut counts as at
-# least 2^7 members, so these fit; (2,13), a report of 33M ranks (a 268
-# MB int64 table), and one member at n = 18 do not (the latter's report
-# takes 0.24-0.34 s in process, at a peak RSS of 114 MiB).
+# member, n = 16 and 17), and CLI `analyze` takes 0.56-0.74 s at 45 MiB
+# for a complete (2,12) family (about 0.24 s of ranks and 0.23 s of
+# report text) and 0.19-0.32 s for one member at n = 17.  A cut counts
+# as at least 2^7 members, so these fit; (2,13), a report of 33M ranks
+# (a 33 MB table, a byte a rank), and one member at n = 18 do not (the
+# latter's report takes 0.29-0.35 s from the import, at 66 MiB).
 ALL_CUTS_LIMIT = 2**23
 
 # Widest crossing (columns) whose p = 2 ranks `_count_kernels` counts.
@@ -157,10 +157,12 @@ def _rank_table(stack: np.ndarray, p: int,
                 cuts: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """connectivity_rank of every member of an (N, n, n) stack at every
     cut, given as (X sides, Y sides) array pairs (`_all_cuts`, `_sides`):
-    an int64 table with one row per cut, pair after pair, and one column
-    per member.  The cuts whose smaller side has c vertices share a
-    crossing shape: each cut's block A[X, Y], taken tall (its transpose,
-    the same rank, when |X| < |Y|), has c columns from the smaller side.
+    a table with one row per cut, pair after pair, and one column per
+    member, on the narrowest unsigned dtype that holds n // 2 (a rank is
+    at most min(|X|, |Y|): uint8 up to n = 511).  The cuts whose smaller
+    side has c vertices share a crossing shape: each cut's block A[X, Y],
+    taken tall (its transpose, the same rank, when |X| < |Y|), has c
+    columns from the smaller side.
     For p = 2 (n <= 64, c <= KERNEL_BITS) the ranks come from
     `_count_kernels`; otherwise the (cut, member) pairs of one c are
     gathered by flat offsets into the stack, GATHER_BLOCK entries at a
@@ -175,7 +177,7 @@ def _rank_table(stack: np.ndarray, p: int,
         shapes.setdefault(min(x, n - x), []).append((np.arange(rows, rows + len(xs)), xs, ys))
         rows += len(xs)
     flat = stack.reshape(-1)
-    table = np.zeros((rows, count), dtype=np.int64)
+    table = np.zeros((rows, count), dtype=np.min_scalar_type(n // 2))
     lines = None  # every member's packed rows, then its packed columns
     for c, groups in shapes.items():
         index = np.concatenate([r for r, _, _ in groups])

@@ -16,12 +16,14 @@ reduces it.  `MubSet.matrices` is a view of it built on first use.  The
 seed is proven where its witness is built (`SymmetricRep`), so a family
 that `MubSet` builds from a witness is the field Z_p[Q] by construction
 (`mub_set`, `adjacency_set`); a stack passed in (a document, a shift, a
-hand-built family) is proven from the stack by `MubSet.field_rep`.
-Other families get one rank per distinct difference A_t - A_r (over
-Z_p a square matrix is invertible exactly when it has full rank): the
-N - 1 differences from member 0 when `MubSet.affine` proves the stack
-a coset of a subspace (a shifted or reordered field), since member 0 then
-meets every difference; for any other stack, the pairs where a walk in
+hand-built family) is proven from the stack by `MubSet.affine`, a
+shifted field s_0 + Z_p[Q] in index order with Q = stack[p] - stack[0];
+`MubSet.field_rep` is that proof with member 0 zero.  A family other
+than a field gets one rank per distinct difference A_t - A_r (over Z_p
+a square matrix is invertible exactly when it has full rank): the
+N - 1 differences from member 0 when the stack is affine, since member
+0 then meets every difference; for any other stack (a field in another
+order included), the pairs where a walk in
 row-major order (`difference_rows`) first meets each difference, its
 key (the bytes of its reduced upper triangle) not yet in the set of
 those met.
@@ -123,24 +125,30 @@ class MubSet:
 
     @cached_property
     def field_rep(self) -> bool:
-        """True when the stack is the index-ordered span of I, Q, ...,
-        Q^(n-1), Q = stack[p] (I alone for n = 1), and Q has an irreducible
-        characteristic polynomial: then the p^n members are the field
-        Z_p[Q], so every difference of two members is invertible.  A stack
-        built from the witness is that span of its proven seed; a stack
-        passed in is proven here."""
+        """True when the stack is the field Z_p[Q] itself: `affine` with
+        member 0 zero, tested first, so a shifted stack skips the proof
+        (an empty stack has no member 0 and is not affine)."""
+        return not self.stack[:1].any() and self.affine
+
+    @cached_property
+    def affine(self) -> bool:
+        """True when the stack is a shifted field s_0 + Z_p[Q] in index
+        order: s_0 = stack[0], Q = stack[p] - s_0 (I alone for n = 1) with
+        an irreducible characteristic polynomial, and stack[i] = s_0 +
+        sum_k a_k Q^k for the digits a of i.  Every difference A_t - A_r
+        is then a nonzero member of the field Z_p[Q], and member 0 meets
+        every one.  A stack built from the witness is one (s_0 = 0); a
+        stack passed in must keep each step of `_levels(Q)` (a block plus
+        one matrix is its image block, so s_0 changes no step), checked in
+        blocks of about STACK_BLOCK / 8 entries, with no second stack."""
         if self._from_witness:
             return True
-        p, n = self.p, self.n
-        if len(self.stack) != p**n:
+        p, n, stack = self.p, self.n, self.stack
+        if len(stack) != p**n:
             return False
-        q = MatZp(p, self.stack[p].tolist()) if n > 1 else MatZp.identity(p, 1)
+        q = MatZp(p, (stack[p] - stack[0]).tolist()) if n > 1 else MatZp.identity(p, 1)
         if not q.char_poly().is_irreducible():
             return False
-        # the stack is _field(q) iff it keeps each step of `_levels`,
-        # checked in blocks of about STACK_BLOCK / 8 entries (each also takes
-        # a quotient in `mod` and a boolean comparison), with no second stack
-        stack = self.stack
         rows = max(1, STACK_BLOCK // (8 * n * n))
         buf = np.empty((min(rows, len(stack) // 2), n, n), dtype=stack.dtype)  # count <= p^n / 2
         for start, count, add in _levels(q):
@@ -149,27 +157,7 @@ class MubSet:
                 got = mod(np.add(stack[lo:hi], add, out=buf[:hi - lo]), p)
                 if not np.array_equal(got, stack[start + lo:start + hi]):
                     return False
-        return not stack[0].any()
-
-    @cached_property
-    def affine(self) -> bool:
-        """True when the stack is a coset s_0 + G of a Z_p-subspace G, so
-        member 0 meets every difference class: each A_t - A_r is a nonzero
-        member of G, and those are exactly the A_t - s_0, t > 0.  Proven
-        from the stack alone, in any index order: the upper-triangle rows
-        of S - s_0 mod p are N distinct rows (sorted byte keys) of rank k
-        with p^k = N, so they are all of their span.  A proven field is one
-        (s_0 = 0, G = Z_p[Q]) and skips that test."""
-        if self.field_rep:  # proven already wherever the checks ask
-            return True
-        p, coefs = self.p, _upper(self.stack)
-        if not len(coefs):  # no member 0, and no pair to walk
-            return False
-        coefs = mod(coefs - coefs[0], p)
-        keys = np.sort(_keys(coefs))
-        if (keys[1:] == keys[:-1]).any():  # cheaper than the rank
-            return False
-        return p ** int(eliminate_stack(coefs[None], p)[0]) == len(coefs)
+        return True
 
     @property
     def dim(self) -> int:
@@ -259,7 +247,7 @@ def _upper(stack: np.ndarray) -> np.ndarray:
 
 
 def _keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable key per row of residues in [0, p) on `stack_dtype(p)`:
+    """One key per row of residues in [0, p) on `stack_dtype(p)`:
     the row's own bytes as one opaque (void) item, so keys are equal
     exactly when rows are."""
     rows = np.ascontiguousarray(rows)
@@ -286,8 +274,9 @@ def difference_rows(stack: np.ndarray, p: int):
 
 def difference_classes(s: MubSet):
     """The (r, ts) of `difference_rows`: (0, [1, ..., N - 1]) alone when
-    `s.affine`, since row 0 of an affine stack meets every class (so a
-    later row meets none); the walk otherwise."""
+    `s.affine` (a field, or a shifted one), since row 0 of such a stack
+    meets every class (so a later row meets none); the walk otherwise,
+    a field in another order included."""
     if s.affine:
         return [(0, np.arange(1, len(s.stack)))]
     return difference_rows(s.stack, s.p)
@@ -302,8 +291,8 @@ def verify_mu_condition(s: MubSet, pairwise: bool = False):
     A_t - A_r, at its least pair in row-major order (`difference_classes`),
     one `eliminate_stack` call per row of pairs.  A failing pair whose class
     came earlier failed there already, so the report names the first
-    failing pair of a scan over all pairs: (0, least failing t) for an
-    affine stack (a field, shifted or reordered).
+    failing pair of a scan over all pairs.  An affine stack (a field or a
+    shifted one) fails none: it takes the N - 1 ranks from member 0.
     """
     if s.field_rep and not pairwise:
         return MuConditionReport(ok=True, mode="closure", failing_pair=None)
@@ -362,7 +351,7 @@ def stack_document(s: MubSet) -> dict:
         "p": s.p,
         "n": s.n,
         "method": s.method,
-        "polynomial": list(s.polynomial.coeffs) if s.polynomial else None,
+        "polynomial": list(s.polynomial.coeffs) or None if s.polynomial else None,
         "matrices": s.stack,
         "field_rep": s.field_rep,
     }
@@ -408,8 +397,9 @@ def from_document(doc: dict) -> MubSet:
     if not len(mats):
         raise ValueError("document contains no matrices")
     poly = doc.get("polynomial")
-    if poly is not None:
-        poly = _ints(poly, "polynomial", 1)
+    if poly is not None:  # a zero polynomial, [] included, is no claim
+        poly = PolyZp(p, _ints(poly, "polynomial", 1))
+        poly = None if poly.is_zero else poly
     method = doc.get("method", "unknown")
     if not isinstance(method, str):
         raise ValueError(f"method: expected a string, got {method!r}")
@@ -417,7 +407,7 @@ def from_document(doc: dict) -> MubSet:
         p=p, n=n, stack=mats,
         shifts=tuple(MatZp(p, r) for r in _ints(doc.get("shifts", []), "shifts", 3)),
         method=method,
-        polynomial=PolyZp(p, poly) if poly else None,
+        polynomial=poly,
         d=tuple(_ints(doc["d"], "d", 1)) if doc.get("d") is not None else None,
     )
 

@@ -13,8 +13,8 @@ of conj(g_r) g_t yields all p^n of them at once.  That product is the
 graph state of D = A_t - A_r mod p over sqrt(p^n), up to a label shift
 for p = 2, so the full sweep transforms one state per distinct D, at the
 least pair that meets it (`mubs.difference_classes`): row 0 for a family
-that `MubSet.affine` proves a coset of a subspace (a field, shifted or
-reordered), a walk over all pairs for any other.
+that `MubSet.affine` proves a field or a shifted field in index order, a
+walk over all pairs for any other (a field in another order included).
 The transform takes the qupits in ceil(n / b) blocks of at most b, with
 p^b <= FOURIER_BLOCK: one complex matmul per block against a cached
 dense table of F on the block's qupits.  A qupit with p > FOURIER_BLOCK

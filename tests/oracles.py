@@ -19,8 +19,8 @@ block instead of the component walk, explicit combinations of powers
 with a cofactor determinant per member instead of the characteristic-
 polynomial field proof, a dict of nested-tuple differences instead of
 the set of packed int64 keys of the difference-class walk, a span
-enumerated one difference at a time instead of the rank and sorted keys
-of the affine check, one dot product per head input and tail digit
+enumerated one difference at a time for a coset of a subspace (a
+shifted field is one), one dot product per head input and tail digit
 instead of the doubled or matmul-built tail frequencies of the sampled
 check, an XOR basis of
 Python-int rows instead of the packed uint64 fields of the p = 2

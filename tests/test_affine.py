@@ -1,8 +1,11 @@
-"""Affine stacks: row 0 decides both unbiasedness checks.
+"""Affine stacks, fields and shifted fields: row 0 decides both
+unbiasedness checks.
 
-`MubSet.affine` is cross-checked against the span-enumerating oracle,
-and on every stack of the grid both checks must report exactly what the
-walk over all pairs reports when the affine route is switched off.
+`MubSet.affine` is cross-checked against the field oracle of the stack
+less member 0, and `field_rep` against the field oracle of the stack.
+On every stack of the grid both checks must report exactly what the
+walk over all pairs reports when the affine route is switched off: a
+field in another order, or a coset of another subspace, takes the walk.
 """
 
 import random
@@ -13,7 +16,7 @@ import pytest
 from graphmub import mubs, states
 from graphmub.mubs import MubSet, mub_set, verify_mu_condition
 from graphmub.states import verify_mu_numeric
-from oracles import affine_brute
+from oracles import field_brute
 
 
 def _symmetric(rng, p, n):
@@ -22,6 +25,14 @@ def _symmetric(rng, p, n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = rng.randrange(p)
     return np.array(rows, dtype=np.int64)
+
+
+def _shift(rng, p, n):
+    """A random symmetric n x n matrix over Z_p other than zero."""
+    while True:
+        m = _symmetric(rng, p, n)
+        if m.any():
+            return m
 
 
 def _unit(n, i):
@@ -45,25 +56,34 @@ def _grid():
     edited, duplicated = f33.copy(), f24.copy()
     edited[5] = (edited[5] + _unit(3, 0)) % 3
     duplicated[9] = duplicated[3]
-    return {
+    grid = {
         "field-2,4": (2, f24, True),
         "field-5,2": (5, f52, True),
         "shifted-field-3,3": (3, f33 + _symmetric(rng, 3, 3), True),
-        "permuted-field-2,4": (2, f24[rng.sample(range(16), 16)], True),
+        # the field in another order, and the cosets of other subspaces
+        # below, are no shifted field in index order: they take the walk
+        "permuted-field-2,4": (2, f24[rng.sample(range(16), 16)], False),
         "edited-member-3,3": (3, edited, False),
         "duplicated-member-2,4": (2, duplicated, False),
         "truncated-field-5,2": (5, f52[:7], False),
         # span{I, Q}: p^2 of the p^3 members
-        "shifted-subspace-3,3": (3, f33[:9] + _symmetric(rng, 3, 3), True),
+        "shifted-subspace-3,3": (3, f33[:9] + _symmetric(rng, 3, 3), False),
         # span{I, E_00}: member 3 = E_00 + shift, so the pair (0, 3) is singular
         "singular-subspace-3,3": (3, _span([np.eye(3, dtype=np.int64), _unit(3, 0)], 3,
-                                           _symmetric(rng, 3, 3)), True),
-        "one-member-2,3": (2, mub_set(2, 3).stack[5:6], True),
+                                           _symmetric(rng, 3, 3)), False),
+        "one-member-2,3": (2, mub_set(2, 3).stack[5:6], False),
         # 66 upper-triangle digits, two key words; E_(10,10) is digit 65
         # alone, so keys that dropped the second word would merge members
         "two-word-2,11": (2, _span([_unit(11, 10), np.eye(11, dtype=np.int64),
-                                    _symmetric(rng, 2, 11)], 2, _symmetric(rng, 2, 11)), True),
+                                    _symmetric(rng, 2, 11)], 2, _symmetric(rng, 2, 11)), False),
     }
+    for p, n in [(2, 1), (3, 1), (2, 6), (3, 4), (5, 2), (13, 2)]:
+        shifted = (mub_set(p, n).stack + _shift(rng, p, n)) % p
+        edited = shifted.copy()
+        edited[0] = (edited[0] + _unit(n, 0)) % p
+        grid[f"shifted-field-{p},{n}"] = (p, shifted, True)
+        grid[f"edited-first-member-{p},{n}"] = (p, edited, False)
+    return grid
 
 
 GRID = _grid()
@@ -76,8 +96,13 @@ def _family(case):
 
 @pytest.mark.parametrize("case", sorted(GRID))
 def test_affine_check_matches_span_enumeration(case):
+    # affine: the stack less member 0 is the field of its member p;
+    # field_rep: affine with member 0 zero, so no shifted field is one
     p, stack, affine = GRID[case]
-    assert _family(case).affine == affine_brute(stack, p) == affine
+    s = _family(case)
+    less = MubSet(p=p, n=s.n, stack=np.remainder(stack - stack[:1], p))
+    assert s.affine == field_brute(less) == affine
+    assert s.field_rep == field_brute(s) == (affine and not stack[0].any())
 
 
 def _reports(s):
@@ -100,15 +125,16 @@ def test_failing_affine_stack_reports_row_zero():
     assert verify_mu_numeric(s).first_violation[:2] == (0, 3)
 
 
-@pytest.mark.parametrize("case", sorted(c for c in GRID if GRID[c][2]))
+@pytest.mark.parametrize("case", sorted(GRID))
 def test_affine_stack_never_walks(monkeypatch, case):
-    def walk(*args):
-        raise AssertionError("difference_rows entered")
-
-    monkeypatch.setattr(mubs, "difference_rows", walk)
+    # row 0 decides an affine stack; every other stack walks
+    walks = []
+    walk = mubs.difference_rows
+    monkeypatch.setattr(mubs, "difference_rows", lambda *args: walks.append(args) or walk(*args))
     s = _family(case)
-    verify_mu_condition(s)  # a proven field_rep also decides affinity
+    verify_mu_condition(s)
     _reports(s)
+    assert bool(walks) != GRID[case][2]
 
 
 @pytest.mark.parametrize("case", ["shifted-field-3,3", "singular-subspace-3,3"])
@@ -125,13 +151,13 @@ def test_computational_violation_order_matches_the_walk(monkeypatch, case):
     assert fast == verify_mu_numeric(_family(case))
 
 
-@pytest.mark.parametrize("case, ranks", [("shifted-field-3,3", 1), ("field-5,2", 0)])
+@pytest.mark.parametrize("case, ranks", [("shifted-field-3,3", 0), ("field-5,2", 0)])
 def test_affinity_is_proven_once_per_family(monkeypatch, case, ranks):
-    # both checks route through `affine`; its rank is the only call on a
-    # non-square block, the cached value serves the second check, and a
-    # proven field needs no rank
-    blocks = []
-    eliminate = mubs.eliminate_stack
+    # both checks route through `affine`: one walk of the recurrence,
+    # whose cached verdict serves the second check, and no rank of a
+    # non-square block
+    blocks, proofs = [], []
+    eliminate, levels = mubs.eliminate_stack, mubs._levels
 
     def counting(stack, p):
         if stack.shape[1] != stack.shape[2]:
@@ -139,10 +165,11 @@ def test_affinity_is_proven_once_per_family(monkeypatch, case, ranks):
         return eliminate(stack, p)
 
     monkeypatch.setattr(mubs, "eliminate_stack", counting)
+    monkeypatch.setattr(mubs, "_levels", lambda q: proofs.append(q) or levels(q))
     s = _family(case)
     verify_mu_condition(s)
     verify_mu_numeric(s)
-    assert len(blocks) == ranks
+    assert len(blocks) == ranks and len(proofs) == 1
 
 
 def test_empty_stack_has_no_pair():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from graphmub import mubs
 from graphmub.cli import adjacency_to_dot, main
+from graphmub.fields import PolyZp
 from graphmub.linalg import MatZp
 from graphmub.entanglement import Bipartition, analysis_report
 from graphmub.mubs import (
@@ -92,6 +93,27 @@ def test_gen_and_export_write_the_oracle_bytes(capsys, tmp_path, argv, build):
     path = tmp_path / "doc.json"
     path.write_text(expected)
     assert run_cli(capsys, ["export", str(path), "--format", "json"]) == (0, expected, "")
+
+
+@pytest.mark.parametrize("claim", [[0], [0, 0], [], None, "gen"])
+def test_export_of_the_export_is_the_export(capsys, tmp_path, claim):
+    # a zero polynomial, [] included, is read as no claim, so its export
+    # writes null, which reads back the same
+    doc = to_document(mub_set(3, 2))
+    if claim != "gen":
+        doc["polynomial"] = claim
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, once, err = run_cli(capsys, ["export", str(path)])
+    assert code == 0, err
+    assert json.loads(once)["polynomial"] == (doc["polynomial"] if claim == "gen" else None)
+    path.write_text(once)
+    assert run_cli(capsys, ["export", str(path)]) == (0, once, "")
+
+
+def test_a_zero_polynomial_is_written_as_no_claim():
+    s = MubSet(p=3, n=2, stack=mub_set(3, 2).stack, polynomial=PolyZp(3, [0, 3]))
+    assert stack_document(s)["polynomial"] is None
 
 
 @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (7, 3)])

@@ -482,7 +482,7 @@ def test_rank_table_equals_a_per_cut_elimination(p, n):
     bips = all_bipartitions(n)
     for s in (fam, shifted):
         table = entanglement._rank_table(s.stack, p, entanglement._all_cuts(n))
-        assert table.dtype == np.int64 and table.shape == (len(bips), p**n)
+        assert table.dtype == np.uint8 and table.shape == (len(bips), p**n)
         assert np.array_equal(table, per_cut_ranks(s.stack, p, bips))
     # cuts of mixed |X| in any order land in their own rows
     picked = random.Random(p + n).sample(bips, min(9, len(bips)))
@@ -587,7 +587,8 @@ def test_rank_table_makes_one_elimination_per_gather_block(monkeypatch):
 
 
 def test_rank_table_memory_at_2_11():
-    # the table (1023 cuts x 2048 members, 16 MiB) plus a few gather blocks
+    # the table (1023 cuts x 2048 members, one byte a rank: 2 MiB) plus a
+    # few gather blocks
     s = mub_set(2, 11)
     cuts = entanglement._all_cuts(11)
     tracemalloc.start()
@@ -596,7 +597,7 @@ def test_rank_table_memory_at_2_11():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.nbytes == 1023 * 2048 * 8
+    assert table.nbytes == 1023 * 2048 * 1
     assert peak <= table.nbytes + 2 * 2**20, peak - table.nbytes
 
 

@@ -193,8 +193,9 @@ def known_rank(rng, p, nrows, ncols, k):
 @pytest.mark.parametrize("p", [3, 5, 13, 2**31 - 1])
 @pytest.mark.parametrize("nrows, ncols", [(243, 15), (15, 243), (70, 3), (3, 70)])
 def test_odd_kernel_on_tall_and_wide_blocks_of_known_rank(p, nrows, ncols):
-    # 243 x 15 is the affine proof's block at (3,5); the ranks run from
-    # 0 (an all-zero member) through full, each member built to its rank
+    # 243 x 15 is the shape of a (3,5) family's upper triangles; the
+    # ranks run from 0 (an all-zero member) through full, each member
+    # built to its rank
     rng = random.Random(73 + nrows + p % 97)
     full = min(nrows, ncols)
     ks = [0, 1, 2, full // 2, full - 1, full]

@@ -179,8 +179,8 @@ def test_field_rep_proves_a_stack_without_a_second_stack(p, n):
 
 
 def test_affine_keys_stay_on_the_stack_dtype():
-    # the duplicate test keys each row by its own bytes on the int8
-    # stack: no int64 copy of the upper triangles is made
+    # the shifted field is proven as a field is, block by block on the
+    # int8 stack: no int64 copy of the stack or its upper triangles is made
     s = shift_set(mub_set(2, 14), MatZp.identity(2, 14))
     upper = mubs._upper(s.stack).nbytes
     tracemalloc.start()
@@ -301,17 +301,12 @@ def test_field_family_passes_closure_without_a_determinant(monkeypatch):
 def test_pairwise_check_takes_one_determinant_per_difference(monkeypatch):
     # a nonzero shift hides the field, so the pairwise check runs; its
     # differences are the p^n - 1 nonzero members of the field, and each
-    # takes one determinant however many pairs share it (square calls
-    # only: the affine check's rank is one call on an (N, n(n+1)/2) block)
+    # takes one determinant however many pairs share it (the proof that
+    # the stack is a shifted field takes no rank)
     rows = []
     eliminate = mubs.eliminate_stack
-
-    def counting(stack, p):
-        if stack.shape[1] == stack.shape[2]:
-            rows.append(len(stack))
-        return eliminate(stack, p)
-
-    monkeypatch.setattr(mubs, "eliminate_stack", counting)
+    monkeypatch.setattr(mubs, "eliminate_stack",
+                        lambda stack, p: rows.append(len(stack)) or eliminate(stack, p))
     for p, n in ((2, 5), (3, 3), (5, 2)):
         fam = shift_set(mub_set(p, n), MatZp.identity(p, n))
         rows.clear()

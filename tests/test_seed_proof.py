@@ -42,8 +42,8 @@ from oracles import all_monic, field_brute
 @pytest.fixture
 def work(monkeypatch):
     """Counters for the two costs a seed may pay: walks of the Z_p[Q]
-    recurrence (`_field` expanding Q, or `field_rep` proving a stack
-    passed in), and distinct-degree computations (by coefficient tuple),
+    recurrence (`_field` expanding Q, or `affine` proving a stack passed
+    in), and distinct-degree computations (by coefficient tuple),
     counted inside the kernels rather than at the memoizing
     `is_irreducible`."""
     fields, tested = [], []
@@ -172,10 +172,15 @@ def test_a_stack_passed_in_is_proven_from_the_stack(work, p, n):
     for name, s in cases.items():
         fields.clear()
         verdict = s.field_rep
-        # Q = member p is untouched in every case, so the proof expands it
-        assert len(fields) == 1, name
+        # Q = member p - member 0 is untouched in every case, so the proof
+        # expands it, unless a nonzero member 0 rules out a field first
+        assert len(fields) == (name != "shift-identity"), name
         assert verdict == MubSet(p=p, n=n, stack=s.stack).field_rep == field_brute(s), name
         assert verdict == (name in ("own-field", "shift-zero")), name
+        # the shifted field is proven by the same walk, once
+        fields.clear()
+        assert s.affine == (name not in ("swapped", "edited")), name
+        assert len(fields) == (name == "shift-identity"), name
 
 
 @pytest.mark.parametrize("p,n", [(2, 8), (3, 5), (7, 3), (11, 2), (13, 2)])
